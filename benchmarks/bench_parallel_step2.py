@@ -21,7 +21,7 @@ import time
 
 from _shared import FULL_SCALE, QUICK_SCALE, _cached_bank, print_and_return
 from repro.core import OrisEngine, OrisParams
-from repro.core.parallel import compare_parallel
+from repro.runtime.scheduler import RuntimeConfig, compare_resilient
 from repro.eval import render_table
 
 WORKER_COUNTS = (1, 2, 4)
@@ -37,7 +37,7 @@ def run_sweep(scale: float, pair=("EST1", "EST2")):
     rows = [("sequential", 1, t_seq, len(seq.records), "-")]
     for n in WORKER_COUNTS[1:]:
         t0 = time.perf_counter()
-        par = compare_parallel(b1, b2, OrisParams(), n_workers=n)
+        par = compare_resilient(b1, b2, OrisParams(), RuntimeConfig(n_workers=n))
         wall = time.perf_counter() - t0
         exact = [r.to_line() for r in par.records] == seq_lines
         rows.append((f"parallel x{n}", n, wall, len(par.records),
@@ -63,7 +63,9 @@ def bench_parallel_two_workers(benchmark):
     b1 = _cached_bank("EST1", QUICK_SCALE)
     b2 = _cached_bank("EST2", QUICK_SCALE)
     res = benchmark.pedantic(
-        lambda: compare_parallel(b1, b2, OrisParams(), n_workers=2),
+        lambda: compare_resilient(
+            b1, b2, OrisParams(), RuntimeConfig(n_workers=2)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -1,6 +1,6 @@
 """Parallel intensive comparison (the paper's section-4 parallelism).
 
-Demonstrates ``compare_parallel``: step 2's seed space partitioned across
+Demonstrates ``compare_resilient``: step 2's seed space partitioned across
 worker processes, with bit-identical results to the sequential engine --
 the property the paper derives from the ordered-seed cutoff ("the outer
 loop ... can be run in parallel since seed order prevents identical HSPs
@@ -16,8 +16,9 @@ import time
 
 import numpy as np
 
-from repro import OrisEngine, OrisParams, compare_parallel
+from repro import OrisEngine, OrisParams
 from repro.data.synthetic import Transcriptome, make_est_bank
+from repro.runtime.scheduler import RuntimeConfig, compare_resilient
 
 
 def main() -> None:
@@ -35,7 +36,9 @@ def main() -> None:
 
     for workers in (2, 4):
         t0 = time.perf_counter()
-        par = compare_parallel(bank1, bank2, OrisParams(), n_workers=workers)
+        par = compare_resilient(
+            bank1, bank2, OrisParams(), RuntimeConfig(n_workers=workers)
+        )
         t_par = time.perf_counter() - t0
         identical = [r.to_line() for r in par.records] == [
             r.to_line() for r in seq.records

@@ -25,7 +25,6 @@ from .io.bank import Bank
 from .io.m8 import M8Record, read_m8, write_m8
 from .core.params import OrisParams
 from .core.engine import ComparisonResult, OrisEngine
-from .core.parallel import compare_parallel
 from .baselines.blastn import BlastnEngine, BlastnParams
 from .baselines.blat import BlatEngine, BlatParams
 from .align.scoring import ScoringScheme
@@ -40,7 +39,6 @@ __all__ = [
     "OrisParams",
     "OrisEngine",
     "ComparisonResult",
-    "compare_parallel",
     "BlastnEngine",
     "BlastnParams",
     "BlatEngine",

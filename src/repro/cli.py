@@ -301,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "quarantined (default 2)",
     )
     parser.add_argument(
-        "--split", choices=("balanced", "legacy"), default="balanced",
-        help="ORIS only: step-2 work partition across --workers tasks: "
-        "'balanced' equalises hit-pair cost (X1*X2) per task, 'legacy' "
-        "splits the seed-code list into equal counts (default: balanced)",
-    )
-    parser.add_argument(
         "--no-shm", action="store_true",
         help="ORIS only: disable the shared-memory arena and ship each "
         "worker a pickled copy of the banks/indexes instead (the "
@@ -859,7 +853,6 @@ def _execute(args) -> int:
 
         config = RuntimeConfig(
             n_workers=max(args.workers, 1),
-            split=args.split,
             use_shm=not args.no_shm,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,

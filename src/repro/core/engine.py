@@ -12,20 +12,26 @@
    contained in a stored alignment (paper line 14); extend the rest from
    their middle in both directions with the banded x-drop DP; store
    alignments in a diagonal-bucketed catalogue.
-   To keep the DP lane-parallel, HSPs are processed in *waves*: each wave
-   extends, in one batch, every not-yet-covered HSP that does not collide
-   (same neighbourhood of diagonals, overlapping bank-1 extent) with an
-   HSP already chosen in the wave; collided HSPs are deferred to the next
-   wave, after which most of them are covered by a freshly stored
-   alignment and skipped.  Waves change scheduling only -- the
-   skip-or-extend decision for each HSP is the same one the paper's serial
-   loop makes.
+   To keep the DP lane-parallel, every HSP is extended in *one* batch and
+   the serial skip is then emulated by dropping each alignment contained
+   in a higher-scoring one (``gapped_scheduling="single"``).  The paper's
+   literal loop (``"serial"``) stays available as the test oracle.
 4. **Display**: attach e-values (search space = bank-1 size x subject
    sequence size, section 3.1), filter on the report threshold, sort, and
    emit ``-m 8`` records.
 
 The engine also accumulates per-step wall-clock timings and work counters,
 which the benchmark harness reports alongside the paper's tables.
+
+Every entry point shares three pieces of this module: step 1
+(:meth:`OrisEngine.index_step`), the step-2 chunk loop
+(:func:`extend_hit_pairs`, run on the whole common-code list here and on
+one slice of it by :func:`repro.core.parallel.run_range`) and steps 3-4
+(:meth:`OrisEngine.finish_comparison`, also used by the resilient
+runtime, the query service and the fleet planner).  They look their
+kernels up as globals of this module (``iter_pair_chunks``,
+``extend_filter_vector``, ``run_gapped_stage``, ``alignments_to_m8``
+...), so a tracer that rebinds those names here sees every entry point.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from ..align.vector_kernel import extend_filter_vector
 from ..encoding.packed import packed_bank_cached
 from ..filters import make_filter_mask
 from ..index.asymmetric import build_asymmetric_indexes
-from ..index.seed_index import CsrSeedIndex
+from ..index.seed_index import CommonCodes, CsrSeedIndex
 from ..io.bank import Bank
 from ..io.m8 import M8Record
 from ..obs import MetricsRegistry, span
@@ -51,7 +57,13 @@ from .gapped_stage import run_gapped_stage
 from .pairs import iter_pair_chunks
 from .params import OrisParams
 
-__all__ = ["OrisEngine", "ComparisonResult", "StepTimings", "WorkCounters"]
+__all__ = [
+    "OrisEngine",
+    "ComparisonResult",
+    "StepTimings",
+    "WorkCounters",
+    "extend_hit_pairs",
+]
 
 
 @dataclass(slots=True)
@@ -81,7 +93,7 @@ class WorkCounters:
     n_skipped_contained: int = 0  # HSPs skipped by the containment test
     n_alignments: int = 0  # alignments stored
     n_records: int = 0  # records after e-value filtering
-    n_waves: int = 0  # step-3 scheduling waves
+    n_waves: int = 0  # step-3 extension batches
     # Resilient-runtime metrics (repro.runtime.scheduler); all zero on
     # serial and plain-parallel runs.
     n_retries: int = 0  # task re-executions (any cause)
@@ -146,25 +158,16 @@ class OrisEngine:
     def _compare_one_strand(
         self, bank1: Bank, bank2: Bank, minus: bool
     ) -> ComparisonResult:
-        p = self.params
         timings = StepTimings()
         counters = WorkCounters()
         registry = MetricsRegistry()
-        stats = karlin_params(p.scoring)
         strand = "minus" if minus else "plus"
+        index1, index2 = self.index_step(bank1, bank2, timings, registry, strand)
 
-        # ---- Step 1: indexing ----------------------------------------- #
         t0 = time.perf_counter()
-        with span("step1.index", strand=strand):
-            index1, index2 = self._build_indexes(bank1, bank2)
-        index1.record_metrics(registry, "bank1")
-        index2.record_metrics(registry, "bank2")
-        timings.index = time.perf_counter() - t0
-        registry.set_gauge("time.step1_index_seconds", timings.index, mode="sum")
-
-        # ---- Step 2: hit extensions ------------------------------------ #
-        t0 = time.perf_counter()
-        s1_threshold = self._resolve_hsp_min_score(bank1, bank2, stats)
+        s1_threshold = self._resolve_hsp_min_score(
+            bank1, bank2, karlin_params(self.params.scoring)
+        )
         with span("step2.extend", strand=strand) as s:
             table = self._ungapped_stage(
                 index1, index2, s1_threshold, counters, registry
@@ -176,11 +179,62 @@ class OrisEngine:
             "time.step2_ungapped_seconds", timings.ungapped, mode="sum"
         )
 
-        # ---- Step 3: gapped alignments --------------------------------- #
+        return self.finish_comparison(
+            bank1, bank2, table, counters, timings, registry, minus_strand=minus
+        )
+
+    def index_step(
+        self,
+        bank1: Bank,
+        bank2: Bank,
+        timings: StepTimings,
+        registry: MetricsRegistry,
+        strand: str = "plus",
+    ) -> tuple[CsrSeedIndex, CsrSeedIndex]:
+        """Step 1: index both banks, recording index metrics and time."""
+        t0 = time.perf_counter()
+        with span("step1.index", strand=strand):
+            index1, index2 = self._build_indexes(bank1, bank2)
+        index1.record_metrics(registry, "bank1")
+        index2.record_metrics(registry, "bank2")
+        timings.index = time.perf_counter() - t0
+        registry.set_gauge("time.step1_index_seconds", timings.index, mode="sum")
+        return index1, index2
+
+    def finish_comparison(
+        self,
+        bank1: Bank,
+        bank2: Bank,
+        table: HSPTable,
+        counters: WorkCounters,
+        timings: StepTimings,
+        registry: MetricsRegistry,
+        minus_strand: bool = False,
+        subject_lengths: np.ndarray | None = None,
+    ) -> ComparisonResult:
+        """Steps 3-4 on a step-2 HSP table, for every entry point.
+
+        ``minus_strand`` marks a pass against the reverse-complemented
+        bank 2.  ``subject_lengths`` optionally overrides the per-sequence
+        subject length used for e-values (fleet shards serving windows of
+        longer sequences; see :func:`repro.align.records.alignments_to_m8`).
+        ``exclude_self`` comes from the engine's parameters.
+        """
+        p = self.params
+        strand = "minus" if minus_strand else "plus"
+
         t0 = time.perf_counter()
         with span("step3.gapped", strand=strand) as s:
-            alignments = self._gapped_stage(
-                bank1, bank2, table, counters, registry
+            alignments = run_gapped_stage(
+                bank1,
+                bank2,
+                table,
+                scoring=p.scoring,
+                band_radius=p.band_radius,
+                counters=counters,
+                min_align_score=p.min_align_score,
+                scheduling=p.gapped_scheduling,
+                registry=registry,
             )
             s.set(n_alignments=len(alignments))
         counters.n_alignments = len(alignments)
@@ -188,17 +242,17 @@ class OrisEngine:
         timings.gapped = time.perf_counter() - t0
         registry.set_gauge("time.step3_gapped_seconds", timings.gapped, mode="sum")
 
-        # ---- Step 4: display ------------------------------------------- #
         t0 = time.perf_counter()
         with span("step4.display", strand=strand):
             records = alignments_to_m8(
                 alignments,
                 bank1,
                 bank2,
-                stats,
+                karlin_params(p.scoring),
                 max_evalue=p.max_evalue,
-                minus_strand=minus,
+                minus_strand=minus_strand,
                 exclude_self=p.exclude_self,
+                subject_lengths=subject_lengths,
             )
             records = sort_records(records, key=p.sort_key)
         counters.n_records = len(records)
@@ -286,11 +340,10 @@ class OrisEngine:
         """
         if registry is None:
             registry = MetricsRegistry()
-        stats = karlin_params(self.params.scoring)
-        index1, index2 = self._build_indexes(bank1, bank2)
-        index1.record_metrics(registry, "bank1")
-        index2.record_metrics(registry, "bank2")
-        threshold = self._resolve_hsp_min_score(bank1, bank2, stats)
+        index1, index2 = self.index_step(bank1, bank2, StepTimings(), registry)
+        threshold = self._resolve_hsp_min_score(
+            bank1, bank2, karlin_params(self.params.scoring)
+        )
         return self._ungapped_stage(
             index1, index2, threshold, WorkCounters(), registry
         )
@@ -303,141 +356,148 @@ class OrisEngine:
         counters: WorkCounters,
         registry: MetricsRegistry | None = None,
     ) -> HSPTable:
-        p = self.params
-        if registry is None:
-            registry = MetricsRegistry()
+        """Step 2 over the whole common-code list of two indexes."""
         spaced = index1.mask is not None
-        # Extension offsets always use the seed's *span*; for contiguous
-        # seeds span == w.
-        w = index1.span
-        common = index1.common_codes(index2)
-        registry.inc("step2.seeds_enumerated", common.n_codes)
-        table = HSPTable()
-        seq1 = index1.bank.seq
-        seq2 = index2.bank.seq
-        codes1 = index1.cutoff_codes
-        codes2 = index2.cutoff_codes if spaced else None
-        ok2 = None if spaced else index2.indexed_mask
-        dedup: set[tuple[int, int, int, int]] | None = (
-            None if p.ordered_cutoff else set()
-        )
-        vector = p.kernel == "vector"
-        if vector:
-            # Packing is one linear sweep per bank and the memo makes the
-            # self-comparison (seq2 is seq1) and repeat-call cases free.
-            packed1 = packed_bank_cached(seq1)
-            packed2 = packed_bank_cached(seq2)
-        for chunk in iter_pair_chunks(
-            index1, index2, common, p.chunk_pairs, p.max_occurrences
-        ):
-            counters.n_pairs += chunk.n_pairs
-            registry.inc("step2.hit_pairs", chunk.n_pairs)
-            # Every hit pair starts exactly one extension lane; tracking
-            # both makes the funnel explicit (and checkable) even though
-            # this implementation never drops a hit before extending.
-            registry.inc("step2.extensions_started", chunk.n_pairs)
-            registry.observe("step2.chunk_pairs", chunk.n_pairs)
-            init = (
-                span_initial_score(seq1, seq2, chunk.p1, chunk.p2, w, p.scoring)
-                if spaced
-                else None
-            )
-            if vector:
-                stage = extend_filter_vector(
-                    seq1,
-                    seq2,
-                    codes1,
-                    chunk.p1,
-                    chunk.p2,
-                    chunk.codes,
-                    w,
-                    p.scoring,
-                    s1_threshold,
-                    ordered_cutoff=p.ordered_cutoff,
-                    ok2=ok2,
-                    codes2=codes2,
-                    initial_scores=init,
-                    packed1=packed1,
-                    packed2=packed2,
-                )
-                counters.ungapped_steps += stage.steps
-                counters.n_cut += stage.n_cut_left + stage.n_cut_right
-                registry.inc("step2.cutoff_aborts_left", stage.n_cut_left)
-                registry.inc("step2.cutoff_aborts_right", stage.n_cut_right)
-                registry.inc("step2.dropped_below_s1", stage.n_below_s1)
-                s1 = stage.start1
-                e1 = stage.end1
-                s2 = stage.start2
-                sc = stage.score
-            else:
-                res = batch_extend(
-                    seq1,
-                    seq2,
-                    codes1,
-                    chunk.p1,
-                    chunk.p2,
-                    chunk.codes,
-                    w,
-                    p.scoring,
-                    ordered_cutoff=p.ordered_cutoff,
-                    ok2=ok2,
-                    codes2=codes2,
-                    initial_scores=init,
-                )
-                counters.ungapped_steps += res.steps
-                counters.n_cut += int((~res.kept).sum())
-                registry.inc(
-                    "step2.cutoff_aborts_left", int(res.cut_left.sum())
-                )
-                registry.inc(
-                    "step2.cutoff_aborts_right", int(res.cut_right.sum())
-                )
-                registry.inc(
-                    "step2.dropped_below_s1",
-                    int((res.kept & (res.score < s1_threshold)).sum()),
-                )
-                keep = res.kept & (res.score >= s1_threshold)
-                s1 = res.start1[keep]
-                e1 = res.end1[keep]
-                s2 = res.start2[keep]
-                sc = res.score[keep]
-            if dedup is not None and s1.size:
-                # Ablation mode: the cutoff is off, so the same HSP arrives
-                # many times; this is exactly the "costly procedure to
-                # suppress all the duplicates" the paper avoids.
-                fresh = np.ones(s1.shape[0], dtype=bool)
-                for i in range(s1.shape[0]):
-                    box = (int(s1[i]), int(e1[i]), int(s2[i]), int(sc[i]))
-                    if box in dedup:
-                        fresh[i] = False
-                    else:
-                        dedup.add(box)
-                registry.inc("step2.dedup_dropped", int((~fresh).sum()))
-                s1, e1, s2, sc = s1[fresh], e1[fresh], s2[fresh], sc[fresh]
-            registry.inc("step2.hsps_kept", int(s1.shape[0]))
-            table.append_chunk(s1, e1, s2, sc)
-        return table
-
-    def _gapped_stage(
-        self,
-        bank1: Bank,
-        bank2: Bank,
-        table: HSPTable,
-        counters: WorkCounters,
-        registry: MetricsRegistry | None = None,
-    ) -> list[GappedAlignment]:
-        p = self.params
-        return run_gapped_stage(
-            bank1,
-            bank2,
-            table,
-            scoring=p.scoring,
-            band_radius=p.band_radius,
+        return extend_hit_pairs(
+            index1.bank.seq,
+            index2.bank.seq,
+            index1,
+            index2,
+            index1.common_codes(index2),
+            index1.cutoff_codes,
+            index1.span,
+            self.params,
+            s1_threshold,
+            ok2=None if spaced else index2.indexed_mask,
+            codes2=index2.cutoff_codes if spaced else None,
             counters=counters,
-            min_align_score=p.min_align_score,
-            scheduling=p.gapped_scheduling,
-            registry=registry,
+            registry=registry if registry is not None else MetricsRegistry(),
+            dedup=None if self.params.ordered_cutoff else set(),
         )
+
+
+def extend_hit_pairs(
+    seq1: np.ndarray,
+    seq2: np.ndarray,
+    index1,
+    index2,
+    common: CommonCodes,
+    codes1: np.ndarray,
+    w: int,
+    params: OrisParams,
+    s1_threshold: int,
+    ok2: np.ndarray | None,
+    codes2: np.ndarray | None,
+    counters: WorkCounters,
+    registry: MetricsRegistry,
+    dedup: set[tuple[int, int, int, int]] | None = None,
+) -> HSPTable:
+    """Step 2 over ``common``: extend every hit pair, keep HSPs >= S1.
+
+    The one chunk loop behind :meth:`OrisEngine._ungapped_stage` (the
+    whole common-code list) and :func:`repro.core.parallel.run_range`
+    (one slice of it).  ``index1``/``index2`` only need ``.positions``;
+    ``codes1`` are bank 1's cutoff codes and ``w`` the seed span.
+    Spaced and subset seeds pass bank 2's cutoff codes as ``codes2``;
+    contiguous seeds pass its enumerability mask as ``ok2`` instead.
+    ``dedup`` is the duplicate filter of the no-cutoff ablation.
+    """
+    registry.inc("step2.seeds_enumerated", common.n_codes)
+    table = HSPTable()
+    spaced = codes2 is not None
+    vector = params.kernel == "vector"
+    if vector:
+        # Packing is one linear sweep per bank and the memo (keyed on the
+        # array object) makes repeat calls, self-comparisons and every
+        # later task of a worker process free.
+        packed1 = packed_bank_cached(seq1)
+        packed2 = packed_bank_cached(seq2)
+    for chunk in iter_pair_chunks(
+        index1, index2, common, params.chunk_pairs, params.max_occurrences
+    ):
+        counters.n_pairs += chunk.n_pairs
+        registry.inc("step2.hit_pairs", chunk.n_pairs)
+        # Every hit pair starts exactly one extension lane; tracking
+        # both makes the funnel explicit (and checkable) even though
+        # this implementation never drops a hit before extending.
+        registry.inc("step2.extensions_started", chunk.n_pairs)
+        registry.observe("step2.chunk_pairs", chunk.n_pairs)
+        init = (
+            span_initial_score(seq1, seq2, chunk.p1, chunk.p2, w, params.scoring)
+            if spaced
+            else None
+        )
+        if vector:
+            stage = extend_filter_vector(
+                seq1,
+                seq2,
+                codes1,
+                chunk.p1,
+                chunk.p2,
+                chunk.codes,
+                w,
+                params.scoring,
+                s1_threshold,
+                ordered_cutoff=params.ordered_cutoff,
+                ok2=ok2,
+                codes2=codes2,
+                initial_scores=init,
+                packed1=packed1,
+                packed2=packed2,
+            )
+            counters.ungapped_steps += stage.steps
+            counters.n_cut += stage.n_cut_left + stage.n_cut_right
+            registry.inc("step2.cutoff_aborts_left", stage.n_cut_left)
+            registry.inc("step2.cutoff_aborts_right", stage.n_cut_right)
+            registry.inc("step2.dropped_below_s1", stage.n_below_s1)
+            s1 = stage.start1
+            e1 = stage.end1
+            s2 = stage.start2
+            sc = stage.score
+        else:
+            res = batch_extend(
+                seq1,
+                seq2,
+                codes1,
+                chunk.p1,
+                chunk.p2,
+                chunk.codes,
+                w,
+                params.scoring,
+                ordered_cutoff=params.ordered_cutoff,
+                ok2=ok2,
+                codes2=codes2,
+                initial_scores=init,
+            )
+            counters.ungapped_steps += res.steps
+            counters.n_cut += int((~res.kept).sum())
+            registry.inc("step2.cutoff_aborts_left", int(res.cut_left.sum()))
+            registry.inc("step2.cutoff_aborts_right", int(res.cut_right.sum()))
+            registry.inc(
+                "step2.dropped_below_s1",
+                int((res.kept & (res.score < s1_threshold)).sum()),
+            )
+            keep = res.kept & (res.score >= s1_threshold)
+            s1 = res.start1[keep]
+            e1 = res.end1[keep]
+            s2 = res.start2[keep]
+            sc = res.score[keep]
+        if dedup is not None and s1.size:
+            # Ablation mode: the cutoff is off, so the same HSP arrives
+            # many times; this is exactly the "costly procedure to
+            # suppress all the duplicates" the paper avoids.
+            fresh = np.ones(s1.shape[0], dtype=bool)
+            for i in range(s1.shape[0]):
+                box = (int(s1[i]), int(e1[i]), int(s2[i]), int(sc[i]))
+                if box in dedup:
+                    fresh[i] = False
+                else:
+                    dedup.add(box)
+            registry.inc("step2.dedup_dropped", int((~fresh).sum()))
+            s1, e1, s2, sc = s1[fresh], e1[fresh], s2[fresh], sc[fresh]
+        registry.inc("step2.hsps_kept", int(s1.shape[0]))
+        table.append_chunk(s1, e1, s2, sc)
+    return table
 
 
 def _merge_results(

@@ -9,8 +9,11 @@ the gapped extension machinery constant (the paper itself notes in
 section 3.4 that its gapped/ungapped extension procedures were "rewritten
 and tuned", which is one of its sensitivity confounders; we remove it).
 
-See :class:`repro.core.engine.OrisEngine` docs for the wave-scheduling
-description, and :mod:`repro.core.containment` for the skip test.
+Two schedules share one extension kernel: ``"single"`` (production)
+extends every HSP in one lane-parallel batch and then drops alignments
+contained in a higher-scoring one; ``"serial"`` is the paper's literal
+skip-or-extend loop, kept as the test oracle.  See
+:mod:`repro.core.containment` for the skip test.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ def run_gapped_stage(
     ``counters`` is any object with the :class:`~repro.core.engine.WorkCounters`
     fields touched here (``n_waves``, ``n_skipped_contained``,
     ``n_gapped_extensions``, ``gapped_steps``); ``registry`` optionally
-    collects the same quantities as funnel metrics plus a wave-size
-    histogram.
+    collects the same quantities as funnel metrics plus a batch-size
+    histogram (``step3.wave_hsps``).
     """
     if registry is None:
         registry = MetricsRegistry()
@@ -89,47 +92,7 @@ def run_gapped_stage(
         )
         return kept
 
-    if scheduling != "waves":
-        raise ValueError(f"unknown gapped scheduling {scheduling!r}")
-
-    pending = np.arange(n)
-    link_slack = 2 * band_radius  # "same alignment" neighbourhood
-    shift = max(link_slack - 1, 1).bit_length()
-    while pending.size:
-        counters.n_waves += 1
-        registry.inc("step3.waves")
-        selected: list[int] = []
-        deferred: list[int] = []
-        wave_buckets: dict[int, list[int]] = {}
-        for h in pending:
-            hd = int(diag[h])
-            hs1, he1 = int(s1[h]), int(e1[h])
-            if catalog.covers_hsp(hs1, he1, hd):
-                counters.n_skipped_contained += 1
-                registry.inc("step3.skipped_contained")
-                continue
-            b = hd >> shift
-            collide = False
-            for bb in (b - 1, b, b + 1):
-                for c in wave_buckets.get(bb, ()):
-                    if abs(int(diag[c]) - hd) <= link_slack and (
-                        hs1 < int(e1[c]) and int(s1[c]) < he1
-                    ):
-                        collide = True
-                        break
-                if collide:
-                    break
-            if collide:
-                deferred.append(h)
-            else:
-                selected.append(h)
-                wave_buckets.setdefault(b, []).append(h)
-        if not selected:
-            break
-        extend(np.asarray(selected, dtype=np.int64))
-        pending = np.asarray(deferred, dtype=np.int64)
-
-    return catalog.alignments
+    raise ValueError(f"unknown gapped scheduling {scheduling!r}")
 
 
 def _filter_contained(

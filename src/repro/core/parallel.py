@@ -1,4 +1,4 @@
-"""Seed-space-partitioned parallel step 2 (paper section 4).
+"""Seed-space-partitioned step 2 (paper section 4).
 
 "The structure of the algorithm is also well suited for fine grained
 parallelism, especially step 2 and step 3.  As a matter of fact, the outer
@@ -7,26 +7,26 @@ parallel since seed order prevents identical HSPs to be generated.  The
 two inner loops can also be highly parallelized as the ungapped extensions
 refer to independent computations."
 
-This module realises exactly that decomposition with ``multiprocessing``:
-the ascending list of common seed codes is split into contiguous ranges;
-each worker runs the step-2 batch extension over its range; the parent
-merges the per-worker HSP chunks and runs steps 3-4 as usual.  Correctness
-needs no inter-worker communication precisely because of the paper's
-argument -- the ordered-seed cutoff makes every HSP the product of exactly
-one seed, hence of exactly one worker.
+This module holds the unit of work of that decomposition: the ascending
+list of common seed codes is split into contiguous, pair-cost-balanced
+ranges (:func:`plan_ranges`); :func:`run_range` runs the engine's step-2
+loop (:func:`repro.core.engine.extend_hit_pairs`) over one range; the
+parent merges the per-range HSP chunks (:func:`merge_range_results`) and
+runs steps 3-4 as usual.  Correctness needs no inter-worker
+communication precisely because of the paper's argument -- the
+ordered-seed cutoff makes every HSP the product of exactly one seed,
+hence of exactly one range.
 
 Workers receive a :class:`RangePayload`: a *compact*, picklable bundle of
 exactly the arrays one range task needs (encoded banks, CSR positions,
-cutoff codes, the common-code extents, scoring parameters).  Under the
-``fork`` start method the payload is inherited copy-on-write (nothing is
-pickled); under ``spawn``/``forkserver`` it is pickled once per worker, so
-the decomposition also works on platforms without ``fork``.
+cutoff codes, the common-code extents, scoring parameters), or a
+:class:`ShmRangePayload` whose arrays live in a shared-memory arena.
 
-The same payload + :func:`run_range` pair is the unit of work of the
-fault-tolerant scheduler in :mod:`repro.runtime.scheduler`; range tasks
-are idempotent and restartable because each one is a pure function of the
-payload, which is what makes retries, requeues, and checkpoint/resume
-sound.
+The processes themselves belong to the fault-tolerant scheduler in
+:mod:`repro.runtime.scheduler` (``compare_resilient`` and the query
+service); range tasks are idempotent and restartable because each one is
+a pure function of the payload, which is what makes retries, requeues,
+and checkpoint/resume sound.
 """
 
 from __future__ import annotations
@@ -40,20 +40,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..align.ungapped import batch_extend, span_initial_score
-from ..align.vector_kernel import extend_filter_vector
-from ..encoding.packed import packed_bank_cached
 from ..align.hsp import HSPTable
 from ..index.seed_index import CommonCodes, CsrSeedIndex
-from ..io.bank import Bank
 from ..obs import MetricsRegistry, ObsSpec, init_worker_obs, maybe_profile, span
-from .engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
-from .pairs import iter_pair_chunks, pair_costs, split_balanced_ranges
+from .engine import WorkCounters, extend_hit_pairs
+from .pairs import pair_costs, split_balanced_ranges
 from .params import OrisParams
 
 __all__ = [
-    "compare_parallel",
-    "split_code_ranges",
     "RangePayload",
     "RangeResult",
     "ShmRangePayload",
@@ -64,31 +58,6 @@ __all__ = [
     "resolve_start_method",
     "plan_ranges",
 ]
-
-#: How many range tasks per worker the balanced splitter aims for; more
-#: tasks make straggler self-balancing finer at slightly more dispatch
-#: overhead (the ISSUE's 8-16x band).
-OVERSUBSCRIPTION = 12
-
-#: Per-worker state installed by the pool initializer (fork: inherited
-#: reference, zero-copy; spawn: unpickled once per worker process).
-_WORKER_STATE: dict = {}
-
-
-def split_code_ranges(n_codes: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split ``range(n_codes)`` into contiguous near-equal slices.
-
-    Returned slices preserve the ascending seed-code order inside each
-    worker (the order is what makes the cutoff correct; across workers no
-    ordering is required at all).
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    bounds = np.linspace(0, n_codes, n_workers + 1).astype(int)
-    return [
-        (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-
 
 # --------------------------------------------------------------------- #
 # Fault injection (test-only hook)
@@ -171,7 +140,8 @@ class RangePayload:
     start2: np.ndarray
     count2: np.ndarray
     span: int
-    spaced: bool
+    #: Exactly one is set: bank 2's cutoff codes for spaced/subset seeds,
+    #: its enumerability mask for contiguous seeds.
     ok2: np.ndarray | None
     codes2: np.ndarray | None
     params: OrisParams
@@ -231,7 +201,6 @@ def build_range_payload(
         start2=common.start2,
         count2=common.count2,
         span=index1.span,
-        spaced=spaced,
         ok2=None if spaced else index2.indexed_mask,
         codes2=index2.cutoff_codes if spaced else None,
         params=params,
@@ -272,7 +241,6 @@ class ShmRangePayload:
 
     spec: object  # ArenaSpec (typed loosely: core must not import runtime)
     span: int
-    spaced: bool
     params: OrisParams
     threshold: int
     fault: FaultSpec | None = field(default=None, repr=False)
@@ -284,7 +252,6 @@ class ShmRangePayload:
         return RangePayload(
             **{f: views[f] for f in _PAYLOAD_ARRAY_FIELDS},
             span=self.span,
-            spaced=self.spaced,
             ok2=views.get("ok2"),
             codes2=views.get("codes2"),
             params=self.params,
@@ -340,7 +307,6 @@ def publish_range_payload(
     shm_payload = ShmRangePayload(
         spec=spec,
         span=payload.span,
-        spaced=payload.spaced,
         params=payload.params,
         threshold=payload.threshold,
         fault=payload.fault,
@@ -353,27 +319,18 @@ def plan_ranges(
     common: CommonCodes,
     n_tasks: int,
     params: OrisParams,
-    split: str = "balanced",
     registry: MetricsRegistry | None = None,
 ) -> list[tuple[int, int]]:
     """Partition the common-code list into range tasks.
 
-    ``split="balanced"`` (the default) equalises X1*X2 pair cost across
-    chunks via :func:`~repro.core.pairs.split_balanced_ranges`;
-    ``"legacy"`` keeps the historical equal-code-count ``linspace``
-    split (benchmark baseline).  Chunk costs land in the
-    ``sched.chunk_cost_pairs`` histogram and the achieved max/min ratio
-    in the ``sched.chunk_cost_ratio`` gauge.
+    Equalises X1*X2 pair cost across chunks via
+    :func:`~repro.core.pairs.split_balanced_ranges`.  Chunk costs land in
+    the ``sched.chunk_cost_pairs`` histogram and the achieved max/min
+    ratio in the ``sched.chunk_cost_ratio`` gauge.
     """
-    if split not in ("balanced", "legacy"):
-        raise ValueError("split must be 'balanced' or 'legacy'")
-    if split == "legacy":
-        ranges = split_code_ranges(common.n_codes, n_tasks)
-    else:
-        costs = pair_costs(common, params.max_occurrences)
-        ranges = split_balanced_ranges(costs, n_tasks)
+    costs = pair_costs(common, params.max_occurrences)
+    ranges = split_balanced_ranges(costs, n_tasks)
     if registry is not None and ranges:
-        costs = pair_costs(common, params.max_occurrences)
         csum = np.concatenate(([0], np.cumsum(costs)))
         chunk_costs = np.array(
             [int(csum[hi] - csum[lo]) for lo, hi in ranges], dtype=np.int64
@@ -417,9 +374,8 @@ def run_range(
 
 
 def _run_range_inner(payload: RangePayload, lo: int, hi: int) -> RangeResult:
-    params = payload.params
+    counters = WorkCounters()
     registry = MetricsRegistry()
-    registry.inc("step2.seeds_enumerated", hi - lo)
     sub = CommonCodes(
         codes=payload.codes[lo:hi],
         start1=payload.start1[lo:hi],
@@ -427,114 +383,33 @@ def _run_range_inner(payload: RangePayload, lo: int, hi: int) -> RangeResult:
         start2=payload.start2[lo:hi],
         count2=payload.count2[lo:hi],
     )
-    # iter_pair_chunks only touches .positions on the index arguments.
-    view1 = SimpleNamespace(positions=payload.positions1)
-    view2 = SimpleNamespace(positions=payload.positions2)
-    w = payload.span
-    vector = params.kernel == "vector"
-    if vector:
-        # The memo keys on the bank array object: fork workers inherit the
-        # parent's arrays and shm workers get per-process cached views, so
-        # each worker process packs each bank at most once.
-        packed1 = packed_bank_cached(payload.seq1)
-        packed2 = packed_bank_cached(payload.seq2)
-    out: list[tuple[np.ndarray, ...]] = []
-    n_pairs = 0
-    n_cut = 0
-    steps = 0
-    for chunk in iter_pair_chunks(
-        view1, view2, sub, params.chunk_pairs, params.max_occurrences
-    ):
-        n_pairs += chunk.n_pairs
-        registry.inc("step2.hit_pairs", chunk.n_pairs)
-        registry.inc("step2.extensions_started", chunk.n_pairs)
-        registry.observe("step2.chunk_pairs", chunk.n_pairs)
-        init = (
-            span_initial_score(
-                payload.seq1, payload.seq2, chunk.p1, chunk.p2, w, params.scoring
-            )
-            if payload.spaced
-            else None
-        )
-        if vector:
-            stage = extend_filter_vector(
-                payload.seq1,
-                payload.seq2,
-                payload.cutoff_codes1,
-                chunk.p1,
-                chunk.p2,
-                chunk.codes,
-                w,
-                params.scoring,
-                payload.threshold,
-                ordered_cutoff=params.ordered_cutoff,
-                ok2=payload.ok2,
-                codes2=payload.codes2,
-                initial_scores=init,
-                packed1=packed1,
-                packed2=packed2,
-            )
-            steps += stage.steps
-            n_cut += stage.n_cut_left + stage.n_cut_right
-            registry.inc("step2.cutoff_aborts_left", stage.n_cut_left)
-            registry.inc("step2.cutoff_aborts_right", stage.n_cut_right)
-            registry.inc("step2.dropped_below_s1", stage.n_below_s1)
-            registry.inc("step2.hsps_kept", int(stage.start1.shape[0]))
-            out.append((stage.start1, stage.end1, stage.start2, stage.score))
-            continue
-        res = batch_extend(
-            payload.seq1,
-            payload.seq2,
-            payload.cutoff_codes1,
-            chunk.p1,
-            chunk.p2,
-            chunk.codes,
-            w,
-            params.scoring,
-            ordered_cutoff=params.ordered_cutoff,
-            ok2=payload.ok2,
-            codes2=payload.codes2,
-            initial_scores=init,
-        )
-        steps += res.steps
-        n_cut += int((~res.kept).sum())
-        registry.inc("step2.cutoff_aborts_left", int(res.cut_left.sum()))
-        registry.inc("step2.cutoff_aborts_right", int(res.cut_right.sum()))
-        registry.inc(
-            "step2.dropped_below_s1",
-            int((res.kept & (res.score < payload.threshold)).sum()),
-        )
-        keep = res.kept & (res.score >= payload.threshold)
-        registry.inc("step2.hsps_kept", int(keep.sum()))
-        out.append(
-            (res.start1[keep], res.end1[keep], res.start2[keep], res.score[keep])
-        )
-    if out:
-        s1 = np.concatenate([c[0] for c in out])
-        e1 = np.concatenate([c[1] for c in out])
-        s2 = np.concatenate([c[2] for c in out])
-        sc = np.concatenate([c[3] for c in out])
-    else:
-        s1 = np.empty(0, dtype=np.int64)
-        e1, s2, sc = s1.copy(), s1.copy(), s1.copy()
+    # The chunk loop only touches .positions on the index arguments.
+    table = extend_hit_pairs(
+        payload.seq1,
+        payload.seq2,
+        SimpleNamespace(positions=payload.positions1),
+        SimpleNamespace(positions=payload.positions2),
+        sub,
+        payload.cutoff_codes1,
+        payload.span,
+        payload.params,
+        payload.threshold,
+        ok2=payload.ok2,
+        codes2=payload.codes2,
+        counters=counters,
+        registry=registry,
+    )
+    s1, e1, s2, sc = table.columns()
     return RangeResult(
         start1=s1, end1=e1, start2=s2, score=sc,
-        n_pairs=n_pairs, n_cut=n_cut, steps=steps,
-        metrics=registry,
+        n_pairs=counters.n_pairs, n_cut=counters.n_cut,
+        steps=counters.ungapped_steps, metrics=registry,
     )
 
 
 # --------------------------------------------------------------------- #
-# Pool plumbing
+# Start method
 # --------------------------------------------------------------------- #
-
-
-def _init_pool_worker(payload: RangePayload | ShmRangePayload) -> None:
-    _WORKER_STATE["payload"] = payload
-
-
-def _pool_worker(code_range: tuple[int, int]) -> RangeResult:
-    return run_range(_WORKER_STATE["payload"], *code_range)
 
 
 def resolve_start_method(preferred: str | None = None) -> str | None:
@@ -609,174 +484,3 @@ def merge_range_results(
         table.append_chunk(res.start1, res.end1, res.start2, res.score)
     counters.n_hsps = len(table)
     return table
-
-
-def finish_comparison(
-    engine: OrisEngine,
-    bank1: Bank,
-    bank2: Bank,
-    table: HSPTable,
-    counters: WorkCounters,
-    timings: StepTimings,
-    stats,
-    registry: MetricsRegistry | None = None,
-    subject_lengths=None,
-) -> ComparisonResult:
-    """Steps 3-4 on a merged HSP table (shared by parallel + resilient).
-
-    ``subject_lengths`` optionally overrides the per-sequence subject
-    length used for e-values (fleet shards serving windows of longer
-    sequences; see :func:`repro.align.records.alignments_to_m8`).
-    """
-    from ..align.records import alignments_to_m8, sort_records
-
-    params = engine.params
-    if registry is None:
-        registry = MetricsRegistry()
-    t0 = time.perf_counter()
-    with span("step3.gapped") as sp:
-        alignments = engine._gapped_stage(bank1, bank2, table, counters, registry)
-        sp.set(n_alignments=len(alignments))
-    counters.n_alignments = len(alignments)
-    registry.inc("step3.alignments", len(alignments))
-    timings.gapped = time.perf_counter() - t0
-    registry.set_gauge("time.step3_gapped_seconds", timings.gapped, mode="sum")
-
-    t0 = time.perf_counter()
-    with span("step4.display"):
-        records = alignments_to_m8(
-            alignments, bank1, bank2, stats, max_evalue=params.max_evalue,
-            subject_lengths=subject_lengths,
-        )
-        records = sort_records(records, key=params.sort_key)
-    counters.n_records = len(records)
-    registry.inc("step4.records", len(records))
-    registry.inc("step4.evalue_filtered", len(alignments) - len(records))
-    timings.display = time.perf_counter() - t0
-    registry.set_gauge("time.step4_display_seconds", timings.display, mode="sum")
-
-    return ComparisonResult(
-        records=records,
-        alignments=alignments,
-        timings=timings,
-        counters=counters,
-        params=params,
-        metrics=registry,
-    )
-
-
-def compare_parallel(
-    bank1: Bank,
-    bank2: Bank,
-    params: OrisParams | None = None,
-    n_workers: int = 2,
-    start_method: str | None = None,
-    obs: ObsSpec | None = None,
-    use_shm: bool = True,
-    split: str = "balanced",
-    index_cache=None,
-) -> ComparisonResult:
-    """ORIS comparison with step 2 parallelised across processes.
-
-    Produces the same HSP set (hence the same records) as the sequential
-    engine -- asserted by the test suite -- because seed ranges are
-    independent under the ordered-seed cutoff.  Steps 1, 3 and 4 run in
-    the parent.
-
-    The code space is split into ``OVERSUBSCRIPTION`` x ``n_workers``
-    pair-cost-balanced chunks fed through the pool one at a time
-    (``chunksize=1``), so stragglers self-balance; ``split="legacy"``
-    restores the historical equal-code-count partition.  With ``use_shm``
-    (the default) the payload arrays are published once into a
-    shared-memory arena and workers attach views -- spawn workers no
-    longer unpickle bank copies; when the arena cannot be created the run
-    degrades to the pickled payload with a warning.
-
-    ``start_method`` picks the multiprocessing start method explicitly
-    (tests use ``"spawn"``); by default ``fork`` is preferred and any
-    non-``fork`` choice is announced with a :class:`RuntimeWarning`.
-    Falls back to the sequential engine when ``n_workers == 1`` or no
-    start method is usable.
-    """
-    params = params or OrisParams()
-    obs = obs if obs is not None else ObsSpec()
-    if params.strand != "plus":
-        raise ValueError(
-            "compare_parallel runs a single strand; call it per strand"
-        )
-    if not params.ordered_cutoff:
-        raise ValueError(
-            "parallel step 2 requires the ordered-seed cutoff (it is what "
-            "makes seed ranges independent)"
-        )
-    engine = OrisEngine(params)
-    if index_cache is not None:
-        engine.index_cache = index_cache
-    if n_workers <= 1:
-        return engine.compare(bank1, bank2)
-    method = resolve_start_method(start_method)
-    if method is None:
-        return engine.compare(bank1, bank2)
-
-    from ..align.evalue import karlin_params
-
-    timings = StepTimings()
-    counters = WorkCounters()
-    registry = MetricsRegistry()
-    stats = karlin_params(params.scoring)
-
-    t0 = time.perf_counter()
-    with span("step1.index"):
-        index1, index2 = engine._build_indexes(bank1, bank2)
-    index1.record_metrics(registry, "bank1")
-    index2.record_metrics(registry, "bank2")
-    common = index1.common_codes(index2)
-    threshold = engine._resolve_hsp_min_score(bank1, bank2, stats)
-    timings.index = time.perf_counter() - t0
-    registry.set_gauge("time.step1_index_seconds", timings.index, mode="sum")
-
-    t0 = time.perf_counter()
-    payload = build_range_payload(
-        index1, index2, common, params, threshold, obs=obs
-    )
-    ranges = plan_ranges(
-        common, n_workers * OVERSUBSCRIPTION, params, split, registry
-    )
-    arena = None
-    worker_payload: RangePayload | ShmRangePayload = payload
-    if use_shm and ranges:
-        from ..runtime.errors import ResourceExhausted
-
-        try:
-            arena, worker_payload = publish_range_payload(payload, registry)
-        except ResourceExhausted as exc:
-            warnings.warn(
-                f"{exc}; using the pickled worker payload instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            worker_payload = payload
-    try:
-        with span("step2.extend", n_ranges=len(ranges)):
-            if ranges:
-                ctx = mp.get_context(method)
-                with ctx.Pool(
-                    processes=min(n_workers, len(ranges)),
-                    initializer=_init_pool_worker,
-                    initargs=(worker_payload,),
-                ) as pool:
-                    results = pool.map(_pool_worker, ranges, chunksize=1)
-            else:
-                results = []
-    finally:
-        if arena is not None:
-            arena.close()
-    table = merge_range_results(results, counters, registry)
-    timings.ungapped = time.perf_counter() - t0
-    registry.set_gauge(
-        "time.step2_ungapped_seconds", timings.ungapped, mode="sum"
-    )
-
-    return finish_comparison(
-        engine, bank1, bank2, table, counters, timings, stats, registry
-    )

@@ -121,7 +121,6 @@ class OrisParams:
     #   "single" -- one lane-parallel batch over all HSPs + contained-
     #               alignment post-filter (default: fastest, within a
     #               fraction of a percent of "serial" output)
-    #   "waves"  -- lane-parallel batches with collision deferral
     #   "serial" -- the paper's exact one-HSP-at-a-time diagonal-order loop
     #               (the scheduling oracle in tests and ablations)
 
@@ -138,10 +137,8 @@ class OrisParams:
             raise ValueError("sort_key must be evalue/score/coords")
         if self.kernel not in ("vector", "scalar"):
             raise ValueError("kernel must be 'vector' or 'scalar'")
-        if self.gapped_scheduling not in ("waves", "serial", "single"):
-            raise ValueError(
-                "gapped_scheduling must be 'waves', 'serial' or 'single'"
-            )
+        if self.gapped_scheduling not in ("serial", "single"):
+            raise ValueError("gapped_scheduling must be 'serial' or 'single'")
         if self.spaced_seed is not None and self.subset_seed is not None:
             raise ValueError("spaced_seed and subset_seed are exclusive")
         if self.spaced_seed is not None:

@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from multiprocessing.connection import wait as _conn_wait
 from dataclasses import dataclass, field
 
+from ..align.evalue import karlin_params
 from ..core.engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
 from ..core.parallel import (
     FaultSpec,
@@ -51,7 +52,6 @@ from ..core.parallel import (
     RangeResult,
     ShmRangePayload,
     build_range_payload,
-    finish_comparison,
     merge_range_results,
     plan_ranges,
     publish_range_payload,
@@ -142,10 +142,6 @@ class RuntimeConfig:
         ``n_workers * tasks_per_worker`` range tasks.  More tasks mean
         finer checkpoints, cheaper retries, and better straggler
         self-balancing, at slightly more dispatch overhead.
-    split:
-        Work-partition policy: ``"balanced"`` (default) equalises X1*X2
-        pair cost across tasks; ``"legacy"`` keeps the historical
-        equal-code-count split (benchmark baseline).
     use_shm:
         Publish the worker payload into a shared-memory arena so workers
         attach zero-copy views instead of unpickling bank copies.
@@ -183,7 +179,6 @@ class RuntimeConfig:
 
     n_workers: int = 2
     tasks_per_worker: int = 12
-    split: str = "balanced"
     use_shm: bool = True
     task_timeout: float | None = None
     max_retries: int = 2
@@ -203,8 +198,6 @@ class RuntimeConfig:
             raise ValueError("n_workers must be >= 1")
         if self.tasks_per_worker < 1:
             raise ValueError("tasks_per_worker must be >= 1")
-        if self.split not in ("balanced", "legacy"):
-            raise ValueError("split must be 'balanced' or 'legacy'")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -914,34 +907,21 @@ def compare_resilient(
             "what makes range tasks idempotent)"
         )
     engine = OrisEngine(params, index_cache=index_cache)
-
-    from ..align.evalue import karlin_params
-
     timings = StepTimings()
     counters = WorkCounters()
     registry = MetricsRegistry()
-    stats = karlin_params(params.scoring)
+    index1, index2 = engine.index_step(bank1, bank2, timings, registry)
 
     t0 = time.perf_counter()
-    with span("step1.index"):
-        index1, index2 = engine._build_indexes(bank1, bank2)
-    index1.record_metrics(registry, "bank1")
-    index2.record_metrics(registry, "bank2")
     common = index1.common_codes(index2)
-    threshold = engine._resolve_hsp_min_score(bank1, bank2, stats)
-    timings.index = time.perf_counter() - t0
-    registry.set_gauge("time.step1_index_seconds", timings.index, mode="sum")
-
-    t0 = time.perf_counter()
+    threshold = engine._resolve_hsp_min_score(
+        bank1, bank2, karlin_params(params.scoring)
+    )
     payload = build_range_payload(
         index1, index2, common, params, threshold, fault=config.fault, obs=obs
     )
     ranges = plan_ranges(
-        common,
-        config.n_workers * config.tasks_per_worker,
-        params,
-        config.split,
-        registry,
+        common, config.n_workers * config.tasks_per_worker, params, registry
     )
     journal: CheckpointJournal | None = None
     completed: dict[int, RangeResult] = {}
@@ -1000,6 +980,6 @@ def compare_resilient(
         "time.step2_ungapped_seconds", timings.ungapped, mode="sum"
     )
 
-    return finish_comparison(
-        engine, bank1, bank2, table, counters, timings, stats, registry
+    return engine.finish_comparison(
+        bank1, bank2, table, counters, timings, registry
     )

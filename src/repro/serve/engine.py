@@ -53,7 +53,7 @@ from ..core.parallel import (
     RangePayload,
     ShmRangePayload,
     build_range_payload,
-    finish_comparison,
+    merge_range_results,
     plan_ranges,
     publish_range_payload,
 )
@@ -527,10 +527,7 @@ class BatchEngine:
             index1, subject.index, expanded, p, batch_threshold, obs=self.obs
         )
         ranges = plan_ranges(
-            expanded,
-            self.config.n_workers * self.config.tasks_per_worker,
-            p,
-            self.config.split,
+            expanded, self.config.n_workers * self.config.tasks_per_worker, p
         )
         arena: SharedArena | None = None
         worker_payload: RangePayload | ShmRangePayload = payload
@@ -569,15 +566,7 @@ class BatchEngine:
                 detach_block(block)
         self.registry.merge(batch_registry)
 
-        ordered = [results[k] for k in sorted(results)]
-        if ordered:
-            s1 = np.concatenate([r.start1 for r in ordered])
-            e1 = np.concatenate([r.end1 for r in ordered])
-            s2 = np.concatenate([r.start2 for r in ordered])
-            sc = np.concatenate([r.score for r in ordered])
-        else:
-            s1 = np.empty(0, dtype=np.int64)
-            e1, s2, sc = s1.copy(), s1.copy(), s1.copy()
+        s1, e1, s2, sc = merge_range_results(results, counters).columns()
         owner = np.searchsorted(merged.starts, s1, side="right") - 1
         tables: list[HSPTable] = []
         for q, threshold in enumerate(thresholds):
@@ -595,17 +584,13 @@ class BatchEngine:
         self, subject: _Subject, qbank: Bank, table: HSPTable
     ) -> str:
         """Steps 3-4 for one query -- the single-shot code on rebased HSPs."""
-        counters = WorkCounters()
-        timings = StepTimings()
         registry = MetricsRegistry()
-        result = finish_comparison(
-            self._engine,
+        result = self._engine.finish_comparison(
             qbank,
             subject.bank,
             table,
-            counters,
-            timings,
-            self.stats,
+            WorkCounters(),
+            StepTimings(),
             registry,
             subject_lengths=subject.evalue_lengths,
         )

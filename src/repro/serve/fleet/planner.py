@@ -36,7 +36,6 @@ import numpy as np
 from ...align.evalue import karlin_params
 from ...align.records import sort_records
 from ...core.engine import OrisEngine, StepTimings, WorkCounters
-from ...core.parallel import finish_comparison
 from ...core.params import OrisParams
 from ...core.tiled import _shift_record, iter_subject_tiles
 from ...io.bank import Bank
@@ -342,26 +341,24 @@ def compare_shard(
     equals the uncut comparison exactly.
     """
     engine = OrisEngine(params)
-    stats = karlin_params(params.scoring)
     registry = MetricsRegistry()
     counters = WorkCounters()
-    index1, index2 = engine._build_indexes(bank1, shard_bank)
+    timings = StepTimings()
+    index1, index2 = engine.index_step(bank1, shard_bank, timings, registry)
     threshold = engine._resolve_hsp_min_score(
         bank1,
         shard_bank,
-        stats,
+        karlin_params(params.scoring),
         subject_nt=profile.subject_nt,
         subject_seqs=profile.subject_seqs,
     )
     table = engine._ungapped_stage(index1, index2, threshold, counters, registry)
-    result = finish_comparison(
-        engine,
+    result = engine.finish_comparison(
         bank1,
         shard_bank,
         table,
         counters,
-        StepTimings(),
-        stats,
+        timings,
         registry,
         subject_lengths=profile.subject_lengths_for(shard_bank),
     )

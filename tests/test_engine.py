@@ -66,13 +66,7 @@ class TestBasicPipeline:
 
 
 class TestSchedulingParity:
-    """All three step-3 schedules approximate the paper's serial loop."""
-
-    def test_waves_match_serial(self, est_pair):
-        serial = OrisEngine(OrisParams(gapped_scheduling="serial")).compare(*est_pair)
-        waves = OrisEngine(OrisParams(gapped_scheduling="waves")).compare(*est_pair)
-        a, b = record_keys(serial), record_keys(waves)
-        assert len(a ^ b) <= max(2, len(a) // 50)  # within 2%
+    """The production step-3 schedule approximates the paper's serial loop."""
 
     def test_single_matches_serial(self, est_pair):
         serial = OrisEngine(OrisParams(gapped_scheduling="serial")).compare(*est_pair)

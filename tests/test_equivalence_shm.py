@@ -6,8 +6,8 @@ reproduce the serial engine's output bit for bit.  This module drives
 the same inputs through every runtime the repo offers --
 
 * the serial engine (``OrisEngine.compare``),
-* the fork pool over the shared-memory arena,
-* the spawn pool over the shared-memory arena (payload crosses an
+* the resilient scheduler's fork workers over the shared-memory arena,
+* its spawn workers over the shared-memory arena (payload crosses an
   exec boundary, so nothing can leak through fork-inherited state),
 * the resilient scheduler resumed from a truncated checkpoint journal,
 
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import OrisEngine, OrisParams
 from repro.core.pairs import pair_costs
-from repro.core.parallel import compare_parallel, plan_ranges
+from repro.core.parallel import plan_ranges
 from repro.data.synthetic import random_dna
 from repro.index import CsrSeedIndex
 from repro.io.bank import Bank
@@ -48,14 +48,18 @@ class TestGoldenEquivalence:
     """One corpus, four runtimes, one output."""
 
     def test_fork_shm_is_byte_identical(self, est_pair, serial):
-        par = compare_parallel(*est_pair, OrisParams(), n_workers=2)
+        par = compare_resilient(
+            *est_pair, OrisParams(), RuntimeConfig(n_workers=2)
+        )
         assert _m8_bytes(par) == _m8_bytes(serial)
         assert funnel_dict(par.metrics) == funnel_dict(serial.metrics)
 
     def test_spawn_shm_is_byte_identical(self, est_pair, serial):
         with pytest.warns(RuntimeWarning, match="spawn"):
-            par = compare_parallel(
-                *est_pair, OrisParams(), n_workers=2, start_method="spawn"
+            par = compare_resilient(
+                *est_pair,
+                OrisParams(),
+                RuntimeConfig(n_workers=2, start_method="spawn"),
             )
         assert _m8_bytes(par) == _m8_bytes(serial)
         assert funnel_dict(par.metrics) == funnel_dict(serial.metrics)
@@ -112,7 +116,7 @@ class TestHypothesisEquivalence:
         b2 = Bank.from_strings([(f"s{i}", s) for i, s in enumerate(seqs2)])
         params = OrisParams(w=7, filter_kind="none")
         seq = OrisEngine(params).compare(b1, b2)
-        par = compare_parallel(b1, b2, params, n_workers=2)
+        par = compare_resilient(b1, b2, params, RuntimeConfig(n_workers=2))
         assert _m8_bytes(par) == _m8_bytes(seq)
         assert funnel_dict(par.metrics) == funnel_dict(seq.metrics)
 
@@ -139,7 +143,7 @@ class TestSkewStress:
     def test_balanced_chunk_cost_ratio_bounded(self):
         common = self._skewed_common()
         registry = MetricsRegistry()
-        ranges = plan_ranges(common, 8, OrisParams(), "balanced", registry)
+        ranges = plan_ranges(common, 8, OrisParams(), registry)
         csum = np.concatenate(([0], np.cumsum(pair_costs(common))))
         chunk = np.array([csum[hi] - csum[lo] for lo, hi in ranges])
         nz = chunk[chunk > 0]
@@ -147,11 +151,11 @@ class TestSkewStress:
         assert registry.value("sched.chunk_cost_ratio") <= 1.5
 
     def test_legacy_split_is_worse_on_skew(self):
-        # The motivation for the whole tentpole: on the same skew the
+        # Why the planner balances pair cost: on the same skew an
         # equal-code-count split concentrates cost in one chunk.
         common = self._skewed_common()
         csum = np.concatenate(([0], np.cumsum(pair_costs(common))))
-        legacy = plan_ranges(common, 8, OrisParams(), "legacy")
-        chunk = np.array([csum[hi] - csum[lo] for lo, hi in legacy])
+        bounds = np.linspace(0, common.n_codes, 9).astype(int)
+        chunk = np.array([csum[hi] - csum[lo] for lo, hi in zip(bounds, bounds[1:])])
         nz = chunk[chunk > 0]
         assert nz.max() / nz.min() > 1.5

@@ -23,18 +23,19 @@ from hypothesis import strategies as st
 from repro.align.evalue import karlin_params
 from repro.align.scoring import ScoringScheme
 from repro.core import OrisEngine, OrisParams
-from repro.core.parallel import (
-    build_range_payload,
-    merge_range_results,
-    run_range,
-    split_code_ranges,
-)
+from repro.core.parallel import build_range_payload, merge_range_results, run_range
 from repro.io.bank import Bank
 from repro.obs import MetricsRegistry, check_funnel, funnel_dict
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.core.engine import WorkCounters
 
 _TEXT = st.text(alphabet="ACGTacgtN", min_size=20, max_size=120)
+
+
+def _even_ranges(n_codes: int, n_tasks: int) -> list[tuple[int, int]]:
+    """Equal-code-count contiguous ranges (any partition must do)."""
+    bounds = np.linspace(0, n_codes, n_tasks + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def _payload(b1: Bank, b2: Bank, params: OrisParams):
@@ -84,7 +85,7 @@ class TestParallelFunnel:
         payload, _ = workload
         results = [
             run_range(payload, lo, hi)
-            for lo, hi in split_code_ranges(payload.n_codes, 5)
+            for lo, hi in _even_ranges(payload.n_codes, 5)
         ]
         for res in results:
             assert res.metrics is not None
@@ -94,7 +95,7 @@ class TestParallelFunnel:
         payload, serial = workload
         results = [
             run_range(payload, lo, hi)
-            for lo, hi in split_code_ranges(payload.n_codes, 5)
+            for lo, hi in _even_ranges(payload.n_codes, 5)
         ]
         merged = MetricsRegistry()
         merge_range_results(results, WorkCounters(), merged)
@@ -115,7 +116,7 @@ class TestParallelFunnel:
         for n_tasks in (1, 3, 7):
             results = [
                 run_range(payload, lo, hi)
-                for lo, hi in split_code_ranges(payload.n_codes, n_tasks)
+                for lo, hi in _even_ranges(payload.n_codes, n_tasks)
             ]
             merged = MetricsRegistry()
             merge_range_results(results, WorkCounters(), merged)
@@ -128,7 +129,7 @@ class TestResumeFunnelRestoration:
         # Funnel counters of a resumed run must equal the uninterrupted
         # run's: the journal stores each task's registry JSON-exactly.
         payload = _payload(*est_pair, OrisParams(kernel="vector"))
-        ranges = split_code_ranges(payload.n_codes, 4)
+        ranges = _even_ranges(payload.n_codes, 4)
         results = [run_range(payload, lo, hi) for lo, hi in ranges]
 
         fingerprint = {"probe": "funnel-roundtrip"}

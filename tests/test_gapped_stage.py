@@ -34,7 +34,7 @@ def make_case(seed=0, n_cores=4):
 
 
 class TestSchedulingEquivalence:
-    @pytest.mark.parametrize("sched", ["single", "waves"])
+    @pytest.mark.parametrize("sched", ["single"])
     def test_matches_serial_alignment_set(self, sched):
         b1, b2, table = make_case(3)
         sc = ScoringScheme()

@@ -1,4 +1,9 @@
-"""Tests for the parallel step-2 decomposition (repro.core.parallel)."""
+"""Tests for the parallel step-2 decomposition (repro.core.parallel).
+
+Whole comparisons run through :func:`repro.runtime.scheduler.compare_resilient`,
+the one parallel entry point; the range-task unit of work is tested
+directly.
+"""
 
 import pickle
 
@@ -9,43 +14,64 @@ from repro.core import OrisEngine, OrisParams
 from repro.core.parallel import (
     FaultSpec,
     build_range_payload,
-    compare_parallel,
     plan_ranges,
     publish_range_payload,
     run_range,
-    split_code_ranges,
 )
+from repro.data import load_bank
+from repro.index.seed_index import CommonCodes
+from repro.runtime.scheduler import RuntimeConfig, compare_resilient
+
+
+def _even_ranges(n_codes: int, n_tasks: int) -> list[tuple[int, int]]:
+    """Equal-code-count contiguous ranges (any partition must do)."""
+    bounds = np.linspace(0, n_codes, n_tasks + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _uniform_common(n_codes: int) -> CommonCodes:
+    """``n_codes`` codes with one occurrence in each bank (unit cost)."""
+    ones = np.ones(n_codes, dtype=np.int64)
+    return CommonCodes(
+        codes=np.arange(n_codes, dtype=np.int64),
+        start1=np.arange(n_codes, dtype=np.int64),
+        count1=ones,
+        start2=np.arange(n_codes, dtype=np.int64),
+        count2=ones,
+    )
 
 
 class TestSplitCodeRanges:
+    """The partition contract of the code-range planner (plan_ranges)."""
+
     def test_covers_everything_disjointly(self):
-        ranges = split_code_ranges(100, 7)
+        ranges = plan_ranges(_uniform_common(100), 7, OrisParams())
         assert ranges[0][0] == 0
         assert ranges[-1][1] == 100
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 == a2
 
     def test_more_workers_than_codes(self):
-        ranges = split_code_ranges(3, 10)
+        ranges = plan_ranges(_uniform_common(3), 10, OrisParams())
         assert sum(b - a for a, b in ranges) == 3
         assert all(b > a for a, b in ranges)
 
     def test_single_worker(self):
-        assert split_code_ranges(42, 1) == [(0, 42)]
+        assert plan_ranges(_uniform_common(42), 1, OrisParams()) == [(0, 42)]
 
     def test_zero_codes(self):
-        assert split_code_ranges(0, 4) == []
+        assert plan_ranges(_uniform_common(0), 4, OrisParams()) == []
 
     def test_one_code_many_workers(self):
-        assert split_code_ranges(1, 64) == [(0, 1)]
+        assert plan_ranges(_uniform_common(1), 64, OrisParams()) == [(0, 1)]
 
     def test_workers_equal_codes(self):
-        ranges = split_code_ranges(5, 5)
+        ranges = plan_ranges(_uniform_common(5), 5, OrisParams())
         assert ranges == [(i, i + 1) for i in range(5)]
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            split_code_ranges(10, 0)
+            plan_ranges(_uniform_common(10), 0, OrisParams())
 
 
 class TestPlanRanges:
@@ -53,12 +79,6 @@ class TestPlanRanges:
         engine = OrisEngine(OrisParams())
         i1, i2 = engine._build_indexes(*est_pair)
         return i1.common_codes(i2)
-
-    def test_legacy_matches_split_code_ranges(self, est_pair):
-        common = self._common(est_pair)
-        assert plan_ranges(common, 6, OrisParams(), "legacy") == (
-            split_code_ranges(common.n_codes, 6)
-        )
 
     def test_balanced_covers_code_space(self, est_pair):
         common = self._common(est_pair)
@@ -73,14 +93,9 @@ class TestPlanRanges:
 
         common = self._common(est_pair)
         registry = MetricsRegistry()
-        plan_ranges(common, 8, OrisParams(), "balanced", registry)
+        plan_ranges(common, 8, OrisParams(), registry)
         assert "sched.chunk_cost_pairs" in registry
         assert registry.value("sched.chunk_cost_ratio") >= 1.0
-
-    def test_unknown_split_rejected(self, est_pair):
-        common = self._common(est_pair)
-        with pytest.raises(ValueError, match="split"):
-            plan_ranges(common, 4, OrisParams(), "random")
 
 
 class TestRangePayload:
@@ -120,7 +135,7 @@ class TestRangePayload:
         payload = self._payload(est_pair)
         n = payload.n_codes
         whole = run_range(payload, 0, n)
-        parts = [run_range(payload, lo, hi) for lo, hi in split_code_ranges(n, 4)]
+        parts = [run_range(payload, lo, hi) for lo, hi in _even_ranges(n, 4)]
         assert np.array_equal(
             whole.start1, np.concatenate([p.start1 for p in parts])
         )
@@ -164,82 +179,82 @@ class TestFaultSpec:
         assert marker.stat().st_size == 2
 
 
+def _lines(result) -> list[str]:
+    return [r.to_line() for r in result.records]
+
+
 class TestCompareParallel:
     """The paper's section-4 claim: seed-range partitioning is exact."""
 
     @pytest.mark.parametrize("n_workers", [2, 3, 5])
     def test_identical_to_sequential(self, est_pair, n_workers):
         seq = OrisEngine(OrisParams()).compare(*est_pair)
-        par = compare_parallel(*est_pair, OrisParams(), n_workers=n_workers)
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
+        par = compare_resilient(
+            *est_pair, OrisParams(), RuntimeConfig(n_workers=n_workers)
+        )
+        assert _lines(par) == _lines(seq)
         assert par.counters.n_hsps == seq.counters.n_hsps
         assert par.counters.n_pairs == seq.counters.n_pairs
 
     def test_single_worker_falls_back(self, est_pair):
         seq = OrisEngine(OrisParams()).compare(*est_pair)
-        par = compare_parallel(*est_pair, OrisParams(), n_workers=1)
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
+        par = compare_resilient(*est_pair, OrisParams(), RuntimeConfig(n_workers=1))
+        assert _lines(par) == _lines(seq)
 
     def test_both_strand_rejected(self, est_pair):
         with pytest.raises(ValueError):
-            compare_parallel(*est_pair, OrisParams(strand="both"), n_workers=2)
+            compare_resilient(*est_pair, OrisParams(strand="both"))
 
     def test_unordered_cutoff_rejected(self, est_pair):
         with pytest.raises(ValueError, match="ordered-seed cutoff"):
-            compare_parallel(
-                *est_pair, OrisParams(ordered_cutoff=False), n_workers=2
-            )
+            compare_resilient(*est_pair, OrisParams(ordered_cutoff=False))
 
     def test_spawn_start_method_matches_sequential(self, est_pair):
         """No silent serial fallback off-fork: the pickled worker payload
         makes the spawn start method produce the exact same records."""
         seq = OrisEngine(OrisParams()).compare(*est_pair)
         with pytest.warns(RuntimeWarning, match="spawn"):
-            par = compare_parallel(
-                *est_pair, OrisParams(), n_workers=2, start_method="spawn"
+            par = compare_resilient(
+                *est_pair,
+                OrisParams(),
+                RuntimeConfig(n_workers=2, start_method="spawn"),
             )
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
+        assert _lines(par) == _lines(seq)
 
     def test_unavailable_start_method_warns_and_runs_serially(self, est_pair):
         seq = OrisEngine(OrisParams()).compare(*est_pair)
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            par = compare_parallel(
+            par = compare_resilient(
                 *est_pair,
                 OrisParams(),
-                n_workers=2,
-                start_method="no-such-method",
+                RuntimeConfig(n_workers=2, start_method="no-such-method"),
             )
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
-
-    def test_legacy_split_matches_sequential(self, est_pair):
-        seq = OrisEngine(OrisParams()).compare(*est_pair)
-        par = compare_parallel(
-            *est_pair, OrisParams(), n_workers=2, split="legacy"
-        )
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
+        assert _lines(par) == _lines(seq)
 
     def test_pickled_payload_path_matches_sequential(self, est_pair):
         seq = OrisEngine(OrisParams()).compare(*est_pair)
-        par = compare_parallel(
-            *est_pair, OrisParams(), n_workers=2, use_shm=False
+        par = compare_resilient(
+            *est_pair, OrisParams(), RuntimeConfig(n_workers=2, use_shm=False)
         )
-        assert [r.to_line() for r in par.records] == [
-            r.to_line() for r in seq.records
-        ]
+        assert _lines(par) == _lines(seq)
 
     def test_shm_run_publishes_arena_bytes(self, est_pair):
-        par = compare_parallel(*est_pair, OrisParams(), n_workers=2)
+        par = compare_resilient(*est_pair, OrisParams(), RuntimeConfig(n_workers=2))
         assert par.metrics.value("shm.bytes_published") > 0
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_exclude_self_matches_engine(self, n_workers):
+        # EST1 against itself: every sequence's trivial self-hit must be
+        # dropped on the parallel path exactly as in the serial engine.
+        bank = load_bank("EST1")
+        params = OrisParams(exclude_self=True)
+        seq = OrisEngine(params).compare(bank, bank)
+        par = compare_resilient(
+            bank, bank, params, RuntimeConfig(n_workers=n_workers)
+        )
+        assert _lines(par) == _lines(seq)
+        everything = OrisEngine(OrisParams()).compare(bank, bank)
+        assert len(seq.records) < len(everything.records)
 
 
 class TestShmPayload:

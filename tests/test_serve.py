@@ -336,6 +336,21 @@ class TestBatchEngineEquivalence:
         assert twice[0] == _single_shot(params, "a", seq, bank2)
         assert twice[1] == _single_shot(params, "b", seq, bank2)
 
+    def test_exclude_self_equals_single_shot(self, corpus):
+        # Subject sequences queried under their own names: the trivial
+        # self-hits must be dropped exactly as a single-shot run drops them.
+        bank2, _ = corpus
+        queries = [(bank2.names[i], bank2.sequence_str(i)) for i in range(3)]
+        params = OrisParams(exclude_self=True)
+        engine = BatchEngine(bank2, params, n_workers=1)
+        try:
+            served = engine.run_batch(queries)
+        finally:
+            engine.close()
+        for (name, seq), got in zip(queries, served):
+            assert got == _single_shot(params, name, seq, bank2), name
+            assert got != _single_shot(OrisParams(), name, seq, bank2), name
+
     def test_spaced_and_asymmetric_rejected(self, corpus):
         bank2, _ = corpus
         with pytest.raises(ValueError, match="contiguous"):
