@@ -1,8 +1,19 @@
 #!/usr/bin/env python
-"""CI chaos test: the query daemon under deterministic fault injection.
+"""CI chaos test: batch compare and the query daemon under fault injection.
 
-The daemon is started with two armed fault points
-(``repro.runtime.faults``, via the hidden ``serve --faults`` flag):
+Every fault comes from one registry (``repro.runtime.faults``).  Range
+tasks are keyed ``task={id}/try={attempt};``, so a ``match`` token can
+target one task's first attempt.
+
+**Batch phase** -- ``scoris-n --workers 2 --metrics`` (the
+``compare_resilient`` path) with ``SCORIS_FAULTS`` arming
+``worker.crash`` on task 0's first attempt and ``task.error`` on task
+1's first attempt.  The m8 must be byte-identical to a serial run, and
+the metrics must show ``scheduler.crashes >= 1`` and
+``scheduler.retries >= 1``.
+
+**Daemon phase** -- the daemon is started with two armed fault points
+(via the hidden ``serve --faults`` flag):
 
 * ``worker.crash:0.05:1234`` -- each range task has a 5 % chance of
   killing its worker process mid-task.  The scheduler must requeue, the
@@ -61,6 +72,7 @@ N_SOAK = 500
 N_THREADS = 8
 TIMEOUT = 600.0
 FAULT_SPEC = "worker.crash:0.05:1234,serve.poison_query:1.0:0:POISONQ"
+BATCH_FAULT_SPEC = "worker.crash:1:0:task=0/try=0;,task.error:1:0:task=1/try=0;"
 POISON_NAME = "POISONQ_seeded"
 
 _REPORT: list[str] = []
@@ -120,6 +132,54 @@ def reference_m8(bank_path: Path, name: str, seq: str, directory: Path) -> str:
     if proc.returncode != 0:
         fail(f"reference compare for {name} exited {proc.returncode}: {proc.stderr}")
     return proc.stdout
+
+
+def scenario_batch(directory: Path, bank_path: Path, queries, poison) -> None:
+    """Parallel compare with faults armed vs a clean serial compare."""
+    import json
+
+    qpath = directory / "batch_queries.fa"
+    qpath.write_text(
+        "".join(f">{name}\n{seq}\n" for name, seq in [*queries, poison])
+    )
+    serial, faulted = directory / "serial.m8", directory / "faulted.m8"
+    metrics_path = directory / "faulted_metrics.json"
+    clean_env = child_env()
+    clean_env.pop("SCORIS_FAULTS", None)
+    runs = (
+        ([], serial, clean_env),
+        (
+            ["--workers", "2", "--metrics", str(metrics_path)],
+            faulted,
+            {**clean_env, "SCORIS_FAULTS": BATCH_FAULT_SPEC},
+        ),
+    )
+    for extra, out, env in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", str(qpath), str(bank_path),
+             "-o", str(out), *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=TIMEOUT,
+            cwd=REPO,
+        )
+        if proc.returncode != 0:
+            fail(f"batch compare {extra} exited {proc.returncode}: "
+                 f"{proc.stderr}")
+    if not serial.read_text():
+        fail("serial batch compare found no alignments: the phase is vacuous")
+    if faulted.read_bytes() != serial.read_bytes():
+        fail("faulted --workers 2 m8 differs from the serial run")
+    counters = json.loads(metrics_path.read_text())["metrics"]["counters"]
+    crashes = counters.get("scheduler.crashes", 0)
+    retries = counters.get("scheduler.retries", 0)
+    if crashes < 1 or retries < 1:
+        fail(f"batch faults did not fire: scheduler.crashes={crashes}, "
+             f"scheduler.retries={retries} (want >= 1 each)")
+    note(f"batch OK: --workers 2 under {BATCH_FAULT_SPEC} byte-identical "
+         f"to serial ({serial.read_text().count(chr(10))} records), "
+         f"{crashes} crash(es), {retries} retr(y/ies)")
 
 
 def shm_segments() -> set:
@@ -325,6 +385,7 @@ def main() -> int:
         note(f"references built: "
              f"{sum(r.count(chr(10)) for r in references.values())} "
              "m8 records across the query set")
+        scenario_batch(directory, bank_path, queries, poison)
 
         proc, host, port = start_daemon(bank_path)
         try:

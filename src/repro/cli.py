@@ -585,6 +585,29 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _arm_faults(args: argparse.Namespace) -> int | None:
+    """Parse the fault spec once, before any subcommand runs.
+
+    The spec comes from the hidden ``--faults`` flag when given, else
+    from ``SCORIS_FAULTS``.  A malformed spec is a usage error (exit 2)
+    for every subcommand and worker count alike -- never a worker that
+    dies on it.  A ``--faults`` spec is exported to the environment so
+    spawn-method workers, which re-arm from it, see the same faults.
+    """
+    import os
+
+    from .runtime import faults
+
+    text = getattr(args, "faults", None) or os.environ.get(faults.ENV_VAR, "")
+    try:
+        faults.arm(text)
+    except faults.FaultSpecError as exc:
+        return _fail_usage(str(exc))
+    if text:
+        os.environ[faults.ENV_VAR] = text
+    return None
+
+
 def _print_diagnostics(diagnostics, limit: int = _MAX_DIAGNOSTIC_LINES) -> None:
     for d in diagnostics[:limit]:
         print(f"scoris-n: {d.format()}", file=sys.stderr)
@@ -681,6 +704,9 @@ def run(argv: list[str] | None = None) -> int:
     else:
         args = build_parser().parse_args(rest)
         execute = _execute
+    error = _arm_faults(args)
+    if error is not None:
+        return error
     try:
         try:
             return execute(args)
@@ -930,16 +956,6 @@ def _execute_serve(args) -> int:
             "--fleet-profile serves an immutable shard tile; it cannot "
             "be combined with --store"
         )
-    if args.faults:
-        from .runtime import faults
-
-        try:
-            faults.arm(args.faults)
-        except faults.FaultSpecError as exc:
-            return _fail_usage(str(exc))
-        # Spawn-method workers re-arm from the environment, not from the
-        # parent's module state; export before any process starts.
-        os.environ[faults.ENV_VAR] = args.faults
     error, index_cache = _make_index_cache(args)
     if error is not None:
         return error
@@ -1063,7 +1079,6 @@ def _execute_serve(args) -> int:
 
 
 def _execute_serve_fleet(args) -> int:
-    import os
     import shutil
     import tempfile
 
@@ -1081,14 +1096,6 @@ def _execute_serve_fleet(args) -> int:
         return _fail_usage("--shards must be >= 1")
     if args.workers_per_shard < 1:
         return _fail_usage("--workers-per-shard must be >= 1")
-    if args.faults:
-        from .runtime import faults
-
-        try:
-            faults.arm(args.faults)
-        except faults.FaultSpecError as exc:
-            return _fail_usage(str(exc))
-        os.environ[faults.ENV_VAR] = args.faults
 
     params = OrisParams(
         w=args.word_size,

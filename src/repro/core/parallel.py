@@ -32,8 +32,6 @@ and checkpoint/resume sound.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -51,67 +49,12 @@ __all__ = [
     "RangePayload",
     "RangeResult",
     "ShmRangePayload",
-    "FaultSpec",
     "build_range_payload",
     "publish_range_payload",
     "run_range",
     "resolve_start_method",
     "plan_ranges",
 ]
-
-# --------------------------------------------------------------------- #
-# Fault injection (test-only hook)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Test-only hook: make :func:`run_range` misbehave on a chosen range.
-
-    The fault fires when a task whose range starts at :attr:`lo` is
-    executed, at most :attr:`times` times across *all* processes; firings
-    are counted in the :attr:`marker` file (one byte appended per firing),
-    which survives worker crashes -- a freshly spawned retry worker sees
-    how often the fault already fired.  This is what lets tests assert
-    "worker dies once, retry succeeds" deterministically.
-
-    Modes: ``"raise"`` (ordinary exception), ``"exit"`` (``os._exit``,
-    simulating a hard crash the worker cannot report), ``"hang"`` (sleep
-    past any reasonable deadline, simulating a livelock).
-    """
-
-    lo: int
-    mode: str = "raise"  # "raise" | "exit" | "hang"
-    times: int = 1
-    marker: str = ""
-    hang_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("raise", "exit", "hang"):
-            raise ValueError("fault mode must be raise/exit/hang")
-        if self.times > 0 and not self.marker:
-            raise ValueError("a finite fault needs a marker file path")
-
-
-def _maybe_trigger_fault(fault: FaultSpec | None, lo: int) -> None:
-    if fault is None or fault.lo != lo:
-        return
-    if fault.times > 0:
-        try:
-            fired = os.path.getsize(fault.marker)
-        except OSError:
-            fired = 0
-        if fired >= fault.times:
-            return
-        with open(fault.marker, "ab") as fh:
-            fh.write(b"x")
-    if fault.mode == "exit":
-        os._exit(17)
-    if fault.mode == "hang":
-        time.sleep(fault.hang_seconds)
-        return
-    raise RuntimeError(f"injected fault on range starting at {lo}")
-
 
 # --------------------------------------------------------------------- #
 # The unit of work: one contiguous slice of the common-code list
@@ -146,7 +89,6 @@ class RangePayload:
     codes2: np.ndarray | None
     params: OrisParams
     threshold: int
-    fault: FaultSpec | None = field(default=None, repr=False)
     #: Observability configuration shipped to workers (trace path, profile
     #: mode/dir); ``None`` keeps workers dark.  Carried on the payload so
     #: spawn-started workers -- which inherit no module state -- re-arm
@@ -184,7 +126,6 @@ def build_range_payload(
     common: CommonCodes,
     params: OrisParams,
     threshold: int,
-    fault: FaultSpec | None = None,
     obs: ObsSpec | None = None,
 ) -> RangePayload:
     """Flatten two indexes + their common codes into a worker payload."""
@@ -205,7 +146,6 @@ def build_range_payload(
         codes2=index2.cutoff_codes if spaced else None,
         params=params,
         threshold=threshold,
-        fault=fault,
         obs=obs,
     )
 
@@ -243,7 +183,6 @@ class ShmRangePayload:
     span: int
     params: OrisParams
     threshold: int
-    fault: FaultSpec | None = field(default=None, repr=False)
     obs: ObsSpec | None = field(default=None, repr=False)
 
     def resolve(self) -> RangePayload:
@@ -256,7 +195,6 @@ class ShmRangePayload:
             codes2=views.get("codes2"),
             params=self.params,
             threshold=self.threshold,
-            fault=self.fault,
             obs=self.obs,
         )
 
@@ -309,7 +247,6 @@ def publish_range_payload(
         span=payload.span,
         params=payload.params,
         threshold=payload.threshold,
-        fault=payload.fault,
         obs=payload.obs,
     )
     return arena, shm_payload
@@ -359,7 +296,6 @@ def run_range(
     """
     if isinstance(payload, ShmRangePayload):
         payload = payload.resolve()
-    _maybe_trigger_fault(payload.fault, lo)
     init_worker_obs(payload.obs)
     obs = payload.obs
     with maybe_profile(

@@ -1,9 +1,9 @@
-"""Deterministic fault injection for chaos testing the serve layer.
+"""Deterministic fault injection: the one fault mechanism of the codebase.
 
 A *fault point* is a named place in the code where a failure can be
 provoked on demand: a pooled worker crashing mid-task, a frame torn in
 half on the wire, a cached index archive flipping a byte on disk.  The
-registry here lets tests and the chaos smoke arm those points from the
+registry here lets tests and the chaos smokes arm those points from the
 outside -- via the ``SCORIS_FAULTS`` environment variable or the hidden
 ``--faults`` CLI flag -- without the production code paths paying
 anything when disarmed: the hot-path check is one module-global ``None``
@@ -15,6 +15,8 @@ Spec syntax (comma-separated)::
 
     worker.crash:0.05:1234            # each task has a 5% chance
     serve.poison_query:1:0:POISONQ    # only keys containing "POISONQ"
+    task.error:1:0:task=3/try=0;      # task 3's first attempt only
+    task.error:1:0:task=3/            # every attempt of task 3
 
 Firing is *deterministic*: for a given (spec, call ordinal) the decision
 is a pure function -- ``crc32(f"{seed}:{n}")`` mapped to [0, 1) and
@@ -23,11 +25,22 @@ replayed exactly by re-arming the same spec string.  Each process keeps
 its own ordinal counters; forked/spawned workers re-arm lazily from the
 inherited environment, so a spec armed in the daemon reaches its pool.
 
-Known points (hook sites in parentheses):
+Range-task points are keyed by :func:`task_key`, ``task={id}/try={n};``
+-- the task id and its attempt number (0 for the first execution).  The
+key holds no ``:`` or ``,`` (the spec separators) and no task's key is a
+substring of another's, so a ``match`` token selects one task, or one
+attempt of one task, without any cross-process bookkeeping.
 
-- ``worker.crash``       -- ``os._exit`` mid-task (scheduler worker loop)
-- ``worker.hang``        -- sleep past the task timeout (worker loop)
-- ``worker.oom``         -- SIGKILL self, the kernel-OOM shape (worker loop)
+Known points (hook sites in parentheses).  The ``worker.*`` points fire
+in scheduler worker processes only.  ``task.error`` and
+``shm.unlink_race`` fire wherever a task runs: in workers, and in the
+parent's serial loop and quarantine.  All others fire in the parent
+(the daemon, the fleet router or the CLI process):
+
+- ``task.error``         -- raise an ordinary exception (task hook)
+- ``worker.crash``       -- ``os._exit`` mid-task (task hook)
+- ``worker.hang``        -- sleep past the task timeout (task hook)
+- ``worker.oom``         -- SIGKILL self, the kernel-OOM shape (task hook)
 - ``serve.torn_frame``   -- send half a frame, then reset (protocol)
 - ``serve.poison_query`` -- deterministic per-query poison (batch engine)
 - ``index.cache_corrupt``-- flip a byte in the cached archive (IndexCache)
@@ -59,6 +72,7 @@ __all__ = [
     "fired_counts",
     "inject",
     "should_fire",
+    "task_key",
 ]
 
 ENV_VAR = "SCORIS_FAULTS"
@@ -67,6 +81,7 @@ ENV_VAR = "SCORIS_FAULTS"
 #: (a typo in a chaos spec must not silently arm nothing).
 FAULT_POINTS = frozenset(
     {
+        "task.error",
         "worker.crash",
         "worker.hang",
         "worker.oom",
@@ -89,6 +104,11 @@ HANG_SECONDS = 3600.0
 
 class FaultSpecError(ValueError):
     """A malformed or unknown ``SCORIS_FAULTS`` spec."""
+
+
+def task_key(task_id: int, attempt: int) -> str:
+    """The fault key of one range-task execution (see the module doc)."""
+    return f"task={task_id}/try={attempt};"
 
 
 @dataclass

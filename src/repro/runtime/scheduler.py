@@ -9,8 +9,9 @@ exploits that property to make long bank-vs-bank comparisons survivable:
 * the common-code list is split into many small range tasks
   (up to ``tasks_per_worker`` x ``n_workers``, pair-cost balanced via
   :func:`~repro.core.parallel.plan_ranges`);
-* tasks run on a pool of worker *processes* the scheduler supervises
-  directly, each over its own duplex pipe (no shared queue: a worker
+* tasks run on worker *processes* the scheduler leases from a
+  :class:`WorkerPool` and supervises directly, each over its own duplex
+  pipe (no shared queue: a worker
   dying mid-write can only tear its *own* channel, never deadlock the
   others behind a shared feeder lock), so a dead worker is detected by
   ``Process.is_alive`` / end-of-pipe and a hung one by its per-task
@@ -24,10 +25,16 @@ exploits that property to make long bank-vs-bank comparisons survivable:
   degrades to in-parent serial execution of whatever remains;
 * every completed task can be journalled to a
   :class:`~repro.runtime.checkpoint.CheckpointJournal`, so a killed run
-  resumes from the last completed range.
+  resumes from the last completed range;
+* every task execution -- in a worker, in the serial loop, in
+  quarantine -- passes one fault hook (:func:`_run_task`), keyed by task
+  and attempt (see :mod:`repro.runtime.faults`).
 
-:func:`compare_resilient` wraps the whole pipeline: steps 1, 3 and 4 in
-the parent (identical to the plain engine), step 2 through the scheduler.
+:func:`run_step2` is the one step-2 fan-out (publish the payload, run
+the tasks, tear down, merge); :func:`compare_resilient` and the serve
+batch engine both call it.  :func:`compare_resilient` wraps the whole
+pipeline: steps 1, 3 and 4 in the parent (identical to the plain
+engine), step 2 through :func:`run_step2`.
 """
 
 from __future__ import annotations
@@ -42,12 +49,12 @@ import warnings
 import zlib
 from contextlib import contextmanager
 from multiprocessing.connection import wait as _conn_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..align.evalue import karlin_params
+from ..align.hsp import HSPTable
 from ..core.engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
 from ..core.parallel import (
-    FaultSpec,
     RangePayload,
     RangeResult,
     ShmRangePayload,
@@ -64,6 +71,7 @@ from ..obs import MetricsRegistry, ObsSpec, span
 from . import faults
 from .checkpoint import CheckpointJournal
 from .errors import PoolUnhealthy, ResourceExhausted, RunInterrupted, TaskPoisoned
+from .shm import detach_block
 
 __all__ = [
     "RuntimeConfig",
@@ -72,6 +80,7 @@ __all__ = [
     "ShutdownRequest",
     "signal_shutdown",
     "compare_resilient",
+    "run_step2",
 ]
 
 
@@ -173,8 +182,10 @@ class RuntimeConfig:
     drain_timeout:
         On SIGTERM/SIGINT: seconds to wait for in-flight tasks to finish
         (and reach the journal) before workers are stopped anyway.
-    fault:
-        Test-only fault injection forwarded to the worker payload.
+
+    Faults come from the :mod:`repro.runtime.faults` registry
+    (``SCORIS_FAULTS``): ``task.error`` and the ``worker.*`` points fire
+    at the scheduler's task hook, keyed by task id and attempt.
     """
 
     n_workers: int = 2
@@ -191,7 +202,6 @@ class RuntimeConfig:
     strict: bool = False
     poll_interval: float = 0.02
     drain_timeout: float = 10.0
-    fault: FaultSpec | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -212,15 +222,47 @@ class RuntimeConfig:
         return 2 * self.n_workers + 2
 
 
-def _payload_blocks(payload: RangePayload | ShmRangePayload | None) -> set[str]:
+def _payload_blocks(payload: RangePayload | ShmRangePayload) -> set[str]:
     """Shared-memory block names a worker payload maps (empty when none)."""
     if isinstance(payload, ShmRangePayload):
         return set(getattr(payload.spec, "blocks", ()))
     return set()
 
 
-def _scheduler_worker(payload: RangePayload | ShmRangePayload | None, conn) -> None:
-    """Worker loop: recv (task_id, lo, hi), run it, send the outcome.
+#: Fault points that take a worker process down; they never fire in the
+#: parent, so the supervisor and its quarantine path stay reliable and
+#: chaos runs measure recovery, not self-inflicted supervisor damage.
+_WORKER_FAULTS = ("worker.crash", "worker.oom", "worker.hang")
+
+
+def _run_task(
+    payload: RangePayload | ShmRangePayload,
+    task_id: int,
+    attempt: int,
+    lo: int,
+    hi: int,
+    in_worker: bool = False,
+) -> RangeResult:
+    """Run one range task through the scheduler's single fault hook.
+
+    Every execution passes here: the worker loop (``in_worker=True``),
+    the in-parent serial loop, and quarantine.  ``attempt`` counts the
+    task's earlier failures, so a ``match`` token on
+    :func:`~repro.runtime.faults.task_key` can target one attempt.
+    """
+    if faults.armed():
+        key = faults.task_key(task_id, attempt)
+        if in_worker:
+            for point in _WORKER_FAULTS:
+                if faults.should_fire(point, key):
+                    faults.inject(point)
+        if faults.should_fire("task.error", key):
+            raise RuntimeError(f"fault injection: task.error on {key}")
+    return run_range(payload, lo, hi)
+
+
+def _scheduler_worker(payload: RangePayload | ShmRangePayload, conn) -> None:
+    """Worker loop: recv (task_id, attempt, lo, hi), run it, send the outcome.
 
     Sends ``(task_id, "ok", result)`` or ``(task_id, "error", repr)``
     back over its own pipe; a hard crash (``os._exit``, signal) sends
@@ -229,11 +271,11 @@ def _scheduler_worker(payload: RangePayload | ShmRangePayload | None, conn) -> N
     in the calling thread (unlike ``mp.Queue``'s background feeder), so
     a crash can never orphan a lock another worker needs.
 
-    A long-lived pool worker (see :class:`WorkerPool`) is started with
-    ``payload=None`` and receives ``("payload", payload)`` messages
-    between batches; switching payloads detaches any shared-memory
-    blocks the previous one mapped, so a resident process never pins a
-    dead batch's pages.
+    Pool workers (see :class:`WorkerPool`) start with the payload of
+    the lease that spawned them and receive ``("payload", payload)``
+    messages when a later lease re-primes them; switching payloads
+    detaches any shared-memory blocks the previous one mapped, so a
+    resident process never pins a dead batch's pages.
     """
     try:
         # Ctrl-C delivers SIGINT to the whole foreground process group;
@@ -250,27 +292,14 @@ def _scheduler_worker(payload: RangePayload | ShmRangePayload | None, conn) -> N
         if item is None:
             return
         if isinstance(item, tuple) and item and item[0] == "payload":
-            from .shm import detach_block
-
             new_payload = item[1]
             for name in _payload_blocks(payload) - _payload_blocks(new_payload):
                 detach_block(name)
             payload = new_payload
             continue
-        task_id, lo, hi = item
-        if faults.armed():
-            # Chaos hooks live in the *worker* process only: the parent
-            # and its quarantine path must stay reliable so the chaos
-            # smoke measures recovery, not self-inflicted supervisor
-            # damage.
-            key = f"task:{task_id}"
-            for point in ("worker.crash", "worker.oom", "worker.hang"):
-                if faults.should_fire(point, key):
-                    faults.inject(point)
+        task_id, attempt, lo, hi = item
         try:
-            if payload is None:
-                raise RuntimeError("worker received a task before any payload")
-            result = run_range(payload, lo, hi)
+            result = _run_task(payload, task_id, attempt, lo, hi, in_worker=True)
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
             conn.send((task_id, "error", repr(exc)))
         else:
@@ -282,7 +311,7 @@ class _Worker:
 
     __slots__ = ("proc", "conn", "task_id", "deadline", "assigned_at")
 
-    def __init__(self, ctx, payload: RangePayload | ShmRangePayload | None):
+    def __init__(self, ctx, payload: RangePayload | ShmRangePayload):
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_scheduler_worker,
@@ -306,14 +335,17 @@ class _Worker:
         except (BrokenPipeError, OSError):
             pass  # worker already dead: the pool's liveness check respawns
 
-    def assign(self, task_id: int, lo: int, hi: int, timeout: float | None) -> None:
+    def assign(
+        self, task_id: int, attempt: int, lo: int, hi: int,
+        timeout: float | None,
+    ) -> None:
         self.task_id = task_id
         self.assigned_at = time.monotonic()
         self.deadline = (
             self.assigned_at + timeout if timeout is not None else None
         )
         try:
-            self.conn.send((task_id, lo, hi))
+            self.conn.send((task_id, attempt, lo, hi))
         except (BrokenPipeError, OSError):
             pass  # worker already dead: the liveness check requeues it
 
@@ -342,17 +374,18 @@ class _Worker:
 
 
 class WorkerPool:
-    """Persistent step-2 workers reused across many scheduler runs.
+    """The step-2 worker processes: the only place workers are created.
 
-    A batch run spawns workers, uses them, and stops them; a resident
-    service (``repro.serve``) would pay that spawn cost on every batch.
-    ``WorkerPool`` keeps the processes alive between batches instead:
-    workers are started with *no* payload and primed per batch with a
+    :class:`TaskScheduler` leases its workers here and reclaims the
+    survivors afterwards.  A batch run (:func:`compare_resilient`) makes
+    one pool per run and stops it at the end; a resident service
+    (``repro.serve``) keeps one pool for its lifetime, so processes stay
+    alive between batches.  A worker starts with the payload of the
+    lease that spawned it -- under ``fork`` it inherits the payload
+    instead of unpickling it -- and a later lease re-primes it with a
     ``("payload", ...)`` pipe message (see :func:`_scheduler_worker`),
     which also detaches any shared-memory blocks the previous batch
-    mapped.  Pass a pool to :class:`TaskScheduler` and it leases workers
-    from it instead of spawning its own, reclaiming the survivors
-    afterwards; dead workers are pruned and replaced on the next lease.
+    mapped.  Dead workers are pruned and replaced on the next lease.
 
     The pool *self-heals* for daemon lifetimes: every replacement of a
     dead worker goes through :meth:`respawn`, which applies a capped
@@ -397,10 +430,8 @@ class WorkerPool:
         return len(self._workers)
 
     def spawn(self, payload: RangePayload | ShmRangePayload) -> _Worker:
-        """Start one fresh worker and prime it with *payload*."""
-        w = _Worker(self.ctx, None)
-        w.set_payload(payload)
-        return w
+        """Start one fresh worker with *payload*."""
+        return _Worker(self.ctx, payload)
 
     def respawn(self, payload: RangePayload | ShmRangePayload) -> _Worker:
         """Replace one dead worker, with backoff when deaths cluster.
@@ -433,32 +464,31 @@ class WorkerPool:
     ) -> list[_Worker]:
         """Hand out *n* live workers primed with *payload*.
 
-        Surviving workers from the previous batch are reused (and
-        re-primed); dead ones are pruned and replaced through
-        :meth:`respawn` (counted, backed off); growth beyond the
-        previous pool size is a plain spawn.  The caller must
-        :meth:`reclaim` or the workers are orphaned.
+        Pooled live workers are re-primed and the first *n* are leased;
+        any surplus stays pooled and idle for a later, larger lease.
+        Dead ones are pruned and replaced through :meth:`respawn`
+        (counted, backed off); growth beyond the pool's live workers is
+        a plain spawn.  The caller must :meth:`reclaim` or the workers
+        are orphaned.
         """
         alive: list[_Worker] = []
         died = 0
         for w in self._workers:
-            if w.proc.is_alive() and len(alive) < n:
+            if w.proc.is_alive():
+                w.release()
+                w.set_payload(payload)
                 alive.append(w)
             else:
-                if not w.proc.is_alive():
-                    died += 1
+                died += 1
                 w.kill()
-        self._workers = []
-        for w in alive:
-            w.release()
-            w.set_payload(payload)
-        while len(alive) < n:
+        leased, self._workers = alive[:n], alive[n:]
+        while len(leased) < n:
             if died > 0:
                 died -= 1
-                alive.append(self.respawn(payload))
+                leased.append(self.respawn(payload))
             else:
-                alive.append(self.spawn(payload))
-        return alive
+                leased.append(self.spawn(payload))
+        return leased
 
     def replace(self) -> None:
         """Tear down every worker; the next lease starts a fresh pool.
@@ -493,7 +523,7 @@ class WorkerPool:
         }
 
     def reclaim(self, workers: list[_Worker]) -> None:
-        """Take workers back after a batch; dead ones are discarded."""
+        """Take leased workers back after a batch; dead ones are discarded."""
         survivors: list[_Worker] = []
         for w in workers:
             if w.proc.is_alive():
@@ -501,7 +531,7 @@ class WorkerPool:
                 survivors.append(w)
             else:
                 w.kill()
-        self._workers = survivors
+        self._workers = survivors + self._workers
 
     def stop(self) -> None:
         """Terminate every pooled worker (daemon shutdown)."""
@@ -511,7 +541,7 @@ class WorkerPool:
 
 
 class TaskScheduler:
-    """Supervises range tasks across a pool of worker processes."""
+    """Supervises range tasks across workers leased from a :class:`WorkerPool`."""
 
     def __init__(
         self,
@@ -519,11 +549,11 @@ class TaskScheduler:
         ranges: list[tuple[int, int]],
         config: RuntimeConfig,
         counters: WorkCounters,
+        pool: WorkerPool,
         journal: CheckpointJournal | None = None,
         completed: dict[int, RangeResult] | None = None,
         stop: ShutdownRequest | None = None,
         registry: MetricsRegistry | None = None,
-        pool: WorkerPool | None = None,
     ):
         self.payload = payload
         self.tasks = dict(enumerate(ranges))
@@ -570,8 +600,9 @@ class TaskScheduler:
     def _run_inline(self, task_id: int, degraded: bool) -> None:
         """Execute a task in the parent (quarantine or degraded mode)."""
         lo, hi = self.tasks[task_id]
+        attempt = self._failures.get(task_id, 0)
         try:
-            result = run_range(self.payload, lo, hi)
+            result = _run_task(self.payload, task_id, attempt, lo, hi)
         except Exception as exc:  # noqa: BLE001 - poisoned task
             self._poison(task_id, exc)
         else:
@@ -610,13 +641,7 @@ class TaskScheduler:
         todo = [tid for tid in self.tasks if tid not in self.completed]
         if not todo:
             return self.completed
-        method: str | None = None
-        if self.config.n_workers > 1:
-            if self.pool is not None:
-                method = self.pool.method
-            else:
-                method = resolve_start_method(self.config.start_method)
-        if method is None:
+        if not self.pool.usable:
             # Serial mode (single worker or no usable start method):
             # still checkpointed, still quarantine-protected, and still
             # interruptible at task granularity (the finished task is
@@ -626,14 +651,14 @@ class TaskScheduler:
                     self._interrupt()
                 self._run_with_retries_inline(tid)
             return self.completed
-        self._run_pool(todo, method)
+        self._run_pool(todo)
         return self.completed
 
     def _run_with_retries_inline(self, task_id: int) -> None:
         lo, hi = self.tasks[task_id]
         for attempt in range(self.config.max_retries + 1):
             try:
-                result = run_range(self.payload, lo, hi)
+                result = _run_task(self.payload, task_id, attempt, lo, hi)
             except Exception as exc:  # noqa: BLE001
                 if attempt == self.config.max_retries:
                     self._poison(task_id, exc)
@@ -682,20 +707,9 @@ class TaskScheduler:
             w.stop()
         workers.clear()
 
-    def _spawn_worker(self, ctx) -> _Worker:
-        """One replacement worker (pool-primed when leasing from a pool)."""
-        if self.pool is not None:
-            return self.pool.respawn(self.payload)
-        return _Worker(ctx, self.payload)
-
-    def _run_pool(self, todo: list[int], method: str) -> None:
+    def _run_pool(self, todo: list[int]) -> None:
         cfg = self.config
-        ctx = mp.get_context(method)
-        n_procs = min(cfg.n_workers, len(todo))
-        if self.pool is not None:
-            workers = self.pool.lease(self.payload, n_procs)
-        else:
-            workers = [_Worker(ctx, self.payload) for _ in range(n_procs)]
+        workers = self.pool.lease(self.payload, min(cfg.n_workers, len(todo)))
         # Ready heap: (eligible_time, seq, task_id, enqueued_at); the
         # enqueue timestamp feeds the queue-wait histogram at dispatch.
         enqueue_t = time.monotonic()
@@ -750,7 +764,10 @@ class TaskScheduler:
                         "scheduler.queue_wait_seconds", now - enqueued
                     )
                     lo, hi = self.tasks[tid]
-                    w.assign(tid, lo, hi, cfg.task_timeout)
+                    w.assign(
+                        tid, self._failures.get(tid, 0), lo, hi,
+                        cfg.task_timeout,
+                    )
                 # 2. Drain results: wait on every worker's pipe at once.
                 # A torn message (worker killed mid-send) raises on *its*
                 # pipe only; the liveness check below requeues its task.
@@ -796,7 +813,7 @@ class TaskScheduler:
                             # Idle worker died (e.g. fault between tasks):
                             # just replace it.
                             w.kill()
-                            workers[i] = self._spawn_worker(ctx)
+                            workers[i] = self.pool.respawn(self.payload)
                         continue
                     now = time.monotonic()
                     if not w.proc.is_alive():
@@ -804,7 +821,7 @@ class TaskScheduler:
                         self.registry.inc("scheduler.crashes")
                         tid = w.task_id
                         w.kill()
-                        workers[i] = self._spawn_worker(ctx)
+                        workers[i] = self.pool.respawn(self.payload)
                         w.task_id = tid
                         fail(w, "crash", "worker process died")
                     elif w.deadline is not None and now > w.deadline:
@@ -812,7 +829,7 @@ class TaskScheduler:
                         self.registry.inc("scheduler.timeouts")
                         tid = w.task_id
                         w.kill()
-                        workers[i] = self._spawn_worker(ctx)
+                        workers[i] = self.pool.respawn(self.payload)
                         w.task_id = tid
                         fail(w, "timeout", "task exceeded its deadline")
                 # 4. Pool health: degrade to in-parent execution.
@@ -841,16 +858,71 @@ class TaskScheduler:
                     break
                 outstanding -= set(self.completed) | set(self.skipped)
         finally:
-            if self.pool is not None:
-                self.pool.reclaim(workers)
-            else:
-                for w in workers:
-                    w.stop()
+            self.pool.reclaim(workers)
 
 
 # --------------------------------------------------------------------- #
-# End-to-end resilient comparison
+# The step-2 fan-out and the end-to-end resilient comparison
 # --------------------------------------------------------------------- #
+
+
+def run_step2(
+    payload: RangePayload,
+    ranges: list[tuple[int, int]],
+    config: RuntimeConfig,
+    pool: WorkerPool,
+    counters: WorkCounters,
+    registry: MetricsRegistry,
+    *,
+    journal: CheckpointJournal | None = None,
+    completed: dict[int, RangeResult] | None = None,
+    stop: ShutdownRequest | None = None,
+    base_spec=None,
+    funnel: MetricsRegistry | None = None,
+) -> HSPTable:
+    """Run step 2 over *ranges*: publish, schedule, tear down, merge.
+
+    Zero-copy fan-out: when workers will run, the payload arrays are
+    published once into a shared-memory arena and workers (every retry
+    and replacement included) attach views; ``base_spec`` names an
+    already-published subject arena whose arrays are not copied again
+    (the serving daemon's).  Degradation, not failure, when ``/dev/shm``
+    cannot hold the arena: workers get the pickled payload.
+
+    Scheduler metrics and ``shm.bytes_published`` go to *registry*; the
+    per-task funnel metrics merge into *funnel* when given.  The arena
+    is closed and this process's mapping of it dropped (the quarantine
+    path may have attached it) even when the run raises -- e.g.
+    :class:`~repro.runtime.errors.RunInterrupted` -- and *journal*, if
+    any, is closed (every line is fsynced at append time).
+    """
+    arena = None
+    worker_payload: RangePayload | ShmRangePayload = payload
+    if config.use_shm and pool.usable and len(ranges) > len(completed or ()):
+        try:
+            arena, worker_payload = publish_range_payload(
+                payload, registry, base_spec=base_spec
+            )
+        except ResourceExhausted as exc:
+            warnings.warn(
+                f"{exc}; using the pickled worker payload instead",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    try:
+        scheduler = TaskScheduler(
+            worker_payload, ranges, config, counters, pool, journal,
+            completed, stop=stop, registry=registry,
+        )
+        results = scheduler.run()
+    finally:
+        if arena is not None:
+            block = arena.spec.block
+            arena.close()
+            detach_block(block)
+        if journal is not None:
+            journal.close()
+    return merge_range_results(results, counters, funnel)
 
 
 def _run_fingerprint(payload: RangePayload, n_tasks: int) -> dict:
@@ -918,7 +990,7 @@ def compare_resilient(
         bank1, bank2, karlin_params(params.scoring)
     )
     payload = build_range_payload(
-        index1, index2, common, params, threshold, fault=config.fault, obs=obs
+        index1, index2, common, params, threshold, obs=obs
     )
     ranges = plan_ranges(
         common, config.n_workers * config.tasks_per_worker, params, registry
@@ -944,37 +1016,16 @@ def compare_resilient(
                 journal.create(fingerprint)
         else:
             journal.create(fingerprint)
-    # Zero-copy fan-out: publish the payload arrays once; workers (and
-    # every retry/replacement worker the scheduler spawns) attach views.
-    # Degradation, not failure, when /dev/shm cannot hold the arena.
-    arena = None
-    worker_payload: RangePayload | ShmRangePayload = payload
-    if config.use_shm and config.n_workers > 1 and len(ranges) > len(completed):
-        try:
-            arena, worker_payload = publish_range_payload(payload, registry)
-        except ResourceExhausted as exc:
-            warnings.warn(
-                f"{exc}; using the pickled worker payload instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            worker_payload = payload
+    pool = WorkerPool(config.n_workers, config.start_method)
     try:
-        scheduler = TaskScheduler(
-            worker_payload, ranges, config, counters, journal, completed,
-            stop=stop, registry=registry,
-        )
         with span("step2.extend", n_tasks=len(ranges)):
-            results = scheduler.run()
+            table = run_step2(
+                payload, ranges, config, pool, counters, registry,
+                journal=journal, completed=completed, stop=stop,
+                funnel=registry,
+            )
     finally:
-        # Also the interrupted path (RunInterrupted propagates through
-        # here): the arena must never outlive the run, and every journal
-        # line is fsynced at append time, so closing flushes final state.
-        if arena is not None:
-            arena.close()
-        if journal is not None:
-            journal.close()
-    table = merge_range_results(results, counters, registry)
+        pool.stop()
     timings.ungapped = time.perf_counter() - t0
     registry.set_gauge(
         "time.step2_ungapped_seconds", timings.ungapped, mode="sum"

@@ -3,9 +3,9 @@
 One micro-batch = one ORIS comparison.  The batcher hands this engine a
 list of ``(name, sequence)`` queries; they are concatenated into a
 single ephemeral query bank, indexed once, and pushed through the
-existing step-2 machinery (:class:`~repro.runtime.scheduler.TaskScheduler`
-over the daemon's persistent :class:`~repro.runtime.scheduler.WorkerPool`)
-in *one* pass.  The responses are per-query ``-m 8`` slices.
+existing step-2 fan-out (:func:`~repro.runtime.scheduler.run_step2` over
+the daemon's persistent :class:`~repro.runtime.scheduler.WorkerPool`) in
+*one* pass.  The responses are per-query ``-m 8`` slices.
 
 The hard requirement -- enforced by a hypothesis property test and the
 CI smoke test -- is that each slice is **byte-identical** to running
@@ -43,20 +43,13 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..align.evalue import karlin_params
 from ..core.engine import OrisEngine, StepTimings, WorkCounters
-from ..core.parallel import (
-    RangePayload,
-    ShmRangePayload,
-    build_range_payload,
-    merge_range_results,
-    plan_ranges,
-    publish_range_payload,
-)
+from ..core.parallel import build_range_payload, plan_ranges
 from ..core.params import OrisParams
 from ..align.hsp import HSPTable
 from ..encoding import encode
@@ -70,8 +63,8 @@ from ..runtime.errors import PoolUnhealthy, ResourceExhausted, TaskPoisoned
 from ..runtime.scheduler import (
     RuntimeConfig,
     ShutdownRequest,
-    TaskScheduler,
     WorkerPool,
+    run_step2,
 )
 from ..runtime.shm import SharedArena, detach_block
 
@@ -224,7 +217,7 @@ class BatchEngine:
         self.config = RuntimeConfig(
             n_workers=max(n_workers, 1),
             tasks_per_worker=tasks_per_worker,
-            use_shm=use_shm,
+            use_shm=use_shm and n_workers > 1,
             start_method=start_method,
             # Strict: a poisoned range or an unhealthy pool must *raise*
             # out of run_batch -- the batcher's bisection owns failure
@@ -246,7 +239,6 @@ class BatchEngine:
         # old arena is unlinked only after the in-flight batch finishes
         # (see :meth:`_reap_retired`), so no worker ever attaches a
         # vanished block mid-batch.
-        self._use_shm = use_shm and self.config.n_workers > 1
         self._mutate_lock = threading.Lock()
         self._retired_lock = threading.Lock()
         self._retired: list[SharedArena] = []
@@ -274,7 +266,7 @@ class BatchEngine:
         """Build one subject snapshot, shm arena included (best-effort)."""
         arena: SharedArena | None = None
         spec = None
-        if self._use_shm:
+        if self.config.use_shm:
             try:
                 arena = SharedArena(
                     {
@@ -291,7 +283,7 @@ class BatchEngine:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self._use_shm = False
+                self.config = replace(self.config, use_shm=False)
         lengths = None
         if self.fleet_profile is not None:
             lengths = self.fleet_profile.subject_lengths_for(bank)
@@ -346,12 +338,12 @@ class BatchEngine:
     def health(self) -> dict:
         """Pool and arena component states (the daemon's ``health`` op)."""
         subject = self._subject
-        arena_ok = (not self._use_shm) or subject.arena is not None
+        arena_ok = (not self.config.use_shm) or subject.arena is not None
         components = {
             "pool": self.pool.health(),
             "arena": {
                 "ok": arena_ok,
-                "shm": self._use_shm,
+                "shm": self.config.use_shm,
                 "bytes": (
                     int(subject.arena.nbytes)
                     if subject.arena is not None
@@ -529,44 +521,16 @@ class BatchEngine:
         ranges = plan_ranges(
             expanded, self.config.n_workers * self.config.tasks_per_worker, p
         )
-        arena: SharedArena | None = None
-        worker_payload: RangePayload | ShmRangePayload = payload
-        if self._use_shm and ranges:
-            try:
-                arena, worker_payload = publish_range_payload(
-                    payload, self.registry, base_spec=subject.spec
-                )
-            except ResourceExhausted as exc:
-                warnings.warn(
-                    f"{exc}; using the pickled batch payload",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        counters = WorkCounters()
         batch_registry = MetricsRegistry()
         try:
-            scheduler = TaskScheduler(
-                worker_payload,
-                ranges,
-                self.config,
-                counters,
-                stop=self._never_stop,
-                registry=batch_registry,
-                pool=self.pool,
+            table = run_step2(
+                payload, ranges, self.config, self.pool, WorkCounters(),
+                batch_registry, stop=self._never_stop, base_spec=subject.spec,
             )
-            results = scheduler.run()
         finally:
-            if arena is not None:
-                # The parent may have attached its own batch arena (the
-                # quarantine path resolves payloads in-process); drop the
-                # cached mapping so a long-lived daemon never accretes
-                # dead batch pages, then unlink.
-                block = arena.spec.block
-                arena.close()
-                detach_block(block)
-        self.registry.merge(batch_registry)
+            self.registry.merge(batch_registry)
 
-        s1, e1, s2, sc = merge_range_results(results, counters).columns()
+        s1, e1, s2, sc = table.columns()
         owner = np.searchsorted(merged.starts, s1, side="right") - 1
         tables: list[HSPTable] = []
         for q, threshold in enumerate(thresholds):

@@ -149,6 +149,19 @@ class TestResilientRuntime:
         assert rc == 0
         assert len(read_m8(out)) >= 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malformed_fault_spec_is_usage_error(
+        self, fasta_pair, tmp_path, monkeypatch, capsys, workers
+    ):
+        # A bad spec must fail the run up front, serial or parallel --
+        # never kill every worker and leave an empty m8 behind exit 0.
+        monkeypatch.setenv("SCORIS_FAULTS", "worker.crash:notaprob:1")
+        out = tmp_path / "o.m8"
+        rc = run([*fasta_pair, "--workers", workers, "-o", str(out)])
+        assert rc == 2
+        assert "bad fault spec" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     """The documented exit-code taxonomy (see --help epilog)."""

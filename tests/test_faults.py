@@ -99,6 +99,31 @@ class TestFiring:
         assert faults.fired_counts()["serve.poison_query"] == 1
 
 
+class TestTaskKeys:
+    """Range-task keys: one ``match`` token selects one task or attempt."""
+
+    def test_keys_hold_no_spec_separators(self):
+        for task in (0, 1, 10, 11, 123):
+            for attempt in (0, 1, 10):
+                key = faults.task_key(task, attempt)
+                assert ":" not in key and "," not in key
+
+    def test_first_attempt_token_targets_one_execution(self):
+        faults.arm(f"task.error:1:0:{faults.task_key(1, 0)}")
+        for task, attempt in ((10, 0), (11, 0), (1, 1), (1, 10), (21, 0)):
+            key = faults.task_key(task, attempt)
+            assert not faults.should_fire("task.error", key)
+        assert faults.should_fire("task.error", faults.task_key(1, 0))
+        assert faults.fired_counts()["task.error"] == 1
+
+    def test_task_token_targets_every_attempt(self):
+        faults.arm("task.error:1:0:task=1/")
+        assert faults.should_fire("task.error", faults.task_key(1, 0))
+        assert faults.should_fire("task.error", faults.task_key(1, 3))
+        assert not faults.should_fire("task.error", faults.task_key(11, 0))
+        assert not faults.should_fire("task.error", faults.task_key(21, 0))
+
+
 class TestEnvArming:
     def test_lazy_env_arming(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "worker.hang:1:0")

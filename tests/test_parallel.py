@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import OrisEngine, OrisParams
 from repro.core.parallel import (
-    FaultSpec,
     build_range_payload,
     plan_ranges,
     publish_range_payload,
@@ -20,7 +19,8 @@ from repro.core.parallel import (
 )
 from repro.data import load_bank
 from repro.index.seed_index import CommonCodes
-from repro.runtime.scheduler import RuntimeConfig, compare_resilient
+from repro.runtime import faults
+from repro.runtime.scheduler import RuntimeConfig, _run_task, compare_resilient
 
 
 def _even_ranges(n_codes: int, n_tasks: int) -> list[tuple[int, int]]:
@@ -148,35 +148,33 @@ class TestRangePayload:
         assert res.n_pairs == 0
 
 
-class TestFaultSpec:
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            FaultSpec(lo=0, mode="explode", marker="m")
+class TestTaskFaultHook:
+    """Registry fault points at the scheduler's one task hook."""
 
-    def test_finite_fault_needs_marker(self):
-        with pytest.raises(ValueError, match="marker"):
-            FaultSpec(lo=0, mode="raise", times=1)
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        faults.disarm()
 
-    def test_fires_only_n_times(self, est_pair, tmp_path):
-        marker = tmp_path / "m"
-        fault = FaultSpec(lo=0, mode="raise", times=2, marker=str(marker))
-        params = OrisParams()
-        engine = OrisEngine(params)
-        i1, i2 = engine._build_indexes(*est_pair)
-        common = i1.common_codes(i2)
-        from repro.align.evalue import karlin_params
+    def test_fires_only_on_targeted_attempt(self, est_pair):
+        payload = TestRangePayload()._payload(est_pair)
+        faults.arm(f"task.error:1:0:{faults.task_key(0, 0)}")
+        with pytest.raises(RuntimeError, match="task.error"):
+            _run_task(payload, 0, 0, 0, 1)
+        _run_task(payload, 0, 1, 0, 1)  # the retry is not targeted
+        _run_task(payload, 1, 0, 0, 1)  # nor is another task
+        assert faults.fired_counts()["task.error"] == 1
 
-        threshold = engine._resolve_hsp_min_score(
-            *est_pair, karlin_params(params.scoring)
-        )
-        payload = build_range_payload(
-            i1, i2, common, params, threshold, fault=fault
-        )
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="injected"):
-                run_range(payload, 0, 1)
-        run_range(payload, 0, 1)  # third attempt: fault exhausted
-        assert marker.stat().st_size == 2
+    def test_worker_points_never_fire_in_parent(self, est_pair, monkeypatch):
+        payload = TestRangePayload()._payload(est_pair)
+        injected: list[str] = []
+        monkeypatch.setattr(faults, "inject", injected.append)
+        faults.arm("worker.crash:1:0,worker.oom:1:0,worker.hang:1:0")
+        res = _run_task(payload, 0, 0, 0, payload.n_codes)
+        assert res.n_pairs > 0
+        assert injected == []
+        _run_task(payload, 0, 0, 0, 1, in_worker=True)
+        assert injected == ["worker.crash", "worker.oom", "worker.hang"]
 
 
 def _lines(result) -> list[str]:

@@ -14,9 +14,9 @@ import signal
 import pytest
 
 from repro.core import OrisEngine, OrisParams
-from repro.core.parallel import FaultSpec, plan_ranges
-from repro.runtime import CheckpointCorrupt, TaskPoisoned
-from repro.runtime.scheduler import RuntimeConfig, compare_resilient
+from repro.core.parallel import build_range_payload, plan_ranges
+from repro.runtime import CheckpointCorrupt, TaskPoisoned, faults
+from repro.runtime.scheduler import RuntimeConfig, WorkerPool, compare_resilient
 
 N_WORKERS = 2
 TASKS_PER_WORKER = 3
@@ -47,18 +47,29 @@ def n_tasks_for(est_pair):
 
 
 @pytest.fixture(scope="module")
-def mid_range_lo(est_pair):
-    """The start of a middle range task, for targeted fault injection.
+def mid_task(est_pair):
+    """The id of a middle range task, for targeted fault injection.
 
     Must use the same planner (and target) as the runs under test, so
-    the injected fault lands on a real task boundary.
+    the injected fault lands on a real task.
     """
     engine = OrisEngine(OrisParams())
     i1, i2 = engine._build_indexes(*est_pair)
     common = i1.common_codes(i2)
     ranges = plan_ranges(common, N_WORKERS * TASKS_PER_WORKER, OrisParams())
     assert len(ranges) >= 3  # the fault/resume tests need a middle task
-    return ranges[len(ranges) // 2][0]
+    return len(ranges) // 2
+
+
+@pytest.fixture
+def arm():
+    """``faults.arm`` for one test; the registry is disarmed afterwards.
+
+    Forked workers inherit the armed registry, so arming in-process
+    reaches the pool a run creates after this call.
+    """
+    yield faults.arm
+    faults.disarm()
 
 
 def lines(result) -> list[str]:
@@ -97,21 +108,23 @@ class TestHealthyRuns:
 
 
 class TestFaultRecovery:
-    """Crash/raise/hang a worker once; the run must still be exact."""
+    """Crash/raise/hang a worker once; the run must still be exact.
+
+    Faults come from the registry, keyed by task and attempt: a ``match``
+    token of ``task_key(t, 0)`` hits only task *t*'s first attempt, so the
+    retry succeeds; ``task=t/`` hits every attempt of task *t*.
+    """
 
     def test_worker_hard_crash_recovers(
-        self, est_pair, serial_lines, mid_range_lo, tmp_path
+        self, est_pair, serial_lines, mid_task, arm
     ):
-        fault = FaultSpec(
-            lo=mid_range_lo, mode="exit", times=1, marker=str(tmp_path / "m")
-        )
+        arm(f"worker.crash:1:0:{faults.task_key(mid_task, 0)}")
         res = compare_resilient(
             *est_pair,
             OrisParams(),
             RuntimeConfig(
                 n_workers=N_WORKERS,
                 tasks_per_worker=TASKS_PER_WORKER,
-                fault=fault,
             ),
         )
         assert lines(res) == serial_lines
@@ -119,18 +132,15 @@ class TestFaultRecovery:
         assert res.counters.n_retries >= 1
 
     def test_worker_exception_recovers(
-        self, est_pair, serial_lines, mid_range_lo, tmp_path
+        self, est_pair, serial_lines, mid_task, arm
     ):
-        fault = FaultSpec(
-            lo=mid_range_lo, mode="raise", times=1, marker=str(tmp_path / "m")
-        )
+        arm(f"task.error:1:0:{faults.task_key(mid_task, 0)}")
         res = compare_resilient(
             *est_pair,
             OrisParams(),
             RuntimeConfig(
                 n_workers=N_WORKERS,
                 tasks_per_worker=TASKS_PER_WORKER,
-                fault=fault,
             ),
         )
         assert lines(res) == serial_lines
@@ -138,22 +148,15 @@ class TestFaultRecovery:
         assert res.counters.n_crashes == 0
 
     def test_hung_worker_times_out_and_recovers(
-        self, est_pair, serial_lines, mid_range_lo, tmp_path
+        self, est_pair, serial_lines, mid_task, arm
     ):
-        fault = FaultSpec(
-            lo=mid_range_lo,
-            mode="hang",
-            times=1,
-            marker=str(tmp_path / "m"),
-            hang_seconds=60.0,
-        )
+        arm(f"worker.hang:1:0:{faults.task_key(mid_task, 0)}")
         res = compare_resilient(
             *est_pair,
             OrisParams(),
             RuntimeConfig(
                 n_workers=N_WORKERS,
                 tasks_per_worker=TASKS_PER_WORKER,
-                fault=fault,
                 task_timeout=1.0,
             ),
         )
@@ -161,11 +164,9 @@ class TestFaultRecovery:
         assert res.counters.n_timeouts >= 1
 
     def test_pool_unhealthy_degrades_to_serial(
-        self, est_pair, serial_lines, mid_range_lo, tmp_path
+        self, est_pair, serial_lines, mid_task, arm
     ):
-        fault = FaultSpec(
-            lo=mid_range_lo, mode="exit", times=1, marker=str(tmp_path / "m")
-        )
+        arm(f"worker.crash:1:0:{faults.task_key(mid_task, 0)}")
         with pytest.warns(RuntimeWarning, match="unhealthy"):
             res = compare_resilient(
                 *est_pair,
@@ -173,7 +174,6 @@ class TestFaultRecovery:
                 RuntimeConfig(
                     n_workers=N_WORKERS,
                     tasks_per_worker=TASKS_PER_WORKER,
-                    fault=fault,
                     max_pool_failures=0,
                 ),
             )
@@ -182,13 +182,11 @@ class TestFaultRecovery:
         assert res.counters.n_degraded >= 1
 
     def test_poisoned_task_is_quarantined_not_fatal(
-        self, est_pair, serial_lines, mid_range_lo, tmp_path
+        self, est_pair, serial_lines, mid_task, arm
     ):
-        # The fault never stops firing: retries and the in-parent
+        # The fault fires on every attempt: retries and the in-parent
         # quarantine attempt all fail; the run degrades instead of dying.
-        fault = FaultSpec(
-            lo=mid_range_lo, mode="raise", times=100, marker=str(tmp_path / "m")
-        )
+        arm(f"task.error:1:0:task={mid_task}/")
         with pytest.warns(RuntimeWarning, match="dropped"):
             res = compare_resilient(
                 *est_pair,
@@ -196,7 +194,6 @@ class TestFaultRecovery:
                 RuntimeConfig(
                     n_workers=N_WORKERS,
                     tasks_per_worker=TASKS_PER_WORKER,
-                    fault=fault,
                     max_retries=1,
                     backoff_base=0.01,
                 ),
@@ -205,24 +202,67 @@ class TestFaultRecovery:
         assert res.counters.n_skipped_tasks == 1
         assert len(res.records) <= len(serial_lines)
 
-    def test_strict_mode_raises_on_poison(
-        self, est_pair, mid_range_lo, tmp_path
-    ):
-        fault = FaultSpec(
-            lo=mid_range_lo, mode="raise", times=100, marker=str(tmp_path / "m")
-        )
+    def test_strict_mode_raises_on_poison(self, est_pair, mid_task, arm):
+        arm(f"task.error:1:0:task={mid_task}/")
         with pytest.raises(TaskPoisoned):
             compare_resilient(
                 *est_pair,
                 OrisParams(),
                 RuntimeConfig(
                     n_workers=1,  # serial mode exercises the inline path
-                    fault=fault,
                     max_retries=1,
                     backoff_base=0.01,
                     strict=True,
                 ),
             )
+
+
+class TestRegistryFaultsAcrossStartMethods:
+    def test_env_armed_task_error_under_spawn(
+        self, est_pair, serial_lines, mid_task, monkeypatch
+    ):
+        # Spawned workers inherit no module state: they re-arm from
+        # SCORIS_FAULTS, and the key still targets one first attempt.
+        monkeypatch.setenv(
+            faults.ENV_VAR, f"task.error:1:0:{faults.task_key(mid_task, 0)}"
+        )
+        faults.reset()
+        try:
+            with pytest.warns(RuntimeWarning, match="spawn"):
+                res = compare_resilient(
+                    *est_pair,
+                    OrisParams(),
+                    RuntimeConfig(n_workers=2, start_method="spawn"),
+                )
+        finally:
+            faults.disarm()
+        assert lines(res) == serial_lines
+        assert res.counters.n_retries >= 1
+        assert res.counters.n_crashes == 0
+
+
+class TestWorkerPool:
+    def test_smaller_lease_keeps_surplus_workers(self, est_pair):
+        # A small batch must not kill pooled live workers that the next,
+        # larger batch would then have to fork again.
+        engine = OrisEngine(OrisParams())
+        i1, i2 = engine._build_indexes(*est_pair)
+        payload = build_range_payload(
+            i1, i2, i1.common_codes(i2), OrisParams(), 0
+        )
+        pool = WorkerPool(2)
+        try:
+            first = pool.lease(payload, 2)
+            pids = sorted(w.proc.pid for w in first)
+            pool.reclaim(first)
+            pool.reclaim(pool.lease(payload, 1))
+            assert len(pool) == 2
+            again = pool.lease(payload, 2)
+            assert sorted(w.proc.pid for w in again) == pids
+            assert pool.respawns == 0
+            pool.reclaim(again)
+        finally:
+            pool.stop()
 
 
 class TestCheckpointResume:

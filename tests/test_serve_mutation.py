@@ -129,7 +129,7 @@ class TestEngineMutation:
         queries = _queries_for(rng, subjects, n=2)
         engine = BatchEngine(params=W_PARAMS, store=s, n_workers=2)
         try:
-            if not engine._use_shm:
+            if not engine.config.use_shm:
                 pytest.skip("shared memory unavailable in this environment")
             first_block = engine._subject.arena.spec.block
             engine.run_batch(queries)
