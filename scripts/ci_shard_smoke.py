@@ -19,6 +19,11 @@ shard daemons plus a router, and one single-daemon reference):
   3. **Leaks** — after the fleet exits: no ``/dev/shm/scoris_*``
      segment, no surviving shard or worker process.
 
+Before the daemons start, a **batch phase** checks the same tiling in
+the one-shot CLI: ``scoris-n`` under a ``--memory-budget`` tight enough
+to degrade to several subject tiles must write an m8 byte-identical to
+the run without a budget.
+
 Exit status 0 on success; non-zero with a diagnostic otherwise.  A
 machine-readable summary is appended to ``--report`` (default
 ``shard_smoke_report.txt``) for CI artifact upload.
@@ -45,6 +50,10 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from repro.data.synthetic import mutate, random_dna  # noqa: E402
+from repro.runtime.governor import (  # noqa: E402
+    BASELINE_BYTES,
+    estimate_index_bytes,
+)
 from repro.serve.client import (  # noqa: E402
     OrisClient,
     QueryFailed,
@@ -105,6 +114,48 @@ def build_inputs(directory: Path):
                       sub_rate=0.03, indel_rate=0.0)
         queries.append((f"q{start}", frag))
     return bank_path, queries
+
+
+def scenario_batch_tiled(bank_path: Path, queries, directory: Path) -> None:
+    """The memory-budget fallback runs the fleet's tiling: exact output."""
+    query_path = directory / "queries.fa"
+    with open(query_path, "w") as fh:
+        for name, seq in queries:
+            fh.write(f">{name}\n{seq}\n")
+    query_nt = sum(len(seq) for _, seq in queries)
+    # Room for the query index plus a tile smaller than the subject bank.
+    budget = BASELINE_BYTES + estimate_index_bytes(query_nt + 25_000)
+
+    def scoris(*extra: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", str(query_path),
+             str(bank_path), *extra],
+            capture_output=True, text=True, env=child_env(), cwd=REPO,
+            timeout=TIMEOUT,
+        )
+
+    ref_path, tiled_path = directory / "batch_ref.m8", directory / "batch_tiled.m8"
+    ref = scoris("-o", str(ref_path))
+    if ref.returncode != 0:
+        fail(f"batch reference run exited {ref.returncode}: {ref.stderr}")
+    tiled = scoris("--memory-budget", str(budget), "--stats",
+                   "-o", str(tiled_path))
+    if tiled.returncode != 0:
+        fail(f"batch tiled run exited {tiled.returncode}: {tiled.stderr}")
+    if "mode=tiled" not in tiled.stderr:
+        fail(f"budget {budget} did not degrade to tiling: {tiled.stderr}")
+    n_tiles = next(
+        int(word[len("tiles="):])
+        for word in tiled.stderr.split()
+        if word.startswith("tiles=")
+    )
+    if n_tiles < 2:
+        fail(f"tiled batch run used {n_tiles} tile(s); expected several")
+    if tiled_path.read_bytes() != ref_path.read_bytes():
+        fail("tiled batch m8 differs from the run without a budget")
+    note(f"batch tiling OK: {n_tiles} tiles under a {budget}-byte budget, "
+         f"m8 byte-identical to the untiled run "
+         f"({len(ref_path.read_bytes())} bytes)")
 
 
 def read_announce(path: Path, proc: subprocess.Popen, deadline: float):
@@ -329,6 +380,7 @@ def main() -> int:
         bank_path, queries = build_inputs(directory)
         note(f"bank: seam-heavy chrA ~{CHROM_NT} nt + 2 short sequences; "
              f"{len(queries)} golden queries (seam-straddling fragments)")
+        scenario_batch_tiled(bank_path, queries, directory)
 
         single_proc, shost, sport = start_single(bank_path, directory)
         fleet_proc, fhost, fport, work_dir = start_fleet(bank_path, directory)

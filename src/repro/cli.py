@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tile-overlap", type=int, default=10_000, metavar="NT",
         help="overlap between subject tiles under --memory-budget "
-        "degradation; alignments shorter than half of it are exact "
-        "(default 10000)",
+        "degradation; the output is exact when it is at least about "
+        "twice the longest query plus 600 nt (default 10000)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -858,6 +858,11 @@ def _execute(args) -> int:
         plan = plan_comparison(
             bank1, bank2, budget, overlap=args.tile_overlap
         )
+        if plan.degraded and args.strand != "plus":
+            return _fail_usage(
+                "--memory-budget degrades this run to tiled comparison, "
+                "which searches a single strand (--strand plus)"
+            )
         if plan.degraded and use_runtime:
             print(
                 "scoris-n: warning: --memory-budget degradation uses the "

@@ -28,10 +28,11 @@ Every entry point shares three pieces of this module: step 1
 (:func:`extend_hit_pairs`, run on the whole common-code list here and on
 one slice of it by :func:`repro.core.parallel.run_range`) and steps 3-4
 (:meth:`OrisEngine.finish_comparison`, also used by the resilient
-runtime, the query service and the fleet planner).  They look their
-kernels up as globals of this module (``iter_pair_chunks``,
-``extend_filter_vector``, ``run_gapped_stage``, ``alignments_to_m8``
-...), so a tracer that rebinds those names here sees every entry point.
+runtime and the query service; tiled comparison runs the whole
+one-strand pipeline per tile).  They look their kernels up as globals
+of this module (``iter_pair_chunks``, ``extend_filter_vector``,
+``run_gapped_stage``, ``alignments_to_m8`` ...), so a tracer that
+rebinds those names here sees every entry point.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ class StepTimings:
     def total(self) -> float:
         return self.index + self.ungapped + self.gapped + self.display
 
+    def add(self, other: "StepTimings") -> "StepTimings":
+        """Accumulate ``other``'s seconds into these; returns ``self``."""
+        self.index += other.index
+        self.ungapped += other.ungapped
+        self.gapped += other.gapped
+        self.display += other.display
+        return self
+
 
 @dataclass(slots=True)
 class WorkCounters:
@@ -107,6 +116,17 @@ class WorkCounters:
     n_tiles: int = 0  # subject tiles processed (tiled/degraded runs)
     n_memory_degradations: int = 0  # budget-forced switches to tiling
     rss_peak_bytes: int = 0  # process peak RSS high-water mark
+
+    def add(self, other: "WorkCounters") -> "WorkCounters":
+        """Fold ``other`` into these counters; returns ``self``.
+
+        Every counter sums except ``rss_peak_bytes``, a high-water mark.
+        """
+        peak = max(self.rss_peak_bytes, other.rss_peak_bytes)
+        for name in WorkCounters.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.rss_peak_bytes = peak
+        return self
 
 
 @dataclass(slots=True)
@@ -156,8 +176,11 @@ class OrisEngine:
     # ------------------------------------------------------------------ #
 
     def _compare_one_strand(
-        self, bank1: Bank, bank2: Bank, minus: bool
+        self, bank1: Bank, bank2: Bank, minus: bool, profile=None
     ) -> ComparisonResult:
+        """Steps 1-4 on one strand.  ``profile`` (a
+        :class:`repro.core.tiled.FleetProfile`) makes a tile of a larger
+        bank use that whole bank's S1 threshold and e-value lengths."""
         timings = StepTimings()
         counters = WorkCounters()
         registry = MetricsRegistry()
@@ -166,7 +189,7 @@ class OrisEngine:
 
         t0 = time.perf_counter()
         s1_threshold = self._resolve_hsp_min_score(
-            bank1, bank2, karlin_params(self.params.scoring)
+            bank1, bank2, karlin_params(self.params.scoring), profile
         )
         with span("step2.extend", strand=strand) as s:
             table = self._ungapped_stage(
@@ -180,7 +203,10 @@ class OrisEngine:
         )
 
         return self.finish_comparison(
-            bank1, bank2, table, counters, timings, registry, minus_strand=minus
+            bank1, bank2, table, counters, timings, registry, minus_strand=minus,
+            subject_lengths=(
+                None if profile is None else profile.subject_lengths_for(bank2)
+            ),
         )
 
     def index_step(
@@ -307,19 +333,18 @@ class OrisEngine:
         bank1: Bank,
         bank2: Bank,
         stats: KarlinAltschul,
-        subject_nt: int | None = None,
-        subject_seqs: int | None = None,
+        profile=None,
     ) -> int:
-        """The S1 threshold; ``subject_nt``/``subject_seqs`` override the
-        subject-side sizes so a shard serving one tile of a larger bank
-        can use the *global* bank's statistics (fleet serving)."""
+        """The S1 threshold; a ``profile`` (see :meth:`_compare_one_strand`)
+        overrides the subject-side sizes so one tile of a larger bank
+        uses the *global* bank's statistics."""
         p = self.params
         if p.hsp_min_score is not None:
             return p.hsp_min_score
         # BLAST-style preliminary threshold: an HSP enters the gapped stage
         # if alone it would reach hsp_evalue against an average subject.
-        nt = bank2.size_nt if subject_nt is None else subject_nt
-        seqs = bank2.n_sequences if subject_seqs is None else subject_seqs
+        nt = bank2.size_nt if profile is None else profile.subject_nt
+        seqs = bank2.n_sequences if profile is None else profile.subject_seqs
         n_mean = max(nt // max(seqs, 1), 1)
         s = stats.min_score_for_evalue(p.hsp_evalue, bank1.size_nt, n_mean)
         # Never below the seed's own score + 1 (a bare seed is not an HSP).
@@ -504,28 +529,13 @@ def _merge_results(
     plus: ComparisonResult, minus: ComparisonResult, params: OrisParams
 ) -> ComparisonResult:
     """Combine plus- and minus-strand passes into one result."""
-    records = sort_records(plus.records + minus.records, key=params.sort_key)
-    timings = StepTimings(
-        index=plus.timings.index + minus.timings.index,
-        ungapped=plus.timings.ungapped + minus.timings.ungapped,
-        gapped=plus.timings.gapped + minus.timings.gapped,
-        display=plus.timings.display + minus.timings.display,
-    )
-    c = WorkCounters()
-    for name in WorkCounters.__dataclass_fields__:
-        if name == "rss_peak_bytes":  # high-water mark, not additive
-            c.rss_peak_bytes = max(
-                plus.counters.rss_peak_bytes, minus.counters.rss_peak_bytes
-            )
-            continue
-        setattr(c, name, getattr(plus.counters, name) + getattr(minus.counters, name))
     metrics = MetricsRegistry()
     metrics.merge(plus.metrics).merge(minus.metrics)
     return ComparisonResult(
-        records=records,
+        records=sort_records(plus.records + minus.records, key=params.sort_key),
         alignments=plus.alignments + minus.alignments,
-        timings=timings,
-        counters=c,
+        timings=StepTimings().add(plus.timings).add(minus.timings),
+        counters=WorkCounters().add(plus.counters).add(minus.counters),
         params=params,
         metrics=metrics,
     )

@@ -4,24 +4,37 @@ The paper: "The size of the bank ... depends of the size of the available
 memory on the computer" (5N bytes of index per bank), and its future work
 warns that full-genome comparisons "will require systems having large
 memory".  This module removes that constraint the standard way: the
-subject bank is processed in *tiles* whose index fits a memory budget, and
-a long sequence is windowed with an overlap so alignments near window
-borders are still seen whole by exactly one window.
+subject bank is cut into *tiles* whose index fits a memory budget, and a
+long sequence is windowed with an overlap so alignments near window
+borders are still seen whole by exactly one window.  It is the one owner
+of tiling: the ``--memory-budget`` fallback (:func:`compare_tiled`) and
+the serving fleet (:mod:`repro.serve.fleet`) share the cutter, the
+per-tile comparison, the ownership rule and the merge below.
 
-Ownership rule: each window owns the alignments whose subject interval
-*starts* inside its ownership region -- the window minus half an overlap
-of margin on each interior edge.  The margins guarantee an owned
-alignment's true start is visible to its owner (a version truncated at
-the window's left edge starts *inside* the margin and is discarded; the
-previous window owns and sees it whole).  Alignments longer than half the
-overlap may still be truncated at a window border -- choose ``overlap``
-at least twice the longest alignment you care about (default 10 kb at
-this reproduction's scales).
+Ownership rule (:func:`tile_owns`): each window owns the alignments whose
+subject interval *starts* inside its ownership region -- the window minus
+half an overlap of margin on each interior edge.  The margins guarantee
+an owned alignment's true start is visible to its owner (a version
+truncated at the window's left edge starts *inside* the margin and is
+discarded; the previous window owns and sees it whole).
+
+Two per-tile statistics would drift from the uncut run, so every tile is
+compared with the :class:`FleetProfile` of the whole bank
+(:func:`compare_shard`): the S1 threshold uses the whole bank's size and
+sequence count, and e-values use each subject sequence's full length.
+
+Contract: the merged output is byte-identical to the uncut comparison
+when the overlap is at least
+:func:`repro.serve.fleet.required_overlap` of the longest bank-1
+sequence (twice the longest alignment span plus edge slack).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from ..align.records import sort_records
 from ..io.bank import Bank
@@ -30,7 +43,72 @@ from ..obs import MetricsRegistry, span
 from .engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
 from .params import OrisParams
 
-__all__ = ["compare_tiled", "iter_subject_tiles"]
+__all__ = [
+    "FleetProfile",
+    "compare_shard",
+    "compare_tiled",
+    "iter_subject_tiles",
+    "merge_shard_records",
+    "tile_owns",
+]
+
+PROFILE_SCHEMA = "scoris-fleet-profile/1"
+
+
+@dataclass(frozen=True)
+class FleetProfile:
+    """Global subject statistics every tile must use instead of its own.
+
+    ``subject_nt``/``subject_seqs`` size the S1 threshold; ``full_nt``
+    maps each sequence name to its *original* length for e-values (a
+    windowed tile sees only a slice).
+    """
+
+    subject_nt: int
+    subject_seqs: int
+    full_nt: dict[str, int]
+
+    @classmethod
+    def of(cls, bank: Bank) -> "FleetProfile":
+        """The profile of a whole subject bank."""
+        return cls(
+            subject_nt=bank.size_nt,
+            subject_seqs=bank.n_sequences,
+            full_nt={
+                bank.names[i]: bank.sequence_length(i)
+                for i in range(bank.n_sequences)
+            },
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": PROFILE_SCHEMA,
+            "subject_nt": self.subject_nt,
+            "subject_seqs": self.subject_seqs,
+            "full_nt": dict(self.full_nt),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FleetProfile":
+        if data.get("schema") != PROFILE_SCHEMA:
+            raise ValueError(
+                f"not a fleet profile (schema {data.get('schema')!r})"
+            )
+        return cls(
+            subject_nt=int(data["subject_nt"]),
+            subject_seqs=int(data["subject_seqs"]),
+            full_nt={str(k): int(v) for k, v in data["full_nt"].items()},
+        )
+
+    def subject_lengths_for(self, bank: Bank) -> np.ndarray:
+        """Per-sequence e-value lengths for one tile bank."""
+        return np.array(
+            [
+                self.full_nt.get(bank.names[i], bank.sequence_length(i))
+                for i in range(bank.n_sequences)
+            ],
+            dtype=np.int64,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,23 +181,62 @@ def iter_subject_tiles(bank2: Bank, tile_nt: int, overlap: int):
     yield from flush()
 
 
+def tile_owns(tile, subject_id: str, s_start: int, s_end: int) -> bool:
+    """The ownership test for one record in *tile-local* coordinates.
+
+    ``tile`` is anything carrying the cutter's ``offsets``,
+    ``owned_from`` and ``owned_until`` maps: a tile, or a fleet
+    :class:`~repro.serve.fleet.ShardSpec`.
+    """
+    s_lo = min(s_start, s_end) - 1 + tile.offsets[subject_id]
+    return tile.owned_from[subject_id] <= s_lo < tile.owned_until[subject_id]
+
+
 def _shift_record(rec: M8Record, offset: int) -> M8Record:
-    if offset == 0:
-        return rec
-    return M8Record(
-        query_id=rec.query_id,
-        subject_id=rec.subject_id,
-        pident=rec.pident,
-        length=rec.length,
-        mismatches=rec.mismatches,
-        gap_openings=rec.gap_openings,
-        q_start=rec.q_start,
-        q_end=rec.q_end,
-        s_start=rec.s_start + offset,
-        s_end=rec.s_end + offset,
-        evalue=rec.evalue,
-        bit_score=rec.bit_score,
+    return replace(rec, s_start=rec.s_start + offset, s_end=rec.s_end + offset)
+
+
+def compare_shard(
+    bank1: Bank,
+    shard_bank: Bank,
+    params: OrisParams,
+    profile: FleetProfile,
+) -> ComparisonResult:
+    """Steps 1-4 against one tile with the profile's overrides.
+
+    Local pair enumeration and extension, the whole bank's S1
+    threshold, full-length e-values and window-relative coordinates:
+    what a fleet shard daemon computes for one query bank, and what
+    :func:`compare_tiled` runs per tile.
+    """
+    return OrisEngine(params)._compare_one_strand(
+        bank1, shard_bank, minus=False, profile=profile
     )
+
+
+def merge_shard_records(
+    shard_results: Iterable[tuple[object, list[M8Record]]],
+    sort_key: str = "evalue",
+) -> tuple[list[M8Record], int]:
+    """Seam-exact merge of per-tile record lists.
+
+    ``shard_results`` yields ``(tile, records)`` pairs in tile order
+    (``tile`` as for :func:`tile_owns`).  The merge drops the non-owner
+    copy of every seam-straddling alignment, shifts subject coordinates
+    back into the original sequences, and re-sorts with the engine's
+    own key; the sort is stable, so ties keep tile order.  Returns
+    ``(records, n_deduped)`` where ``n_deduped`` counts the ownership
+    drops (the ``fleet.seam_hits_deduped`` metric).
+    """
+    kept: list[M8Record] = []
+    dropped = 0
+    for tile, records in shard_results:
+        for rec in records:
+            if tile_owns(tile, rec.subject_id, rec.s_start, rec.s_end):
+                kept.append(_shift_record(rec, tile.offsets[rec.subject_id]))
+            else:
+                dropped += 1
+    return sort_records(kept, key=sort_key), dropped
 
 
 def compare_tiled(
@@ -132,51 +249,39 @@ def compare_tiled(
     """ORIS comparison with the subject bank processed tile by tile.
 
     Peak index memory is bounded by ``bank1`` plus one tile instead of
-    both full banks.  Output matches the monolithic comparison except for
-    (a) alignments longer than ``overlap`` crossing a window border
-    (truncated) and (b) e-values of windowed sequences, computed against
-    the window length rather than the full sequence length (conservative:
-    smaller search space, so borderline alignments *survive* tiling
-    rather than vanish).
+    both full banks.  Each tile runs :func:`compare_shard` with the
+    whole bank's profile and :func:`merge_shard_records` joins them, so
+    the records equal the monolithic comparison's whenever ``overlap``
+    meets the module's contract.
     """
     params = params or OrisParams()
     if params.strand != "plus":
         raise ValueError("compare_tiled is single-strand; call per strand")
-    engine = OrisEngine(params)
+    profile = FleetProfile.of(bank2)
     timings = StepTimings()
     counters = WorkCounters()
     registry = MetricsRegistry()
-    records: list[M8Record] = []
-    for tile in iter_subject_tiles(bank2, tile_nt, overlap):
-        with span("tile.compare", tile=counters.n_tiles):
-            res = engine.compare(bank1, tile.bank)
-        registry.merge(res.metrics)
-        registry.observe("tile.records", len(res.records))
-        counters.n_tiles += 1
-        for name in StepTimings.__dataclass_fields__:
-            setattr(timings, name, getattr(timings, name) + getattr(res.timings, name))
-        for name in WorkCounters.__dataclass_fields__:
-            if name == "rss_peak_bytes":  # high-water mark, not additive
-                counters.rss_peak_bytes = max(
-                    counters.rss_peak_bytes, res.counters.rss_peak_bytes
-                )
-                continue
-            setattr(counters, name, getattr(counters, name) + getattr(res.counters, name))
-        for rec in res.records:
-            off = tile.offsets[rec.subject_id]
-            own_lo = tile.owned_from[rec.subject_id]
-            own_hi = tile.owned_until[rec.subject_id]
-            s_lo = min(rec.s_start, rec.s_end) - 1 + off  # 0-based original
-            if own_lo <= s_lo < own_hi:
-                records.append(_shift_record(rec, off))
-    records = sort_records(records, key=params.sort_key)
+
+    def per_tile():
+        # A generator, so the merge filters each tile's records as it
+        # arrives and no tile bank outlives its comparison.
+        for tile in iter_subject_tiles(bank2, tile_nt, overlap):
+            with span("tile.compare", tile=counters.n_tiles):
+                res = compare_shard(bank1, tile.bank, params, profile)
+            registry.merge(res.metrics)
+            registry.observe("tile.records", len(res.records))
+            timings.add(res.timings)
+            counters.add(res.counters)
+            counters.n_tiles += 1
+            yield tile, res.records
+
+    records, n_deduped = merge_shard_records(per_tile(), params.sort_key)
     counters.n_records = len(records)
     # The ownership rule dropped border duplicates after the per-tile
     # display stage; restate step 4 so the funnel describes the *final*
     # output (records + evalue_filtered + ownership_filtered == alignments).
-    dropped = registry.value("step4.records", 0) - len(records)
     registry.counter("step4.records").value = len(records)
-    registry.inc("step4.ownership_filtered", dropped)
+    registry.inc("step4.ownership_filtered", n_deduped)
     registry.inc("tile.tiles", counters.n_tiles)
     return ComparisonResult(
         records=records,

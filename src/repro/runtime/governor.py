@@ -14,11 +14,14 @@ unresumable SIGKILL, the governor
   32-bit ints);
 * plans the run against a ``--memory-budget`` ceiling
   (:func:`plan_comparison`): when the monolithic footprint fits, nothing
-  changes; when it does not, the subject bank degrades to the existing
-  tiled engine (:func:`repro.core.tiled.compare_tiled`) with tile sizes
+  changes; when it does not, the subject bank degrades to tiled
+  comparison (:func:`repro.core.tiled.compare_tiled`) with tile sizes
   shrunk (halved from the default) until one query index plus one tile
   index fits, and only if *no* viable tile exists does it raise
-  :class:`~repro.runtime.errors.ResourceExhausted`;
+  :class:`~repro.runtime.errors.ResourceExhausted`.  The degraded
+  output is byte-identical to the monolithic run when the overlap is at
+  least :func:`repro.serve.fleet.required_overlap` of the longest
+  bank-1 sequence;
 * preflights free disk space for ``--checkpoint`` directories
   (:func:`preflight_disk`) so a journal never dies half-written on a
   full filesystem;

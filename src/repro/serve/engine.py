@@ -193,7 +193,7 @@ class BatchEngine:
         #: Fleet-shard statistics override: S1 thresholds and e-values
         #: are computed as if this daemon served the planner's *whole*
         #: bank, so shard output bytes merge seamlessly (see
-        #: :mod:`repro.serve.fleet.planner`).
+        #: :mod:`repro.core.tiled`).
         self.fleet_profile = fleet_profile
         self.store_flush_nt = store_flush_nt
         self.store_max_segments = store_max_segments
@@ -436,13 +436,8 @@ class BatchEngine:
         A fleet shard substitutes the *global* bank's size and sequence
         count so its threshold equals the monolithic daemon's.
         """
-        profile = self.fleet_profile
         return self._engine._resolve_hsp_min_score(
-            qbank,
-            subject.bank,
-            self.stats,
-            subject_nt=None if profile is None else profile.subject_nt,
-            subject_seqs=None if profile is None else profile.subject_seqs,
+            qbank, subject.bank, self.stats, self.fleet_profile
         )
 
     # ------------------------------------------------------------------ #

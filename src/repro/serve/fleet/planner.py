@@ -1,8 +1,9 @@
 """Shard planner: cut a subject bank into overlapping, seam-exact tiles.
 
-The cutting itself is :func:`repro.core.tiled.iter_subject_tiles` -- the
-same windows-with-overlap the tiled batch comparison uses -- so every
-original subject position is *owned* by exactly one shard and any
+Tiling itself lives in :mod:`repro.core.tiled`, shared with the
+memory-budget fallback: the cutter, the ownership rule every
+:class:`ShardSpec` applies, the per-tile comparison and the merge.  So
+every original subject position is *owned* by exactly one shard and any
 alignment short enough for the overlap is seen whole by its owner.  The
 ordered-seed canonical-generator property then makes dedup exact: the
 owner window contains the complete alignment, produces it from the same
@@ -10,19 +11,14 @@ canonical seed, and emits the identical record; non-owner copies are
 dropped by the ownership rule, never merged or clipped.
 
 Two per-shard statistics would drift from the monolithic run and are
-fixed by the :class:`FleetProfile` every shard daemon loads:
+fixed by the :class:`~repro.core.tiled.FleetProfile` every shard daemon
+loads: the **S1 threshold** uses the whole bank's size and sequence
+count, and **e-values** use each subject sequence's full length.
 
-* the **S1 threshold** is a function of the subject bank's total size
-  and sequence count -- the profile carries the *global* values and the
-  shard engine overrides its local ones
-  (:meth:`repro.core.engine.OrisEngine._resolve_hsp_min_score`);
-* **e-values** use the *subject sequence* length ``n`` -- a shard
-  serving a window of a longer sequence reports the original full
-  length from the profile (``subject_lengths`` override in
-  :func:`repro.align.records.alignments_to_m8`).
-
-Subject coordinates stay window-relative on the wire; the router shifts
-them by the planner's per-sequence offsets during the merge.
+This module sizes the tiles (:func:`plan_fleet`, :func:`required_overlap`)
+and writes and reads the plan files.  Subject coordinates stay
+window-relative on the wire; the router shifts them by the planner's
+per-sequence offsets during the merge.
 """
 
 from __future__ import annotations
@@ -31,82 +27,28 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ...align.evalue import karlin_params
-from ...align.records import sort_records
-from ...core.engine import OrisEngine, StepTimings, WorkCounters
 from ...core.params import OrisParams
-from ...core.tiled import _shift_record, iter_subject_tiles
+from ...core.tiled import FleetProfile, iter_subject_tiles, tile_owns
 from ...io.bank import Bank
-from ...io.m8 import M8Record
-from ...obs import MetricsRegistry
 
 __all__ = [
     "FleetPlan",
     "FleetProfile",
     "ShardSpec",
-    "compare_shard",
     "load_plan",
     "load_profile",
-    "merge_shard_records",
     "plan_fleet",
     "required_overlap",
     "write_plan",
 ]
 
 PLAN_SCHEMA = "scoris-fleet-plan/1"
-PROFILE_SCHEMA = "scoris-fleet-profile/1"
 
 #: Safety margin absorbing boundary effects that are not part of the
 #: alignment span proper: the DUST filter's window near a cut point and
 #: ungapped x-drop overshoot.  Generous and cheap (it only grows the
 #: overlap, never the output).
 _EDGE_SLACK_NT = 256
-
-
-@dataclass(frozen=True)
-class FleetProfile:
-    """Global subject statistics every shard must use instead of its own.
-
-    ``subject_nt``/``subject_seqs`` size the S1 threshold; ``full_nt``
-    maps each sequence name to its *original* length for e-values (a
-    windowed shard sees only a slice).
-    """
-
-    subject_nt: int
-    subject_seqs: int
-    full_nt: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "subject_nt": self.subject_nt,
-            "subject_seqs": self.subject_seqs,
-            "full_nt": dict(self.full_nt),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetProfile":
-        if data.get("schema") != PROFILE_SCHEMA:
-            raise ValueError(
-                f"not a fleet profile (schema {data.get('schema')!r})"
-            )
-        return cls(
-            subject_nt=int(data["subject_nt"]),
-            subject_seqs=int(data["subject_seqs"]),
-            full_nt={str(k): int(v) for k, v in data["full_nt"].items()},
-        )
-
-    def subject_lengths_for(self, bank: Bank) -> np.ndarray:
-        """Per-sequence e-value lengths for one shard bank."""
-        return np.array(
-            [
-                self.full_nt.get(bank.names[i], bank.sequence_length(i))
-                for i in range(bank.n_sequences)
-            ],
-            dtype=np.int64,
-        )
 
 
 @dataclass(frozen=True)
@@ -128,10 +70,7 @@ class ShardSpec:
 
     def owns(self, subject_id: str, s_start: int, s_end: int) -> bool:
         """Ownership test for one record in *shard-local* coordinates."""
-        s_lo = min(s_start, s_end) - 1 + self.offsets[subject_id]
-        return (
-            self.owned_from[subject_id] <= s_lo < self.owned_until[subject_id]
-        )
+        return tile_owns(self, subject_id, s_start, s_end)
 
     def to_dict(self) -> dict:
         return {
@@ -212,14 +151,7 @@ def plan_fleet(
         raise ValueError("n_shards must be >= 1")
     if overlap < 0:
         raise ValueError("overlap must be >= 0")
-    profile = FleetProfile(
-        subject_nt=bank2.size_nt,
-        subject_seqs=bank2.n_sequences,
-        full_nt={
-            bank2.names[i]: bank2.sequence_length(i)
-            for i in range(bank2.n_sequences)
-        },
-    )
+    profile = FleetProfile.of(bank2)
     tile_nt = _fit_tile_nt(-(-bank2.size_nt // n_shards), overlap)  # ceil
     tiles = list(iter_subject_tiles(bank2, tile_nt, overlap))
     # Grow gently (x1.25) when boundary flushes produced extra tiles: a
@@ -320,71 +252,3 @@ def load_plan(plan_path: str) -> FleetPlan:
 def load_profile(profile_path: str) -> FleetProfile:
     with open(profile_path, "r", encoding="utf-8") as fh:
         return FleetProfile.from_dict(json.load(fh))
-
-
-# --------------------------------------------------------------------- #
-# Reference per-shard comparison + merge (socket-free)
-# --------------------------------------------------------------------- #
-
-def compare_shard(
-    bank1: Bank,
-    shard_bank: Bank,
-    params: OrisParams,
-    profile: FleetProfile,
-) -> list[M8Record]:
-    """Steps 1-4 against one shard tile with the profile's overrides.
-
-    This is the unit-level reference for what a shard *daemon* computes
-    for one query bank: local pair enumeration and extension, global S1
-    threshold, full-length e-values, window-relative coordinates.  The
-    seam property test runs it per tile and asserts the merged output
-    equals the uncut comparison exactly.
-    """
-    engine = OrisEngine(params)
-    registry = MetricsRegistry()
-    counters = WorkCounters()
-    timings = StepTimings()
-    index1, index2 = engine.index_step(bank1, shard_bank, timings, registry)
-    threshold = engine._resolve_hsp_min_score(
-        bank1,
-        shard_bank,
-        karlin_params(params.scoring),
-        subject_nt=profile.subject_nt,
-        subject_seqs=profile.subject_seqs,
-    )
-    table = engine._ungapped_stage(index1, index2, threshold, counters, registry)
-    result = engine.finish_comparison(
-        bank1,
-        shard_bank,
-        table,
-        counters,
-        timings,
-        registry,
-        subject_lengths=profile.subject_lengths_for(shard_bank),
-    )
-    return result.records
-
-
-def merge_shard_records(
-    shard_results: list[tuple[ShardSpec, list[M8Record]]],
-    sort_key: str = "evalue",
-) -> tuple[list[M8Record], int]:
-    """Seam-exact merge of per-shard record lists.
-
-    Applies each shard's ownership rule (dropping the non-owner copy of
-    every seam-straddling alignment), shifts subject coordinates back
-    into the original sequences, and re-sorts with the engine's own
-    key.  Shards are concatenated in ``shard_id`` order and the sort is
-    stable, so ties keep a deterministic order.  Returns
-    ``(records, n_deduped)`` where ``n_deduped`` counts the ownership
-    drops (the ``fleet.seam_hits_deduped`` metric).
-    """
-    kept: list[M8Record] = []
-    dropped = 0
-    for spec, records in sorted(shard_results, key=lambda sr: sr[0].shard_id):
-        for rec in records:
-            if spec.owns(rec.subject_id, rec.s_start, rec.s_end):
-                kept.append(_shift_record(rec, spec.offsets[rec.subject_id]))
-            else:
-                dropped += 1
-    return sort_records(kept, key=sort_key), dropped

@@ -278,19 +278,23 @@ class TestGovernor:
         assert "degrading to tiled indexing" in err
         assert "memory_degradations=1" in err
         assert "tiles=" in err and "tiles=0" not in err
-        # Degraded execution must find the same alignments.  E-values of
-        # windowed sequences are computed against the window length (a
-        # documented, conservative difference -- see compare_tiled), so
-        # compare every field except the e-value.
-        def alignment_keys(path):
-            return [
-                (r.query_id, r.subject_id, r.pident, r.length, r.mismatches,
-                 r.gap_openings, r.q_start, r.q_end, r.s_start, r.s_end,
-                 r.bit_score)
-                for r in read_m8(path)
-            ]
+        assert out.read_bytes() == ref.read_bytes()
 
-        assert alignment_keys(out) == alignment_keys(ref)
+    def test_tiled_degradation_rejects_both_strands(
+        self, big_subject_pair, tmp_path, capsys
+    ):
+        from repro.runtime.governor import (
+            BASELINE_BYTES,
+            estimate_index_bytes,
+        )
+
+        budget = BASELINE_BYTES + estimate_index_bytes(400 + 25_000)
+        rc = run([*big_subject_pair, "--memory-budget", str(budget),
+                  "--strand", "both", "-o", str(tmp_path / "x.m8")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "single strand" in err
+        assert "Traceback" not in err
 
     def test_degradation_disables_runtime_with_warning(
         self, big_subject_pair, tmp_path, capsys

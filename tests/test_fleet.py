@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.align.records import M8Record
-from repro.core import OrisEngine, OrisParams
+from repro.core import OrisEngine, OrisParams, compare_tiled
 from repro.data.synthetic import mutate, random_dna
 from repro.io.bank import Bank
 from repro.obs import MetricsRegistry
@@ -172,7 +172,7 @@ class TestSeamExactMerge:
             bank1 = Bank.from_strings([(qname, qseq)])
             ref = engine.compare(bank1, bank2).records
             shard_results = [
-                (spec, compare_shard(bank1, shard, params, plan.profile))
+                (spec, compare_shard(bank1, shard, params, plan.profile).records)
                 for spec, shard in zip(plan.specs, plan.banks)
             ]
             merged, dropped = merge_shard_records(shard_results)
@@ -207,8 +207,9 @@ class TestSeamExactMerge:
 
 
 class TestFleetPropertyHypothesis:
-    """Satellite: for random banks and cut points, the dedup-merged
-    per-tile HSP sets equal the uncut-bank HSP set *exactly*."""
+    """For random banks and cut points, the dedup-merged per-tile
+    records -- and ``compare_tiled`` over the same cut -- equal the
+    uncut-bank records *exactly*."""
 
     def test_random_banks_and_cut_points(self):
         from hypothesis import given, settings
@@ -239,11 +240,13 @@ class TestFleetPropertyHypothesis:
                 bank1 = Bank.from_strings([(qname, qseq)])
                 ref = engine.compare(bank1, bank2).records
                 shard_results = [
-                    (spec, compare_shard(bank1, shard, params, plan.profile))
+                    (spec, compare_shard(bank1, shard, params, plan.profile).records)
                     for spec, shard in zip(plan.specs, plan.banks)
                 ]
                 merged, _ = merge_shard_records(shard_results)
                 assert merged == ref
+                tiled = compare_tiled(bank1, bank2, params, plan.tile_nt, overlap)
+                assert tiled.records == ref
 
         inner()
 

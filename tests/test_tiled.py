@@ -8,13 +8,6 @@ from repro.data.synthetic import Transcriptome, make_est_bank, mutate, random_dn
 from repro.io.bank import Bank
 
 
-def record_keys(records):
-    return {
-        (r.query_id, r.subject_id, r.q_start, r.q_end, r.s_start, r.s_end)
-        for r in records
-    }
-
-
 class TestTileIteration:
     def test_short_sequences_packed(self, rng):
         b = Bank.from_strings([(f"s{i}", random_dna(rng, 100)) for i in range(10)])
@@ -74,7 +67,7 @@ class TestCompareTiled:
         b1, b2 = est_pair
         mono = OrisEngine(OrisParams()).compare(b1, b2)
         tiled = compare_tiled(b1, b2, OrisParams(), tile_nt=8_000, overlap=2_000)
-        assert record_keys(tiled.records) == record_keys(mono.records)
+        assert tiled.records == mono.records
 
     def test_matches_monolithic_on_long_sequence(self, rng):
         # homologies implanted at tile borders included
@@ -85,7 +78,27 @@ class TestCompareTiled:
         b2 = Bank.from_strings([("chr", mut)])
         mono = OrisEngine(OrisParams()).compare(b1, b2)
         tiled = compare_tiled(b1, b2, OrisParams(), tile_nt=3_000, overlap=1_000)
-        assert record_keys(tiled.records) == record_keys(mono.records)
+        assert tiled.records == mono.records
+
+    def test_matches_monolithic_on_divergent_genome_with_decoys(self):
+        # Per-tile S1 thresholds and e-value lengths used to drop real
+        # alignments and admit others here; the whole bank's profile
+        # makes every tile agree with the uncut run.
+        rng = np.random.default_rng(0)
+        genome = random_dna(rng, 40_000)
+        subject = mutate(rng, genome, 0.12, 0.01)
+        decoys = [(f"d{i}", random_dna(rng, 500)) for i in range(30)]
+        b2 = Bank.from_strings([("chr", subject), *decoys])
+        b1 = Bank.from_strings(
+            [
+                (f"q{pos}", mutate(rng, genome[pos : pos + 700], 0.08, 0.01))
+                for pos in range(500, len(genome) - 700, 1_900)
+            ]
+        )
+        mono = OrisEngine(OrisParams()).compare(b1, b2)
+        tiled = compare_tiled(b1, b2, OrisParams(), tile_nt=6_000, overlap=2_000)
+        assert tiled.counters.n_tiles > 1
+        assert tiled.records == mono.records
 
     def test_counters_accumulate(self, est_pair):
         b1, b2 = est_pair
