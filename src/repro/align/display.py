@@ -14,7 +14,9 @@ DP and renders BLAST-style alignment blocks::
 The re-alignment is exact (optimal affine local alignment of the two
 boxed regions), so the rendered identities can differ by a column or two
 from the engine's linear-gap extension statistics; for display purposes
-that is the right trade (the engine never stores tracebacks).
+that is the right trade (the engine's gapped kernel keeps only one-bit
+move masks for the length of one call, enough to count gaps, and keeps no
+alignment columns).
 """
 
 from __future__ import annotations

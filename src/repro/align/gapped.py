@@ -21,11 +21,13 @@ Implementation notes
   :mod:`repro.align.classic` for reference.  Both engines of this
   reproduction share this gapped stage, so engine-vs-engine comparisons
   are unaffected by the choice.
-* Instead of storing a traceback, the kernel **propagates annotations**
-  (matches, mismatches, gap columns, gap openings, diagonal extremes, last
-  move) along the winning predecessor of every cell.  The ``-m 8`` record
-  needs only these aggregates, so this trades a constant factor of arithmetic
-  for O(band) memory and no per-lane backtrack loops.
+* The batch kernel's row sweep keeps only the scores and the move tag of
+  every cell (diagonal, up or left), packed at one bit per cell in each of
+  two masks.  A lane-parallel traceback then walks every lane back from its
+  best cell and counts gap columns, gap openings and diagonal extremes on
+  the way; matches and mismatches follow algebraically.  The ``-m 8``
+  record needs only these aggregates.  The scalar oracle instead carries
+  the aggregates along every cell's winning predecessor.
 * Everything is lane-parallel: :func:`batch_gapped_extend` advances many
   extensions at once, one vectorised row step at a time, exactly like the
   ungapped kernel.  A scalar reference implementation
@@ -252,22 +254,31 @@ def batch_gapped_extend(
     Implementation notes (the kernel is memory-bandwidth bound, so the hot
     loop is written to minimise full-band passes):
 
-    * all band state is int32; column gather indices advance by one
-      in-place add per row;
+    * all band state is int32 and band-major (one contiguous row of lanes
+      per band column), so per-lane values broadcast along rows and band
+      shifts are row slices; column gather indices advance by one in-place
+      add per row;
     * gathers use ``ndarray.take(..., mode="clip")``: out-of-range indices
       clamp onto the separator byte guaranteed at both ends of a bank
       array;
     * substitution scores and invalid-character handling are folded into a
       single table gather (invalid pairings score ``-BIGPEN``, far below
       the x-drop floor, which replaces per-move validity masks);
-    * dead cells carry the sentinel ``NEG``; instead of masking moves out
-      of dead cells, every below-floor cell is clamped back to ``NEG`` at
-      the end of the row (classic x-drop band pruning, also done by the
-      scalar oracle), which bounds sentinel drift;
-    * matches/mismatches are not tracked per cell; they are recovered
-      algebraically at the end from (score, gap columns, consumed
-      lengths); the remaining annotations follow winning predecessors via
-      sparse scatter updates restricted to above-floor cells.
+    * instead of masking moves out of dead cells, every row starts by
+      clamping cells up to the x-drop floor and ends by dropping the cells
+      at or below it ``BIGPEN`` lower (classic x-drop band pruning, also
+      done by the scalar oracle), which bounds sentinel drift;
+    * left moves are closed with a max-plus prefix scan down the band
+      (linear gap costs make a run of left moves a running maximum);
+    * the sweep keeps only scores: each row appends its lanes' up and left
+      move masks to a :class:`_MoveTrace` (a left move beats an up move,
+      as the last write would; every other cell is diagonal, so ties go
+      to the diagonal), and the best cell is tracked as (score, row,
+      column);
+    * after the sweep, :func:`_trace_back` rebuilds gap columns, gap
+      openings and the band extremes from each lane's best cell;
+      matches/mismatches are recovered algebraically from (score, gap
+      columns, consumed lengths).
     """
     p1 = np.asarray(p1, dtype=np.int64)
     p2 = np.asarray(p2, dtype=np.int64)
@@ -306,26 +317,43 @@ def batch_gapped_extend(
     for a in range(4):
         for b in range(4):
             subt[(a << 3) | b] = match if a == b else -mismatch
-    # Per-character penalty used to kill up/left moves that would consume
-    # an invalid character.
-    chpen = np.zeros(8, dtype=np.int32)
-    chpen[INVALID:] = -BIGPEN
+    # Per-character score of an up/left move consuming that character:
+    # -gap, or -gap - BIGPEN for an invalid character.
+    gappen = np.full(8, -gap, dtype=np.int32)
+    gappen[INVALID:] -= BIGPEN
+    # Shifts of the in-row left-move scan.  A run of left moves loses
+    # `gap` per column, and starts from a live cell at most `match` above
+    # the previous best: once it spans (xdrop + match) / gap columns it
+    # is below the x-drop floor, so the scan's reach (doubling per shift)
+    # need not exceed that, nor the band width.
+    reach = width
+    if gap > 0:
+        reach = min(width, -(-(int(xdrop) + int(match)) // int(gap)))
+    scan_shifts = []
+    shift = 1
+    while shift < reach:
+        scan_shifts.append(shift)
+        shift *= 2
 
-    # Active-lane state.
+    # Best-cell search key layout (see the sweep's best tracking).
+    kbits = width.bit_length()
+    kmask = (1 << kbits) - 1
+    key_fits_int32 = (int(xdrop) + int(match) + 1) << kbits < 1 << 31
+    key_type = np.int32 if key_fits_int32 else np.int64
+    kkey = (kmask - np.arange(width, dtype=key_type))[:, None]
+
+    # Active-lane state, band-major: H[k, l] is band column k of lane l,
+    # so per-lane values broadcast along contiguous rows and shifts
+    # along the band are whole-row slices.
     idx = np.arange(n, dtype=np.int64)
     adir = dirs.astype(np.int32)
-    H = np.full((n, width), NEG, dtype=np.int32)
-    H[:, R] = 0
-    ann_gc = np.zeros((n, width), dtype=np.int32)  # gap columns on path
-    ann_go = np.zeros((n, width), dtype=np.int32)  # gap openings on path
-    ann_minK = np.full((n, width), R, dtype=np.int32)
-    ann_maxK = np.full((n, width), R, dtype=np.int32)
-    ann_lm = np.zeros((n, width), dtype=np.int8)  # last move tag
+    H = np.full((width, n), NEG, dtype=np.int32)
+    H[R] = 0
+    trace = _MoveTrace()
 
     best_score = np.zeros(n, dtype=np.int32)
     best_i = np.full(n, -1, dtype=np.int64)
     best_k = np.full(n, R, dtype=np.int64)
-    best_ann = np.zeros((n, 4), dtype=np.int64)  # gc, go, minK, maxK
 
     # Incremental gather indices: char i of seq1 along the extension lives
     # at base1 + adir*i; seq2 column j at base2 + adir*j (j = i + k - R).
@@ -333,7 +361,7 @@ def batch_gapped_extend(
     i1 = base1.copy()  # row 0
     karr = np.arange(width, dtype=np.int64)
     base2 = np.where(adir > 0, p2, p2 - 1)
-    j2 = base2[:, None] + dirs[:, None] * (karr - R)
+    j2 = base2[None, :] + dirs[None, :] * (karr - R)[:, None]
 
     finished = np.zeros(n, dtype=bool)
     n_finished = 0
@@ -342,98 +370,71 @@ def batch_gapped_extend(
     while idx.size and i < max_rows:
         steps += idx.size - n_finished
         floor = best_score[idx] - xdrop
-        floor_col = floor[:, None]
 
         c1 = seq1.take(i1, mode="clip")
         c2 = seq2.take(j2, mode="clip")
-        c1pen = chpen[c1]  # (lanes,) 0 or -BIGPEN
-        c2pen = chpen[c2]  # (lanes, width)
-        if i < R:
-            # Columns with jrel = i + k - R < 0 have consumed no seq2 yet:
-            # treat them as unmatchable (scalar oracle's `if j < 0`).
-            c2pen[:, : R - i] = -BIGPEN
 
         # Diagonal candidate: one table gather folds match/mismatch and
         # invalid-character handling.
-        diag = H + subt[(c1[:, None].astype(np.int16) << 3) | c2]
+        diag = H + subt.take((c1 << 3) | c2)
 
         # Up candidate (previous row, band column k+1); consuming seq1.
         up = np.empty_like(H)
-        up[:, -1] = NEG
-        np.subtract(H[:, 1:], gap, out=up[:, :-1])
-        up += c1pen[:, None]
-
-        take_up = (up > diag) & (up > floor_col)
-        base = np.maximum(diag, up)
-
-        if take_up.any():
-            rows, cols = np.nonzero(take_up)
-            src = cols + 1
-            gc_v = ann_gc[rows, src] + 1
-            go_v = ann_go[rows, src] + (ann_lm[rows, src] != _MOVE_UP)
-            minK_v = np.minimum(ann_minK[rows, src], cols)
-            maxK_v = np.maximum(ann_maxK[rows, src], cols)
-            ann_lm.fill(_MOVE_DIAG)
-            ann_gc[rows, cols] = gc_v
-            ann_go[rows, cols] = go_v
-            ann_minK[rows, cols] = minK_v
-            ann_maxK[rows, cols] = maxK_v
-            ann_lm[rows, cols] = _MOVE_UP
-        else:
-            ann_lm.fill(_MOVE_DIAG)
-
-        # Left moves (consuming seq2): single-step relaxation to fixpoint.
-        # Per-step relaxation cannot chain a gap run across a dead cell
-        # (e.g. a sequence separator); rejecting below-floor candidates
-        # bounds chains to xdrop/gap steps without changing results (such
-        # cells are clamped to NEG at the end of the row anyway).
-        Hn = base
-        while True:
-            cand = np.empty_like(Hn)
-            cand[:, 0] = NEG
-            np.subtract(Hn[:, :-1], gap, out=cand[:, 1:])
-            cand += c2pen
-            take_left = (cand > Hn) & (cand > floor_col)
-            if not take_left.any():
-                break
-            rows, cols = np.nonzero(take_left)
-            src = cols - 1
-            ann_gc[rows, cols] = ann_gc[rows, src] + 1
-            ann_go[rows, cols] = ann_go[rows, src] + (ann_lm[rows, src] != _MOVE_LEFT)
-            ann_minK[rows, cols] = np.minimum(ann_minK[rows, src], cols)
-            ann_maxK[rows, cols] = np.maximum(ann_maxK[rows, src], cols)
-            ann_lm[rows, cols] = _MOVE_LEFT
-            Hn = np.maximum(Hn, cand)
-        H = Hn
+        up[-1] = NEG
+        np.add(H[1:], gappen.take(c1), out=up[:-1])
         if i < R:
-            # Columns that have consumed no seq2 character are dead (the
-            # scalar oracle's `if j < 0` guard); this also blocks the
-            # "start with a deletion" paths that up-moves alone would
-            # otherwise create in these columns.
-            H[:, : R - i] = NEG
+            # Columns with jrel = i + k - R < 0 have consumed no seq2 yet:
+            # they are dead (the scalar oracle's `if j < 0`).  An up move
+            # into them would let a left move out of them start the path
+            # with a deletion.
+            up[: R - i] = NEG
 
-        # Best tracking.
-        row_arg = H.argmax(axis=1)
-        row_best = np.take_along_axis(H, row_arg[:, None], axis=1)[:, 0]
+        # Cells at or below the x-drop floor are dead, so H is clamped up
+        # to the floor: a left move out of a clamped cell can never beat
+        # the floor.  Tags are only ever read on live cells, where an up
+        # move won exactly when it beat the diagonal move.
+        moves = np.empty((2 * width, idx.size), dtype=bool)  # up, left
+        np.greater(up, diag, out=moves[:width])
+        H = np.maximum(diag, up, out=diag)
+        np.maximum(H, floor, out=H)
+
+        # Left moves (consuming seq2), closed in one max-plus prefix scan
+        # down the band: cell k takes the best of the cells k' <= k, less
+        # the entry score of every column in (k', k].
+        cost = gappen.take(c2)
+        run = H.copy()
+        for s in scan_shifts:
+            np.maximum(run[s:], run[:-s] + cost[s:], out=run[s:])
+            if s != scan_shifts[-1]:
+                joined = np.empty_like(cost)
+                np.add(cost[s:], cost[:-s], out=joined[s:])
+                cost = joined
+        np.greater(run, H, out=moves[width:])
+        H = run
+        trace.append(idx, moves)
+
+        # Best tracking.  Every cell lies in [floor, floor + xdrop + match]
+        # (no move gains more than `match` on the previous best), so one
+        # max over (H - floor) << kbits | (kmask - k) gives each lane's
+        # row best and its first best column.
+        key = np.subtract(H, floor, dtype=key_type)
+        key <<= kbits
+        key += kkey
+        top = key.max(axis=0)
+        row_best = (top >> kbits) + floor
         improved = row_best > best_score[idx]
         if improved.any():
             gi = idx[improved]
-            la = np.nonzero(improved)[0]
             best_score[gi] = row_best[improved]
             best_i[gi] = i
-            best_k[gi] = row_arg[improved]
-            cols = row_arg[improved]
-            best_ann[gi, 0] = ann_gc[la, cols]
-            best_ann[gi, 1] = ann_go[la, cols]
-            best_ann[gi, 2] = ann_minK[la, cols]
-            best_ann[gi, 3] = ann_maxK[la, cols]
+            best_k[gi] = kmask - (top[improved] & kmask)
             floor = best_score[idx] - xdrop
-            floor_col = floor[:, None]
 
-        # X-drop cell pruning + lane retirement.  Compression (the
-        # expensive multi-array gather) is batched until a third of the
-        # lanes have finished.
-        H = np.where(H > floor_col, H, NEG)
+        # X-drop cell pruning + lane retirement: a dead cell drops BIGPEN
+        # below the floor, so nothing it feeds in the next row can live.
+        # Compression (the multi-array gather) is batched until a third of
+        # the lanes have finished.
+        H -= (H <= floor) * BIGPEN
         newly_done = row_best <= floor
         if newly_done.any():
             finished |= newly_done
@@ -443,23 +444,20 @@ def batch_gapped_extend(
                 idx = idx[keep]
                 adir = adir[keep]
                 i1 = i1[keep]
-                j2 = j2[keep]
-                H = H[keep]
-                ann_gc = ann_gc[keep]
-                ann_go = ann_go[keep]
-                ann_minK = ann_minK[keep]
-                ann_maxK = ann_maxK[keep]
-                ann_lm = ann_lm[keep]
+                j2 = j2[:, keep]
+                H = H[:, keep]
                 finished = np.zeros(idx.size, dtype=bool)
                 n_finished = 0
 
         # Advance the incremental gather indices to the next row.
         i1 = i1 + adir
-        j2 += adir[:, None]
+        j2 += adir
         i += 1
 
-    # Fill outputs from best-cell snapshots.  Matches/mismatches are
-    # recovered from the identities (over the best path):
+    gc, go, min_k, max_k = _trace_back(trace, best_i, best_k, R)
+
+    # Fill outputs.  Matches/mismatches are recovered from the identities
+    # (over the best path):
     #     consumed1 = m + x + gc_up          consumed2 = m + x + gc_left
     #     gc = gc_up + gc_left               score = match*m - mismatch*x
     #                                                - gap*gc
@@ -469,7 +467,7 @@ def batch_gapped_extend(
     out.score[:] = best_score.astype(np.int64)
     out.consumed1[has] = best_i[has] + 1
     out.consumed2[has] = best_i[has] + best_k[has] - R + 1
-    gc = best_ann[has, 0]
+    gc = gc[has]
     gc_up = (gc + out.consumed1[has] - out.consumed2[has]) // 2
     aligned = out.consumed1[has] - gc_up  # m + x
     m = (out.score[has] + int(gap) * gc + int(mismatch) * aligned) // (
@@ -478,8 +476,121 @@ def batch_gapped_extend(
     out.matches[has] = m
     out.mismatches[has] = aligned - m
     out.gap_columns[has] = gc
-    out.gap_openings[has] = best_ann[has, 1]
-    out.min_dd[has] = best_ann[has, 2] - R
-    out.max_dd[has] = best_ann[has, 3] - R
+    out.gap_openings[has] = go[has]
+    out.min_dd[has] = min_k[has] - R
+    out.max_dd[has] = max_k[has] - R
     out.steps = steps
     return out
+
+
+#: Size of one :class:`_MoveTrace` storage chunk.
+_TRACE_CHUNK = 1 << 20
+
+
+class _MoveTrace:
+    """The per-row move masks of a :func:`batch_gapped_extend` sweep.
+
+    Row ``i`` holds the sweep's active-lane index array (sorted, and shared
+    by every row until the next lane compression) and its band-major up
+    and left masks, packed eight lanes per byte.  The packed rows are
+    copied into large preallocated chunks: thousands of small per-row
+    arrays would fragment the heap.
+    """
+
+    __slots__ = ("rows", "_chunk", "_used")
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self._chunk = np.empty(0, dtype=np.uint8)
+        self._used = 0
+
+    def append(self, idx: np.ndarray, moves: np.ndarray) -> None:
+        """Record one row: lanes ``idx`` and the (2 * width, lanes) move
+        masks, up masks first."""
+        packed = np.packbits(moves, axis=1)
+        size = packed.size
+        if self._used + size > self._chunk.size:
+            self._chunk = np.empty(max(_TRACE_CHUNK, size), dtype=np.uint8)
+            self._used = 0
+        stored = self._chunk[self._used : self._used + size]
+        self._used += size
+        stored[:] = packed.reshape(-1)
+        self.rows.append((idx, stored))
+
+
+def _trace_back(
+    trace: _MoveTrace, best_i: np.ndarray, best_k: np.ndarray, R: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every lane from its best cell back to the anchor.
+
+    Returns per lane the gap columns, gap openings and the minimum and
+    maximum band column of the path (the anchor column ``R`` included).
+    Lanes walk together, one row per pass from the deepest best row up;
+    a lane joins at its own best row.  Inside a row a left move steps to
+    column k-1 of the same row; an up move drops to column k+1 of the row
+    above, a diagonal move to column k.  A gap move opens a gap when the
+    move after it on the path (already visited) differs, which counts
+    each run of equal gap moves once, as the scalar oracle does.
+    """
+    n = best_i.size
+    width = 2 * R + 1
+    gc = np.zeros(n, dtype=np.int64)
+    go = np.zeros(n, dtype=np.int64)
+    min_k = np.full(n, R, dtype=np.int64)
+    max_k = np.full(n, R, dtype=np.int64)
+    lanes = np.flatnonzero(best_i >= 0)
+    if lanes.size == 0:
+        return gc, go, min_k, max_k
+    # Walkers in decreasing best row: those present at row r are a prefix.
+    order = lanes[np.argsort(-best_i[lanes], kind="stable")]
+    neg_row = -best_i[order]
+    k = best_k[order]
+    w_gc = np.zeros(order.size, dtype=np.int64)
+    w_go = np.zeros(order.size, dtype=np.int64)
+    w_min = np.minimum(k, R)
+    w_max = np.maximum(k, R)
+    last = np.full(order.size, _MOVE_NONE, dtype=np.int8)
+    bit = (0x80 >> np.arange(8)).astype(np.uint8)
+    tag_of = np.array([_MOVE_DIAG, _MOVE_UP, _MOVE_LEFT, _MOVE_LEFT], dtype=np.int8)
+
+    def tags(stored, stride, at, b, kw):
+        """Move tags of band columns ``kw`` of the lanes whose bits sit at
+        byte ``at`` (mask ``b``) of each packed mask row."""
+        byte = kw * stride + at
+        is_up = (stored.take(byte) & b) != 0
+        is_left = (stored.take(byte + width * stride) & b) != 0
+        return tag_of.take(is_up + 2 * is_left)
+
+    for r in range(int(-neg_row[0]), -1, -1):
+        count = int(np.searchsorted(neg_row, -r, side="right"))
+        row_idx, stored = trace.rows[r]
+        stride = (row_idx.size + 7) >> 3  # bytes per packed mask row
+        pos = np.searchsorted(row_idx, order[:count])
+        at = pos >> 3
+        b = bit.take(pos & 7)
+        kc = k[:count]
+        tag = tags(stored, stride, at, b, kc)
+        is_gap = tag != _MOVE_DIAG
+        w_gc[:count] += is_gap
+        w_go[:count] += is_gap & (tag != last[:count])
+        last[:count] = tag
+        w = np.flatnonzero(tag == _MOVE_LEFT)
+        while w.size:
+            kw = k[w] - 1
+            k[w] = kw
+            w_min[w] = np.minimum(w_min[w], kw)
+            tag = tags(stored, stride, at[w], b[w], kw)
+            is_gap = tag != _MOVE_DIAG
+            w_gc[w] += is_gap
+            w_go[w] += is_gap & (tag != last[w])
+            last[w] = tag
+            w = w[tag == _MOVE_LEFT]
+        # Every walker now sits on an up or diagonal cell: leave the row.
+        kc += last[:count] == _MOVE_UP
+        np.maximum(w_max[:count], kc, out=w_max[:count])
+
+    gc[order] = w_gc
+    go[order] = w_go
+    min_k[order] = w_min
+    max_k[order] = w_max
+    return gc, go, min_k, max_k

@@ -46,8 +46,9 @@ def run_gapped_stage(
     ``counters`` is any object with the :class:`~repro.core.engine.WorkCounters`
     fields touched here (``n_waves``, ``n_skipped_contained``,
     ``n_gapped_extensions``, ``gapped_steps``); ``registry`` optionally
-    collects the same quantities as funnel metrics plus a batch-size
-    histogram (``step3.wave_hsps``).
+    collects the same quantities as funnel metrics, the extensions that
+    rebuilt an already-built alignment (``step3.duplicate_alignments``)
+    and a batch-size histogram (``step3.wave_hsps``).
     """
     if registry is None:
         registry = MetricsRegistry()
@@ -61,10 +62,11 @@ def run_gapped_stage(
     def extend(chosen: np.ndarray) -> None:
         registry.inc("step3.extensions", int(chosen.size))
         registry.observe("step3.wave_hsps", int(chosen.size))
-        _extend_wave(
+        duplicates = _extend_wave(
             seq1, seq2, s1, e1, s2, diag, chosen, catalog, counters,
             scoring, band_radius, min_align_score,
         )
+        registry.inc("step3.duplicate_alignments", duplicates)
 
     if scheduling == "serial":
         for h in range(n):
@@ -142,11 +144,13 @@ def _extend_wave(
     scoring: ScoringScheme,
     band_radius: int,
     min_align_score: int | None,
-) -> None:
+) -> int:
     """Gapped-extend the chosen HSPs (one batch) and store alignments.
 
     Extensions start "from the middle of an HSP ... on both extremities"
     (paper section 2.3); left and right run as one mixed-direction batch.
+    Returns how many alignments the catalog dropped as exact duplicates
+    of one an earlier HSP already built.
     """
     counters.n_gapped_extensions += int(chosen.size)
     mid1 = (s1[chosen] + e1[chosen]) // 2
@@ -166,6 +170,7 @@ def _extend_wave(
     right = _slice_gapped(both, k, 2 * k)
     counters.gapped_steps += both.steps
     diag_mid = diag[chosen]
+    duplicates = 0
     for i in range(k):
         score = int(left.score[i] + right.score[i])
         if min_align_score is not None and score < min_align_score:
@@ -177,7 +182,7 @@ def _extend_wave(
         if a_end1 <= a_start1 or a_end2 <= a_start2:
             continue  # degenerate (both extensions empty)
         dm = int(diag_mid[i])
-        catalog.add(
+        duplicates += not catalog.add(
             GappedAlignment(
                 start1=a_start1,
                 end1=a_end1,
@@ -192,6 +197,7 @@ def _extend_wave(
                 max_diag=dm + max(int(right.max_dd[i]), -int(left.min_dd[i]), 0),
             )
         )
+    return duplicates
 
 
 def _slice_gapped(res: BatchGappedResult, lo: int, hi: int) -> BatchGappedResult:

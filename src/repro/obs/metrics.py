@@ -383,6 +383,7 @@ FUNNEL_COUNTERS: tuple[str, ...] = (
     "step2.hsps_kept",
     "step3.extensions",
     "step3.skipped_contained",
+    "step3.duplicate_alignments",
     "step3.alignments",
     "step4.evalue_filtered",
     "step4.ownership_filtered",
@@ -482,6 +483,7 @@ def format_funnel(registry: MetricsRegistry, prefix: str = "# ") -> str:
             f"{f['step3.extensions']} "
             f"(skipped contained={f['step3.skipped_contained']})",
         ),
+        ("step3 duplicate alignments", str(f["step3.duplicate_alignments"])),
         ("step3 alignments", str(f["step3.alignments"])),
         ("step4 e-value filtered", str(f["step4.evalue_filtered"])),
         ("step4 ownership filtered", str(f["step4.ownership_filtered"])),

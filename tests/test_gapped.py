@@ -1,8 +1,10 @@
 """Tests for gapped x-drop extension (repro.align.gapped)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.align.gapped import (
@@ -119,6 +121,73 @@ class TestBatchAgainstScalar:
             ref = gapped_extend_ref(b1.seq, b2.seq, q1, q2, d, sc)
             assert batch_tuple(res, i) == ref_tuple(ref), (i, q1, q2, d)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        match=st.integers(1, 3),
+        mismatch=st.integers(1, 4),
+        gap=st.integers(1, 6),
+        xdrop=st.integers(1, 40),
+        band=st.integers(0, 20),
+        max_rows=st.sampled_from([1, 7, 60, 1 << 20]),
+    )
+    @example(seed=5, match=1, mismatch=4, gap=1, xdrop=30, band=16, max_rows=1 << 20)
+    def test_varied_scoring_parity(
+        self, seed, match, mismatch, gap, xdrop, band, max_rows
+    ):
+        # Multi-sequence banks with separators; >= 150 lanes of mixed
+        # homology, so lanes retire at different rows and the active set
+        # is compressed several times while the move trace is recorded.
+        rng = np.random.default_rng(seed)
+        cores = [random_dna(rng, int(rng.integers(20, 90))) for _ in range(4)]
+        b1 = Bank.from_strings(
+            [(f"a{t}", random_dna(rng, 10) + c + random_dna(rng, 8))
+             for t, c in enumerate(cores)]
+        )
+        b2 = Bank.from_strings(
+            [(f"b{t}", random_dna(rng, 6) + mutate(rng, c, 0.08, 0.04))
+             for t, c in enumerate(cores)]
+        )
+        n1, n2 = len(b1.seq), len(b2.seq)
+        anchors = [(0, 0, -1), (n1, n2, +1), (1, 1, +1), (n1 - 1, n2 - 1, -1)]
+        for t in range(150):
+            d = 1 if t % 2 else -1
+            if t % 3:  # near a homologous diagonal
+                c = int(rng.integers(4))
+                q1 = int(b1.starts[c]) + 10 + int(rng.integers(0, len(cores[c])))
+                q2 = int(b2.starts[c]) + 6 + (q1 - int(b1.starts[c]) - 10)
+                q2 = min(max(q2 + int(rng.integers(-2, 3)), 0), n2)
+            else:
+                q1, q2 = int(rng.integers(0, n1 + 1)), int(rng.integers(0, n2 + 1))
+            anchors.append((q1, q2, d))
+        sc = ScoringScheme(
+            match=match, mismatch=mismatch, gap_open=gap, xdrop_gapped=xdrop
+        )
+        p1 = np.array([a[0] for a in anchors])
+        p2 = np.array([a[1] for a in anchors])
+        dirs = np.array([a[2] for a in anchors])
+        res = batch_gapped_extend(
+            b1.seq, b2.seq, p1, p2, dirs, sc, band_radius=band, max_rows=max_rows
+        )
+        for i, (q1, q2, d) in enumerate(anchors):
+            ref = gapped_extend_ref(
+                b1.seq, b2.seq, q1, q2, d, sc, band_radius=band, max_rows=max_rows
+            )
+            assert batch_tuple(res, i) == ref_tuple(ref), (i, q1, q2, d)
+
+    def test_no_leading_deletion_when_mismatch_exceeds_two_gaps(self):
+        # With mismatch > 2 * gap, "gap in seq2 then gap in seq1" beats a
+        # leading mismatch; the path would start with a column that has
+        # consumed no seq2, which the oracle forbids.
+        b1, b2 = banks_for("A" + "C" * 30, "G" + "C" * 30)
+        sc = ScoringScheme(mismatch=11)
+        res = batch_gapped_extend(
+            b1.seq, b2.seq, np.array([1]), np.array([1]), +1, sc
+        )
+        ref = gapped_extend_ref(b1.seq, b2.seq, 1, 1, +1, sc)
+        assert (ref.score, ref.mismatches, ref.gap_columns) == (19, 1, 0)
+        assert batch_tuple(res) == ref_tuple(ref)
+
     def test_scalar_direction_broadcast(self, rng, scoring):
         core = random_dna(rng, 50)
         b1, b2 = banks_for(core, core)
@@ -170,3 +239,34 @@ class TestBatchAgainstScalar:
         )
         assert int(res.max_dd[0]) <= 8
         assert int(res.min_dd[0]) >= -8
+
+
+class TestBatchMemory:
+    #: tracemalloc peak of the annotation-plane kernel on this batch
+    #: (2 598 lanes of the default-seed EST1 x EST2 pair).
+    PARENT_PEAK_BYTES = 6_084_260
+
+    def test_peak_below_annotated_kernel(self, monkeypatch):
+        import repro.core.gapped_stage as gapped_stage
+        from repro.core.engine import OrisEngine
+        from repro.data import load_bank
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return batch_gapped_extend(*args, **kwargs)
+
+        monkeypatch.setattr(gapped_stage, "batch_gapped_extend", spy)
+        OrisEngine().compare(
+            load_bank("EST1", seed=20080407), load_bank("EST2", seed=20080407)
+        )
+        (args, kwargs), = calls
+        assert args[2].size == 2598
+        tracemalloc.start()
+        try:
+            batch_gapped_extend(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PARENT_PEAK_BYTES

@@ -114,3 +114,37 @@ class TestFilterContained:
 
     def test_empty(self):
         assert _filter_contained([], 16, WorkCounters()) == []
+
+
+class TestDuplicateAlignments:
+    def test_counted_on_est_pair_and_shown_in_funnel(self):
+        # Default-seed EST1 x EST2: 294 of the 1 299 HSP extensions
+        # rebuild an alignment another HSP already built.
+        from repro.core.engine import OrisEngine
+        from repro.data import load_bank
+        from repro.obs import check_funnel, format_funnel, funnel_dict
+
+        res = OrisEngine().compare(
+            load_bank("EST1", seed=20080407), load_bank("EST2", seed=20080407)
+        )
+        f = funnel_dict(res.metrics)
+        assert f["step3.duplicate_alignments"] == 294
+        assert (
+            f["step3.extensions"]
+            - f["step3.skipped_contained"]
+            - f["step3.duplicate_alignments"]
+            == f["step3.alignments"]
+        )
+        assert check_funnel(res.metrics) == []
+        assert "step3 duplicate alignments  294" in format_funnel(res.metrics)
+
+    def test_serial_schedule_builds_no_duplicates(self):
+        from repro.obs import MetricsRegistry
+
+        b1, b2, table = make_case(3)
+        registry = MetricsRegistry()
+        run_gapped_stage(
+            b1, b2, table, ScoringScheme(), 16, WorkCounters(),
+            scheduling="serial", registry=registry,
+        )
+        assert registry.value("step3.duplicate_alignments") == 0
