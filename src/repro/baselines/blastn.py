@@ -45,15 +45,14 @@ import numpy as np
 
 from ..align.evalue import karlin_params
 from ..align.hsp import HSPTable
-from ..align.records import alignments_to_m8, sort_records
 from ..align.scoring import DEFAULT_SCORING, ScoringScheme
 from ..align.ungapped import batch_extend
-from ..core.engine import ComparisonResult, StepTimings, WorkCounters
-from ..core.gapped_stage import run_gapped_stage
+from ..core.engine import ComparisonResult, _merge_results, finish_comparison
 from ..encoding import invalid_code, seed_codes
 from ..filters import make_filter_mask
 from ..index.seed_index import CsrSeedIndex, valid_window_mask
 from ..io.bank import Bank
+from ..obs import MetricsRegistry
 
 __all__ = ["BlastnParams", "BlastnEngine"]
 
@@ -104,14 +103,12 @@ class BlastnEngine:
 
         Returns the same :class:`~repro.core.engine.ComparisonResult`
         structure as the ORIS engine (records sorted by the same key, the
-        same counters where they apply).
+        same metrics where they apply).
         """
         result = self._one_strand(bank1, bank2, minus=False)
         if self.params.strand == "both":
             rc = bank2.reverse_complemented()
             minus = self._one_strand(bank1, rc, minus=True)
-            from ..core.engine import _merge_results
-
             result = _merge_results(result, minus, self.params)
         return result
 
@@ -119,8 +116,7 @@ class BlastnEngine:
 
     def _one_strand(self, bank1: Bank, bank2: Bank, minus: bool) -> ComparisonResult:
         p = self.params
-        timings = StepTimings()
-        counters = WorkCounters()
+        registry = MetricsRegistry()
         stats = karlin_params(p.scoring)
 
         # Database "formatting": masks and the raw code array.  (This is
@@ -135,7 +131,9 @@ class BlastnEngine:
         db_scan_codes = np.where(db_ok, db_codes, bad)
         codes1_full = seed_codes(bank1.seq, p.w)
         ok1_full = valid_window_mask(bank1, p.w, mask1)
-        timings.index = time.perf_counter() - t0
+        registry.set_gauge(
+            "time.step1_index_seconds", time.perf_counter() - t0, mode="sum"
+        )
 
         n_mean = max(bank2.size_nt // max(bank2.n_sequences, 1), 1)
         if p.hsp_min_score is not None:
@@ -151,35 +149,14 @@ class BlastnEngine:
         for q_lo, q_hi in self._query_batches(bank1):
             self._scan_batch(
                 bank1, bank2, q_lo, q_hi, ok1_full, db_scan_codes,
-                codes1_full, s1_threshold, table, counters,
+                codes1_full, s1_threshold, table, registry,
             )
-        counters.n_hsps = len(table)
-        timings.ungapped = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        alignments = run_gapped_stage(
-            bank1, bank2, table,
-            scoring=p.scoring, band_radius=p.band_radius, counters=counters,
-            min_align_score=p.min_align_score,
+        registry.set_gauge(
+            "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
         )
-        counters.n_alignments = len(alignments)
-        timings.gapped = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        records = alignments_to_m8(
-            alignments, bank1, bank2, stats,
-            max_evalue=p.max_evalue, minus_strand=minus,
-        )
-        records = sort_records(records, key=p.sort_key)
-        counters.n_records = len(records)
-        timings.display = time.perf_counter() - t0
-
-        return ComparisonResult(
-            records=records,
-            alignments=alignments,
-            timings=timings,
-            counters=counters,
-            params=p,  # type: ignore[arg-type]
+        return finish_comparison(
+            bank1, bank2, table, p, registry,
+            min_align_score=p.min_align_score, minus_strand=minus,
         )
 
     def _query_batches(self, bank1: Bank):
@@ -215,7 +192,7 @@ class BlastnEngine:
         codes1_full: np.ndarray,
         s1_threshold: int,
         table: HSPTable,
-        counters: WorkCounters,
+        registry: MetricsRegistry,
     ) -> None:
         p = self.params
         w = p.w
@@ -229,14 +206,16 @@ class BlastnEngine:
         # docs.)  membership: for every db position, find its code in the
         # batch's sorted unique code table.
         hit_db_pos, hit_q_pos = batch_index.join(db_scan_codes)
-        counters.n_pairs += int(hit_db_pos.shape[0])
-        if hit_db_pos.shape[0] == 0:
+        n_hits = int(hit_db_pos.shape[0])
+        registry.inc("step2.hit_pairs", n_hits)
+        if n_hits == 0:
             return
 
         if p.two_hit:
             hit_db_pos, hit_q_pos = _two_hit_filter(
                 hit_db_pos, hit_q_pos, w, p.two_hit_window
             )
+            registry.inc("step2.hits_skipped", n_hits - hit_db_pos.shape[0])
             if hit_db_pos.shape[0] == 0:
                 return
 
@@ -270,8 +249,8 @@ class BlastnEngine:
                 p.scoring,
                 ordered_cutoff=False,
             )
-            counters.ungapped_steps += res.steps
             keep = res.score >= s1_threshold
+            _record_wave(registry, res.steps, keep)
             table.append_chunk(
                 res.start1[keep], res.end1[keep], res.start2[keep], res.score[keep]
             )
@@ -288,12 +267,25 @@ class BlastnEngine:
             cover_ff = _segmented_forward_max(cover, grp)
             skip = j_sorted < cover_ff
             skip |= first
-            counters.n_cut += int((skip & ~first).sum())
+            registry.inc("step2.hits_skipped", int((skip & ~first).sum()))
             keep_hits = ~skip
             d_sorted = d_sorted[keep_hits]
             j_sorted = j_sorted[keep_hits]
             i_sorted = i_sorted[keep_hits]
-            counters.n_waves += 1
+
+
+def _record_wave(registry: MetricsRegistry, steps: int, keep: np.ndarray) -> None:
+    """Count one wave of a baseline's ungapped extensions.
+
+    No ordered cutoff aborts a baseline extension, so each one ends as
+    an HSP (``keep``) or below S1.  Hits the per-diagonal skip drops
+    before extending count as ``step2.hits_skipped``.
+    """
+    n_kept = int(keep.sum())
+    registry.inc("step2.extensions_started", keep.shape[0])
+    registry.inc("step2.lane_steps", steps)
+    registry.inc("step2.dropped_below_s1", keep.shape[0] - n_kept)
+    registry.inc("step2.hsps_kept", n_kept)
 
 
 def _segmented_forward_max(values: np.ndarray, groups: np.ndarray) -> np.ndarray:

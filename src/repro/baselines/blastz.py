@@ -28,17 +28,16 @@ import numpy as np
 from ..align.chaining import Chain, ChainingParams, chain_hsps
 from ..align.evalue import karlin_params
 from ..align.hsp import HSPTable
-from ..align.records import alignments_to_m8, sort_records
 from ..align.scoring import DEFAULT_SCORING, ScoringScheme
 from ..align.ungapped import batch_extend, span_initial_score
-from ..core.engine import ComparisonResult, StepTimings, WorkCounters
-from ..core.gapped_stage import run_gapped_stage
+from ..core.engine import ComparisonResult, finish_comparison
 from ..core.pairs import iter_pair_chunks
 from ..encoding.subset import SubsetSeedMask
 from ..filters import make_filter_mask
 from ..index.seed_index import CsrSeedIndex
 from ..io.bank import Bank
-from .blastn import _segmented_forward_max
+from ..obs import MetricsRegistry
+from .blastn import _record_wave, _segmented_forward_max
 
 __all__ = ["BlastzParams", "BlastzEngine", "BLASTZ_SEED"]
 
@@ -82,8 +81,7 @@ class BlastzEngine:
     def compare(self, bank1: Bank, bank2: Bank) -> ComparisonResult:
         """Compare two banks; returns the shared ComparisonResult."""
         p = self.params
-        timings = StepTimings()
-        counters = WorkCounters()
+        registry = MetricsRegistry()
         stats = karlin_params(p.scoring)
         mask = SubsetSeedMask(p.seed)
 
@@ -93,7 +91,9 @@ class BlastzEngine:
         lcm2 = make_filter_mask(bank2, p.filter_kind)
         index1 = CsrSeedIndex(bank1, 0, lcm1, mask=mask)
         index2 = CsrSeedIndex(bank2, 0, lcm2, mask=mask)
-        timings.index = time.perf_counter() - t0
+        registry.set_gauge(
+            "time.step1_index_seconds", time.perf_counter() - t0, mode="sum"
+        )
 
         n_mean = max(bank2.size_nt // max(bank2.n_sequences, 1), 1)
         if p.hsp_min_score is not None:
@@ -117,7 +117,7 @@ class BlastzEngine:
         else:
             q_pos = np.empty(0, dtype=np.int64)
             db_pos = q_pos.copy()
-        counters.n_pairs = int(q_pos.shape[0])
+        registry.inc("step2.hit_pairs", int(q_pos.shape[0]))
 
         table = HSPTable()
         if q_pos.shape[0]:
@@ -143,8 +143,8 @@ class BlastzEngine:
                     span, p.scoring,
                     ordered_cutoff=False, initial_scores=init,
                 )
-                counters.ungapped_steps += res.steps
                 keep = res.score >= threshold
+                _record_wave(registry, res.steps, keep)
                 table.append_chunk(
                     res.start1[keep], res.end1[keep], res.start2[keep],
                     res.score[keep],
@@ -154,48 +154,34 @@ class BlastzEngine:
                 grp = np.cumsum(first) - 1
                 cover_ff = _segmented_forward_max(cover, grp)
                 skip = (j_sorted < cover_ff) | first
-                counters.n_cut += int((skip & ~first).sum())
+                registry.inc("step2.hits_skipped", int((skip & ~first).sum()))
                 keep_hits = ~skip
                 d_sorted = d_sorted[keep_hits]
                 j_sorted = j_sorted[keep_hits]
                 i_sorted = i_sorted[keep_hits]
-                counters.n_waves += 1
-        counters.n_hsps = len(table)
-        timings.ungapped = time.perf_counter() - t0
+        registry.set_gauge(
+            "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
+        )
 
         # --- Chaining: keep, per chain, its best anchor as the gapped seed #
+        # (timed as part of step 3, which it feeds).
         t0 = time.perf_counter()
-        chained = self._chain_filter(table, counters)
-        alignments = run_gapped_stage(
-            bank1, bank2, chained,
-            scoring=p.scoring, band_radius=p.band_radius, counters=counters,
+        chained = self._chain_filter(table, registry)
+        registry.set_gauge(
+            "time.step3_gapped_seconds", time.perf_counter() - t0, mode="sum"
         )
-        counters.n_alignments = len(alignments)
-        timings.gapped = time.perf_counter() - t0
+        return finish_comparison(bank1, bank2, chained, p, registry)
 
-        t0 = time.perf_counter()
-        records = alignments_to_m8(
-            alignments, bank1, bank2, stats, max_evalue=p.max_evalue
-        )
-        records = sort_records(records, key=p.sort_key)
-        counters.n_records = len(records)
-        timings.display = time.perf_counter() - t0
-
-        return ComparisonResult(
-            records=records,
-            alignments=alignments,
-            timings=timings,
-            counters=counters,
-            params=p,  # type: ignore[arg-type]
-        )
-
-    def _chain_filter(self, table: HSPTable, counters: WorkCounters) -> HSPTable:
+    def _chain_filter(
+        self, table: HSPTable, registry: MetricsRegistry
+    ) -> HSPTable:
         """Chain the HSPs; keep one representative anchor per chain.
 
         The gapped x-drop from a chain's best anchor re-covers the whole
         chain (band permitting), so chaining here serves the same role as
         in BLASTZ: collapsing colinear anchor clusters into one polished
-        alignment seed each.
+        alignment seed each.  The anchors a chain drops count as
+        ``step3.skipped_contained``: the chain's alignment contains them.
         """
         s1, e1, s2, sc, diag = table.sorted_by_diagonal()
         if s1.shape[0] == 0:
@@ -211,5 +197,5 @@ class BlastzEngine:
         if keep_idx:
             keep = np.asarray(sorted(keep_idx), dtype=np.int64)
             out.append_chunk(s1[keep], e1[keep], s2[keep], sc[keep])
-        counters.n_skipped_contained += int(s1.shape[0] - len(keep_idx))
+        registry.inc("step3.skipped_contained", int(s1.shape[0] - len(keep_idx)))
         return out

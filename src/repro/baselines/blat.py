@@ -32,16 +32,15 @@ import numpy as np
 
 from ..align.evalue import karlin_params
 from ..align.hsp import HSPTable
-from ..align.records import alignments_to_m8, sort_records
 from ..align.scoring import DEFAULT_SCORING, ScoringScheme
 from ..align.ungapped import batch_extend
-from ..core.engine import ComparisonResult, StepTimings, WorkCounters
-from ..core.gapped_stage import run_gapped_stage
+from ..core.engine import ComparisonResult, finish_comparison
 from ..encoding import invalid_code, seed_codes
 from ..filters import make_filter_mask
 from ..index.seed_index import CsrSeedIndex
 from ..io.bank import Bank
-from .blastn import _segmented_forward_max
+from ..obs import MetricsRegistry
+from .blastn import _record_wave, _segmented_forward_max
 
 __all__ = ["BlatParams", "BlatEngine"]
 
@@ -69,8 +68,7 @@ class BlatEngine:
     def compare(self, bank1: Bank, bank2: Bank) -> ComparisonResult:
         """Compare query bank ``bank1`` against database ``bank2``."""
         p = self.params
-        timings = StepTimings()
-        counters = WorkCounters()
+        registry = MetricsRegistry()
         stats = karlin_params(p.scoring)
 
         # --- Index the database ONCE on non-overlapping k-mers ----------- #
@@ -80,7 +78,9 @@ class BlatEngine:
         db_index = CsrSeedIndex(bank2, p.k, mask2, stride=p.k)
         codes1_full = seed_codes(bank1.seq, p.k)
         q_index = CsrSeedIndex(bank1, p.k, mask1)  # overlapping query words
-        timings.index = time.perf_counter() - t0
+        registry.set_gauge(
+            "time.step1_index_seconds", time.perf_counter() - t0, mode="sum"
+        )
 
         n_mean = max(bank2.size_nt // max(bank2.n_sequences, 1), 1)
         if p.hsp_min_score is not None:
@@ -107,7 +107,7 @@ class BlatEngine:
         else:
             q_pos = np.empty(0, dtype=np.int64)
             db_pos = q_pos.copy()
-        counters.n_pairs = int(q_pos.shape[0])
+        registry.inc("step2.hit_pairs", int(q_pos.shape[0]))
 
         # --- Per-diagonal redundancy skip + wave extension ----------------- #
         table = HSPTable()
@@ -138,8 +138,8 @@ class BlatEngine:
                     np.zeros(chosen.shape[0], dtype=np.int64),
                     p.k, p.scoring, ordered_cutoff=False,
                 )
-                counters.ungapped_steps += res.steps
                 keep = res.score >= threshold
+                _record_wave(registry, res.steps, keep)
                 table.append_chunk(
                     res.start1[keep], res.end1[keep], res.start2[keep],
                     res.score[keep],
@@ -149,33 +149,11 @@ class BlatEngine:
                 cover[chosen] = res.end2
                 cover_ff = _segmented_forward_max(cover, grp)
                 skip = alive & (j_sorted < cover_ff)
-                counters.n_cut += int(skip.sum())
+                registry.inc("step2.hits_skipped", int(skip.sum()))
                 alive &= ~skip
-                counters.n_waves += 1
-        counters.n_hsps = len(table)
-        timings.ungapped = time.perf_counter() - t0
+        registry.set_gauge(
+            "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
+        )
 
         # --- Shared gapped stage + display -------------------------------- #
-        t0 = time.perf_counter()
-        alignments = run_gapped_stage(
-            bank1, bank2, table,
-            scoring=p.scoring, band_radius=p.band_radius, counters=counters,
-        )
-        counters.n_alignments = len(alignments)
-        timings.gapped = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        records = alignments_to_m8(
-            alignments, bank1, bank2, stats, max_evalue=p.max_evalue
-        )
-        records = sort_records(records, key=p.sort_key)
-        counters.n_records = len(records)
-        timings.display = time.perf_counter() - t0
-
-        return ComparisonResult(
-            records=records,
-            alignments=alignments,
-            timings=timings,
-            counters=counters,
-            params=p,  # type: ignore[arg-type]
-        )
+        return finish_comparison(bank1, bank2, table, p, registry)

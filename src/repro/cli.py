@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_args(parser)
     parser.add_argument(
         "--strand", choices=("plus", "both"), default="plus",
-        help="search single strand (paper prototype) or both",
+        help="search single strand (paper prototype) or both "
+        "(oris and blastn only)",
     )
     parser.add_argument(
         "--asymmetric", action="store_true",
@@ -762,6 +763,10 @@ def _execute(args) -> int:
         return _fail_usage(
             "the resilient runtime searches a single strand (--strand plus)"
         )
+    if args.engine in ("blat", "blastz") and args.strand != "plus":
+        return _fail_usage(
+            f"--engine {args.engine} searches a single strand (--strand plus)"
+        )
     budget = None
     if args.memory_budget is not None:
         if args.engine != "oris":
@@ -912,7 +917,7 @@ def _execute(args) -> int:
                 tile_nt=plan.tile_nt,
                 overlap=plan.overlap,
             )
-        result.counters.n_memory_degradations += 1
+        result.metrics.inc("governor.memory_degradations")
     else:
         if index_cache is not None and isinstance(engine, OrisEngine):
             engine.index_cache = index_cache
@@ -921,12 +926,7 @@ def _execute(args) -> int:
 
     if index_cache is not None:
         index_cache.record_metrics(result.metrics)
-    sample_rss(result.counters)
-    result.metrics.set_gauge(
-        "resources.rss_peak_bytes",
-        float(result.counters.rss_peak_bytes),
-        mode="max",
-    )
+    sample_rss(result.metrics)
     text = format_m8(result.records)
     if args.output == "-":
         sys.stdout.write(text)
@@ -1362,7 +1362,7 @@ def _execute_admin(args) -> int:
 def _write_metrics(path: str, result) -> None:
     """Dump the run's metrics as a machine-readable JSON snapshot."""
     import json
-    from dataclasses import fields as dc_fields
+    from dataclasses import asdict
 
     from .obs import funnel_dict
 
@@ -1377,10 +1377,7 @@ def _write_metrics(path: str, result) -> None:
             "display": t.display,
             "total": t.total,
         },
-        "counters": {
-            f.name: getattr(result.counters, f.name)
-            for f in dc_fields(result.counters)
-        },
+        "counters": asdict(result.counters),
         "metrics": result.metrics.as_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:

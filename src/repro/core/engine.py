@@ -20,15 +20,17 @@
    sequence size, section 3.1), filter on the report threshold, sort, and
    emit ``-m 8`` records.
 
-The engine also accumulates per-step wall-clock timings and work counters,
-which the benchmark harness reports alongside the paper's tables.
+Every count and step time of a run is recorded once, in the run's
+:class:`~repro.obs.MetricsRegistry` (``ComparisonResult.metrics``);
+:class:`WorkCounters` and :class:`StepTimings` are read-only views of
+it, which the benchmark harness reports alongside the paper's tables.
 
 Every entry point shares three pieces of this module: step 1
 (:meth:`OrisEngine.index_step`), the step-2 chunk loop
 (:func:`extend_hit_pairs`, run on the whole common-code list here and on
 one slice of it by :func:`repro.core.parallel.run_range`) and steps 3-4
-(:meth:`OrisEngine.finish_comparison`, also used by the resilient
-runtime and the query service; tiled comparison runs the whole
+(:func:`finish_comparison`, also used by the resilient runtime, the
+query service and the three baselines; tiled comparison runs the whole
 one-strand pipeline per tile).  They look their kernels up as globals
 of this module (``iter_pair_chunks``, ``extend_filter_vector``,
 ``run_gapped_stage``, ``alignments_to_m8`` ...), so a tracer that
@@ -64,83 +66,128 @@ __all__ = [
     "StepTimings",
     "WorkCounters",
     "extend_hit_pairs",
+    "finish_comparison",
 ]
 
 
-@dataclass(slots=True)
-class StepTimings:
-    """Wall-clock seconds per pipeline step."""
+#: :class:`StepTimings` field -> the ``time.*`` gauge it reads.
+TIMING_GAUGES: dict[str, str] = {
+    "index": "time.step1_index_seconds",
+    "ungapped": "time.step2_ungapped_seconds",
+    "gapped": "time.step3_gapped_seconds",
+    "display": "time.step4_display_seconds",
+}
 
-    index: float = 0.0
-    ungapped: float = 0.0
-    gapped: float = 0.0
-    display: float = 0.0
+#: :class:`WorkCounters` field -> the registry counter(s) it sums;
+#: ``rss_peak_bytes`` reads the ``resources.rss_peak_bytes`` max gauge.
+COUNTER_NAMES: dict[str, tuple[str, ...]] = {
+    "n_pairs": ("step2.hit_pairs",),
+    "n_cut": (
+        "step2.cutoff_aborts_left",
+        "step2.cutoff_aborts_right",
+        "step2.hits_skipped",
+    ),
+    "n_hsps": ("step2.hsps_kept",),
+    "ungapped_steps": ("step2.lane_steps",),
+    "gapped_steps": ("step3.lane_rows",),
+    "n_gapped_extensions": ("step3.extensions",),
+    "n_skipped_contained": ("step3.skipped_contained",),
+    "n_alignments": ("step3.alignments",),
+    "n_records": ("step4.records",),
+    "n_waves": ("step3.waves",),
+    "n_retries": ("scheduler.retries",),
+    "n_crashes": ("scheduler.crashes",),
+    "n_timeouts": ("scheduler.timeouts",),
+    "n_quarantined": ("scheduler.quarantined",),
+    "n_degraded": ("scheduler.degraded",),
+    "n_skipped_tasks": ("scheduler.skipped_tasks",),
+    "n_resumed": ("scheduler.resumed",),
+    "n_tiles": ("tile.tiles",),
+    "n_memory_degradations": ("governor.memory_degradations",),
+    "rss_peak_bytes": ("resources.rss_peak_bytes",),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class StepTimings:
+    """Wall-clock seconds per pipeline step: a read-only view of the
+    ``time.*`` gauges of a run's :class:`MetricsRegistry`."""
+
+    index: float
+    ungapped: float
+    gapped: float
+    display: float
+
+    @classmethod
+    def of(cls, registry: MetricsRegistry) -> "StepTimings":
+        return cls(
+            **{f: float(registry.value(g) or 0.0) for f, g in TIMING_GAUGES.items()}
+        )
 
     @property
     def total(self) -> float:
         return self.index + self.ungapped + self.gapped + self.display
 
-    def add(self, other: "StepTimings") -> "StepTimings":
-        """Accumulate ``other``'s seconds into these; returns ``self``."""
-        self.index += other.index
-        self.ungapped += other.ungapped
-        self.gapped += other.gapped
-        self.display += other.display
-        return self
 
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class WorkCounters:
-    """Work metrics of one comparison (ablation/bench instrumentation)."""
+    """Work metrics of one comparison: a read-only view of a run's
+    :class:`MetricsRegistry` through :data:`COUNTER_NAMES`."""
 
-    n_pairs: int = 0  # hit pairs examined (the paper's X1*X2 totals)
-    n_cut: int = 0  # pairs killed by the ordered-seed cutoff
-    n_hsps: int = 0  # HSPs stored after step 2
-    ungapped_steps: int = 0  # lane-steps in the ungapped kernel
-    gapped_steps: int = 0  # lane-rows in the gapped kernel
-    n_gapped_extensions: int = 0  # HSPs actually extended in step 3
-    n_skipped_contained: int = 0  # HSPs skipped by the containment test
-    n_alignments: int = 0  # alignments stored
-    n_records: int = 0  # records after e-value filtering
-    n_waves: int = 0  # step-3 extension batches
+    n_pairs: int  # hit pairs examined (the paper's X1*X2 totals)
+    n_cut: int  # pairs killed by the ordered-seed cutoff (baselines: skipped)
+    n_hsps: int  # HSPs stored after step 2
+    ungapped_steps: int  # lane-steps in the ungapped kernel
+    gapped_steps: int  # lane-rows in the gapped kernel
+    n_gapped_extensions: int  # HSPs actually extended in step 3
+    n_skipped_contained: int  # HSPs skipped by the containment test
+    n_alignments: int  # alignments stored
+    n_records: int  # records after e-value filtering
+    n_waves: int  # step-3 extension batches
     # Resilient-runtime metrics (repro.runtime.scheduler); all zero on
-    # serial and plain-parallel runs.
-    n_retries: int = 0  # task re-executions (any cause)
-    n_crashes: int = 0  # worker deaths detected mid-task
-    n_timeouts: int = 0  # tasks killed for exceeding their deadline
-    n_quarantined: int = 0  # tasks that exhausted their retries
-    n_degraded: int = 0  # tasks completed in-parent after degradation
-    n_skipped_tasks: int = 0  # poisoned tasks dropped from the result
-    n_resumed: int = 0  # tasks restored from a checkpoint journal
+    # serial runs.
+    n_retries: int  # task re-executions (any cause)
+    n_crashes: int  # worker deaths detected mid-task
+    n_timeouts: int  # tasks killed for exceeding their deadline
+    n_quarantined: int  # tasks that exhausted their retries
+    n_degraded: int  # tasks completed in-parent after degradation
+    n_skipped_tasks: int  # poisoned tasks dropped from the result
+    n_resumed: int  # tasks restored from a checkpoint journal
     # Resource-governor metrics (repro.runtime.governor).
-    n_tiles: int = 0  # subject tiles processed (tiled/degraded runs)
-    n_memory_degradations: int = 0  # budget-forced switches to tiling
-    rss_peak_bytes: int = 0  # process peak RSS high-water mark
+    n_tiles: int  # subject tiles processed (tiled/degraded runs)
+    n_memory_degradations: int  # budget-forced switches to tiling
+    rss_peak_bytes: int  # process peak RSS high-water mark
 
-    def add(self, other: "WorkCounters") -> "WorkCounters":
-        """Fold ``other`` into these counters; returns ``self``.
-
-        Every counter sums except ``rss_peak_bytes``, a high-water mark.
-        """
-        peak = max(self.rss_peak_bytes, other.rss_peak_bytes)
-        for name in WorkCounters.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.rss_peak_bytes = peak
-        return self
+    @classmethod
+    def of(cls, registry: MetricsRegistry) -> "WorkCounters":
+        return cls(
+            **{
+                f: int(sum(registry.value(n) or 0 for n in names))
+                for f, names in COUNTER_NAMES.items()
+            }
+        )
 
 
 @dataclass(slots=True)
 class ComparisonResult:
-    """Everything a comparison produced."""
+    """Everything a comparison produced.
+
+    ``metrics`` is the run's one ledger: every count and step time lands
+    there once, and :attr:`counters` / :attr:`timings` are views of it.
+    """
 
     records: list[M8Record]
     alignments: list[GappedAlignment]
-    timings: StepTimings
-    counters: WorkCounters
     params: OrisParams | None = field(repr=False, default=None)
-    #: Fine-grained observability metrics (funnel counters, histograms);
-    #: superset of :class:`WorkCounters`, see :mod:`repro.obs.metrics`.
     metrics: MetricsRegistry = field(repr=False, default_factory=MetricsRegistry)
+
+    @property
+    def counters(self) -> WorkCounters:
+        return WorkCounters.of(self.metrics)
+
+    @property
+    def timings(self) -> StepTimings:
+        return StepTimings.of(self.metrics)
 
 
 class OrisEngine:
@@ -181,29 +228,28 @@ class OrisEngine:
         """Steps 1-4 on one strand.  ``profile`` (a
         :class:`repro.core.tiled.FleetProfile`) makes a tile of a larger
         bank use that whole bank's S1 threshold and e-value lengths."""
-        timings = StepTimings()
-        counters = WorkCounters()
+        p = self.params
         registry = MetricsRegistry()
         strand = "minus" if minus else "plus"
-        index1, index2 = self.index_step(bank1, bank2, timings, registry, strand)
+        index1, index2 = self.index_step(bank1, bank2, registry, strand)
 
         t0 = time.perf_counter()
         s1_threshold = self._resolve_hsp_min_score(
-            bank1, bank2, karlin_params(self.params.scoring), profile
+            bank1, bank2, karlin_params(p.scoring), profile
         )
         with span("step2.extend", strand=strand) as s:
-            table = self._ungapped_stage(
-                index1, index2, s1_threshold, counters, registry
-            )
+            table = self._ungapped_stage(index1, index2, s1_threshold, registry)
             s.set(n_hsps=len(table))
-        counters.n_hsps = len(table)
-        timings.ungapped = time.perf_counter() - t0
         registry.set_gauge(
-            "time.step2_ungapped_seconds", timings.ungapped, mode="sum"
+            "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
         )
 
-        return self.finish_comparison(
-            bank1, bank2, table, counters, timings, registry, minus_strand=minus,
+        return finish_comparison(
+            bank1, bank2, table, p, registry,
+            scheduling=p.gapped_scheduling,
+            min_align_score=p.min_align_score,
+            exclude_self=p.exclude_self,
+            minus_strand=minus,
             subject_lengths=(
                 None if profile is None else profile.subject_lengths_for(bank2)
             ),
@@ -213,7 +259,6 @@ class OrisEngine:
         self,
         bank1: Bank,
         bank2: Bank,
-        timings: StepTimings,
         registry: MetricsRegistry,
         strand: str = "plus",
     ) -> tuple[CsrSeedIndex, CsrSeedIndex]:
@@ -223,80 +268,10 @@ class OrisEngine:
             index1, index2 = self._build_indexes(bank1, bank2)
         index1.record_metrics(registry, "bank1")
         index2.record_metrics(registry, "bank2")
-        timings.index = time.perf_counter() - t0
-        registry.set_gauge("time.step1_index_seconds", timings.index, mode="sum")
-        return index1, index2
-
-    def finish_comparison(
-        self,
-        bank1: Bank,
-        bank2: Bank,
-        table: HSPTable,
-        counters: WorkCounters,
-        timings: StepTimings,
-        registry: MetricsRegistry,
-        minus_strand: bool = False,
-        subject_lengths: np.ndarray | None = None,
-    ) -> ComparisonResult:
-        """Steps 3-4 on a step-2 HSP table, for every entry point.
-
-        ``minus_strand`` marks a pass against the reverse-complemented
-        bank 2.  ``subject_lengths`` optionally overrides the per-sequence
-        subject length used for e-values (fleet shards serving windows of
-        longer sequences; see :func:`repro.align.records.alignments_to_m8`).
-        ``exclude_self`` comes from the engine's parameters.
-        """
-        p = self.params
-        strand = "minus" if minus_strand else "plus"
-
-        t0 = time.perf_counter()
-        with span("step3.gapped", strand=strand) as s:
-            alignments = run_gapped_stage(
-                bank1,
-                bank2,
-                table,
-                scoring=p.scoring,
-                band_radius=p.band_radius,
-                counters=counters,
-                min_align_score=p.min_align_score,
-                scheduling=p.gapped_scheduling,
-                registry=registry,
-            )
-            s.set(n_alignments=len(alignments))
-        counters.n_alignments = len(alignments)
-        registry.inc("step3.alignments", len(alignments))
-        timings.gapped = time.perf_counter() - t0
-        registry.set_gauge("time.step3_gapped_seconds", timings.gapped, mode="sum")
-
-        t0 = time.perf_counter()
-        with span("step4.display", strand=strand):
-            records = alignments_to_m8(
-                alignments,
-                bank1,
-                bank2,
-                karlin_params(p.scoring),
-                max_evalue=p.max_evalue,
-                minus_strand=minus_strand,
-                exclude_self=p.exclude_self,
-                subject_lengths=subject_lengths,
-            )
-            records = sort_records(records, key=p.sort_key)
-        counters.n_records = len(records)
-        registry.inc("step4.records", len(records))
-        registry.inc("step4.evalue_filtered", len(alignments) - len(records))
-        timings.display = time.perf_counter() - t0
         registry.set_gauge(
-            "time.step4_display_seconds", timings.display, mode="sum"
+            "time.step1_index_seconds", time.perf_counter() - t0, mode="sum"
         )
-
-        return ComparisonResult(
-            records=records,
-            alignments=alignments,
-            timings=timings,
-            counters=counters,
-            params=p,
-            metrics=registry,
-        )
+        return index1, index2
 
     def _build_indexes(self, bank1: Bank, bank2: Bank) -> tuple[CsrSeedIndex, CsrSeedIndex]:
         p = self.params
@@ -365,21 +340,18 @@ class OrisEngine:
         """
         if registry is None:
             registry = MetricsRegistry()
-        index1, index2 = self.index_step(bank1, bank2, StepTimings(), registry)
+        index1, index2 = self.index_step(bank1, bank2, registry)
         threshold = self._resolve_hsp_min_score(
             bank1, bank2, karlin_params(self.params.scoring)
         )
-        return self._ungapped_stage(
-            index1, index2, threshold, WorkCounters(), registry
-        )
+        return self._ungapped_stage(index1, index2, threshold, registry)
 
     def _ungapped_stage(
         self,
         index1: CsrSeedIndex,
         index2: CsrSeedIndex,
         s1_threshold: int,
-        counters: WorkCounters,
-        registry: MetricsRegistry | None = None,
+        registry: MetricsRegistry,
     ) -> HSPTable:
         """Step 2 over the whole common-code list of two indexes."""
         spaced = index1.mask is not None
@@ -395,8 +367,7 @@ class OrisEngine:
             s1_threshold,
             ok2=None if spaced else index2.indexed_mask,
             codes2=index2.cutoff_codes if spaced else None,
-            counters=counters,
-            registry=registry if registry is not None else MetricsRegistry(),
+            registry=registry,
             dedup=None if self.params.ordered_cutoff else set(),
         )
 
@@ -413,7 +384,6 @@ def extend_hit_pairs(
     s1_threshold: int,
     ok2: np.ndarray | None,
     codes2: np.ndarray | None,
-    counters: WorkCounters,
     registry: MetricsRegistry,
     dedup: set[tuple[int, int, int, int]] | None = None,
 ) -> HSPTable:
@@ -440,7 +410,6 @@ def extend_hit_pairs(
     for chunk in iter_pair_chunks(
         index1, index2, common, params.chunk_pairs, params.max_occurrences
     ):
-        counters.n_pairs += chunk.n_pairs
         registry.inc("step2.hit_pairs", chunk.n_pairs)
         # Every hit pair starts exactly one extension lane; tracking
         # both makes the funnel explicit (and checkable) even though
@@ -470,8 +439,7 @@ def extend_hit_pairs(
                 packed1=packed1,
                 packed2=packed2,
             )
-            counters.ungapped_steps += stage.steps
-            counters.n_cut += stage.n_cut_left + stage.n_cut_right
+            registry.inc("step2.lane_steps", stage.steps)
             registry.inc("step2.cutoff_aborts_left", stage.n_cut_left)
             registry.inc("step2.cutoff_aborts_right", stage.n_cut_right)
             registry.inc("step2.dropped_below_s1", stage.n_below_s1)
@@ -494,8 +462,7 @@ def extend_hit_pairs(
                 codes2=codes2,
                 initial_scores=init,
             )
-            counters.ungapped_steps += res.steps
-            counters.n_cut += int((~res.kept).sum())
+            registry.inc("step2.lane_steps", res.steps)
             registry.inc("step2.cutoff_aborts_left", int(res.cut_left.sum()))
             registry.inc("step2.cutoff_aborts_right", int(res.cut_right.sum()))
             registry.inc(
@@ -525,8 +492,77 @@ def extend_hit_pairs(
     return table
 
 
+def finish_comparison(
+    bank1: Bank,
+    bank2: Bank,
+    table: HSPTable,
+    params,
+    registry: MetricsRegistry,
+    *,
+    scheduling: str = "single",
+    min_align_score: int | None = None,
+    exclude_self: bool = False,
+    minus_strand: bool = False,
+    subject_lengths: np.ndarray | None = None,
+) -> ComparisonResult:
+    """Steps 3-4 on a step-2 HSP table, for every engine and entry point.
+
+    ``params`` supplies ``scoring``, ``band_radius``, ``max_evalue`` and
+    ``sort_key`` (an :class:`OrisParams` or a baseline's parameters).
+    The values only some callers set come explicitly: the step-3
+    ``scheduling``, the ``min_align_score`` floor, ``exclude_self``,
+    ``minus_strand`` (a pass against the reverse-complemented bank 2)
+    and ``subject_lengths``, which overrides the per-sequence subject
+    length used for e-values (fleet shards serving windows of longer
+    sequences; see :func:`repro.align.records.alignments_to_m8`).
+    Counts and step times land in ``registry``, which the returned
+    result carries.
+    """
+    strand = "minus" if minus_strand else "plus"
+
+    t0 = time.perf_counter()
+    with span("step3.gapped", strand=strand) as s:
+        alignments = run_gapped_stage(
+            bank1,
+            bank2,
+            table,
+            scoring=params.scoring,
+            band_radius=params.band_radius,
+            min_align_score=min_align_score,
+            scheduling=scheduling,
+            registry=registry,
+        )
+        s.set(n_alignments=len(alignments))
+    registry.inc("step3.alignments", len(alignments))
+    registry.set_gauge(
+        "time.step3_gapped_seconds", time.perf_counter() - t0, mode="sum"
+    )
+
+    t0 = time.perf_counter()
+    with span("step4.display", strand=strand):
+        records = alignments_to_m8(
+            alignments,
+            bank1,
+            bank2,
+            karlin_params(params.scoring),
+            max_evalue=params.max_evalue,
+            minus_strand=minus_strand,
+            exclude_self=exclude_self,
+            subject_lengths=subject_lengths,
+        )
+        records = sort_records(records, key=params.sort_key)
+    registry.inc("step4.records", len(records))
+    registry.inc("step4.evalue_filtered", len(alignments) - len(records))
+    registry.set_gauge(
+        "time.step4_display_seconds", time.perf_counter() - t0, mode="sum"
+    )
+    return ComparisonResult(
+        records=records, alignments=alignments, params=params, metrics=registry
+    )
+
+
 def _merge_results(
-    plus: ComparisonResult, minus: ComparisonResult, params: OrisParams
+    plus: ComparisonResult, minus: ComparisonResult, params
 ) -> ComparisonResult:
     """Combine plus- and minus-strand passes into one result."""
     metrics = MetricsRegistry()
@@ -534,8 +570,6 @@ def _merge_results(
     return ComparisonResult(
         records=sort_records(plus.records + minus.records, key=params.sort_key),
         alignments=plus.alignments + minus.alignments,
-        timings=StepTimings().add(plus.timings).add(minus.timings),
-        counters=WorkCounters().add(plus.counters).add(minus.counters),
         params=params,
         metrics=metrics,
     )

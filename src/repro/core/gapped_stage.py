@@ -1,7 +1,8 @@
 """Shared step-3 implementation (gapped alignments from HSPs).
 
-Both engines of this reproduction -- the ORIS engine and the BLASTN-like
-baseline -- run exactly this gapped stage on their step-2 HSP tables.
+Every engine of this reproduction -- ORIS and the three baselines -- runs
+exactly this gapped stage on its step-2 HSP table, through the shared
+steps 3-4 (:func:`repro.core.engine.finish_comparison`).
 Sharing it is a deliberate experimental-design choice: the paper's
 contribution is the *seed handling* of steps 1-2 (ordered index seeds vs
 scan-and-skip), so the comparison isolates that difference while holding
@@ -36,19 +37,18 @@ def run_gapped_stage(
     table: HSPTable,
     scoring: ScoringScheme,
     band_radius: int,
-    counters,
     min_align_score: int | None = None,
     scheduling: str = "single",
     registry: MetricsRegistry | None = None,
 ) -> list[GappedAlignment]:
     """Build gapped alignments from a diagonal-sorted HSP table.
 
-    ``counters`` is any object with the :class:`~repro.core.engine.WorkCounters`
-    fields touched here (``n_waves``, ``n_skipped_contained``,
-    ``n_gapped_extensions``, ``gapped_steps``); ``registry`` optionally
-    collects the same quantities as funnel metrics, the extensions that
-    rebuilt an already-built alignment (``step3.duplicate_alignments``)
-    and a batch-size histogram (``step3.wave_hsps``).
+    ``registry`` optionally collects the stage's counts: extension
+    batches (``step3.waves``), extensions and their kernel lane rows
+    (``step3.extensions``, ``step3.lane_rows``), containment skips
+    (``step3.skipped_contained``), the extensions that rebuilt an
+    already-built alignment (``step3.duplicate_alignments``) and a
+    batch-size histogram (``step3.wave_hsps``).
     """
     if registry is None:
         registry = MetricsRegistry()
@@ -60,23 +60,18 @@ def run_gapped_stage(
     seq1, seq2 = bank1.seq, bank2.seq
 
     def extend(chosen: np.ndarray) -> None:
-        registry.inc("step3.extensions", int(chosen.size))
-        registry.observe("step3.wave_hsps", int(chosen.size))
-        duplicates = _extend_wave(
-            seq1, seq2, s1, e1, s2, diag, chosen, catalog, counters,
+        registry.inc("step3.waves")
+        _extend_wave(
+            seq1, seq2, s1, e1, s2, diag, chosen, catalog, registry,
             scoring, band_radius, min_align_score,
         )
-        registry.inc("step3.duplicate_alignments", duplicates)
 
     if scheduling == "serial":
         for h in range(n):
             hd, hs1, he1 = int(diag[h]), int(s1[h]), int(e1[h])
             if catalog.covers_hsp(hs1, he1, hd):
-                counters.n_skipped_contained += 1
                 registry.inc("step3.skipped_contained")
                 continue
-            counters.n_waves += 1
-            registry.inc("step3.waves")
             extend(np.asarray([h], dtype=np.int64))
         return catalog.alignments
 
@@ -86,13 +81,8 @@ def run_gapped_stage(
         # to "serial", this spends extra extensions on HSPs the serial loop
         # would have skipped (their results are then deduplicated or
         # filtered here), but runs the DP at full lane parallelism.
-        counters.n_waves = 1
-        registry.inc("step3.waves")
         extend(np.arange(n, dtype=np.int64))
-        kept = _filter_contained(
-            catalog.alignments, band_radius, counters, registry
-        )
-        return kept
+        return _filter_contained(catalog.alignments, band_radius, registry)
 
     raise ValueError(f"unknown gapped scheduling {scheduling!r}")
 
@@ -100,7 +90,6 @@ def run_gapped_stage(
 def _filter_contained(
     alignments: list[GappedAlignment],
     band_radius: int,
-    counters,
     registry: MetricsRegistry | None = None,
 ) -> list[GappedAlignment]:
     """Drop alignments whose box and diagonal range lie inside a
@@ -122,7 +111,6 @@ def _filter_contained(
     for i in order:
         a = alignments[i]
         if catalog.covers_alignment(a):
-            counters.n_skipped_contained += 1
             registry.inc("step3.skipped_contained")
             continue
         catalog.add(a)
@@ -140,19 +128,20 @@ def _extend_wave(
     diag: np.ndarray,
     chosen: np.ndarray,
     catalog: AlignmentCatalog,
-    counters,
+    registry: MetricsRegistry,
     scoring: ScoringScheme,
     band_radius: int,
     min_align_score: int | None,
-) -> int:
+) -> None:
     """Gapped-extend the chosen HSPs (one batch) and store alignments.
 
     Extensions start "from the middle of an HSP ... on both extremities"
     (paper section 2.3); left and right run as one mixed-direction batch.
-    Returns how many alignments the catalog dropped as exact duplicates
-    of one an earlier HSP already built.
+    ``step3.duplicate_alignments`` counts the alignments the catalog
+    dropped as exact duplicates of one an earlier HSP already built.
     """
-    counters.n_gapped_extensions += int(chosen.size)
+    registry.inc("step3.extensions", int(chosen.size))
+    registry.observe("step3.wave_hsps", int(chosen.size))
     mid1 = (s1[chosen] + e1[chosen]) // 2
     mid2 = s2[chosen] + (mid1 - s1[chosen])
     k = chosen.size
@@ -168,7 +157,7 @@ def _extend_wave(
     )
     left = _slice_gapped(both, 0, k)
     right = _slice_gapped(both, k, 2 * k)
-    counters.gapped_steps += both.steps
+    registry.inc("step3.lane_rows", both.steps)
     diag_mid = diag[chosen]
     duplicates = 0
     for i in range(k):
@@ -197,7 +186,7 @@ def _extend_wave(
                 max_diag=dm + max(int(right.max_dd[i]), -int(left.min_dd[i]), 0),
             )
         )
-    return duplicates
+    registry.inc("step3.duplicate_alignments", duplicates)
 
 
 def _slice_gapped(res: BatchGappedResult, lo: int, hi: int) -> BatchGappedResult:

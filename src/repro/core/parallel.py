@@ -41,7 +41,7 @@ import numpy as np
 from ..align.hsp import HSPTable
 from ..index.seed_index import CommonCodes, CsrSeedIndex
 from ..obs import MetricsRegistry, ObsSpec, init_worker_obs, maybe_profile, span
-from .engine import WorkCounters, extend_hit_pairs
+from .engine import extend_hit_pairs
 from .pairs import pair_costs, split_balanced_ranges
 from .params import OrisParams
 
@@ -102,18 +102,14 @@ class RangePayload:
 
 @dataclass
 class RangeResult:
-    """HSPs and work counters of one completed range task."""
+    """HSP columns and metrics of one completed range task."""
 
     start1: np.ndarray
     end1: np.ndarray
     start2: np.ndarray
     score: np.ndarray
-    n_pairs: int
-    n_cut: int
-    steps: int
-    #: Per-task funnel metrics; ``None`` on results restored from legacy
-    #: checkpoint journals (the merge treats that as an empty registry).
-    metrics: MetricsRegistry | None = None
+    #: The task's step-2 counts (funnel, lane steps).
+    metrics: MetricsRegistry
 
     @property
     def n_hsps(self) -> int:
@@ -305,12 +301,14 @@ def run_range(
     ):
         with span("step2.range", lo=lo, hi=hi) as sp:
             result = _run_range_inner(payload, lo, hi)
-            sp.set(n_pairs=result.n_pairs, n_hsps=result.n_hsps)
+            sp.set(
+                n_pairs=result.metrics.value("step2.hit_pairs"),
+                n_hsps=result.n_hsps,
+            )
     return result
 
 
 def _run_range_inner(payload: RangePayload, lo: int, hi: int) -> RangeResult:
-    counters = WorkCounters()
     registry = MetricsRegistry()
     sub = CommonCodes(
         codes=payload.codes[lo:hi],
@@ -332,15 +330,10 @@ def _run_range_inner(payload: RangePayload, lo: int, hi: int) -> RangeResult:
         payload.threshold,
         ok2=payload.ok2,
         codes2=payload.codes2,
-        counters=counters,
         registry=registry,
     )
     s1, e1, s2, sc = table.columns()
-    return RangeResult(
-        start1=s1, end1=e1, start2=s2, score=sc,
-        n_pairs=counters.n_pairs, n_cut=counters.n_cut,
-        steps=counters.ungapped_steps, metrics=registry,
-    )
+    return RangeResult(start1=s1, end1=e1, start2=s2, score=sc, metrics=registry)
 
 
 # --------------------------------------------------------------------- #
@@ -396,15 +389,12 @@ def resolve_start_method(preferred: str | None = None) -> str | None:
 
 def merge_range_results(
     results: dict[int, RangeResult] | list[RangeResult],
-    counters: WorkCounters,
-    registry: MetricsRegistry | None = None,
+    registry: MetricsRegistry,
 ) -> HSPTable:
     """Fold completed range tasks (ascending task order) into one table.
 
     Per-task metric registries merge additively into ``registry``
-    (partition-invariant, so the funnel equals a serial run's); results
-    restored from legacy checkpoints may carry no registry and then only
-    contribute their coarse counters.
+    (partition-invariant, so the funnel equals a serial run's).
     """
     table = HSPTable()
     if isinstance(results, dict):
@@ -412,11 +402,6 @@ def merge_range_results(
     else:
         ordered = results
     for res in ordered:
-        counters.n_pairs += res.n_pairs
-        counters.n_cut += res.n_cut
-        counters.ungapped_steps += res.steps
-        if registry is not None:
-            registry.merge(getattr(res, "metrics", None))
+        registry.merge(res.metrics)
         table.append_chunk(res.start1, res.end1, res.start2, res.score)
-    counters.n_hsps = len(table)
     return table

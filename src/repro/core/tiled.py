@@ -40,7 +40,7 @@ from ..align.records import sort_records
 from ..io.bank import Bank
 from ..io.m8 import M8Record
 from ..obs import MetricsRegistry, span
-from .engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
+from .engine import ComparisonResult, OrisEngine
 from .params import OrisParams
 
 __all__ = [
@@ -258,36 +258,28 @@ def compare_tiled(
     if params.strand != "plus":
         raise ValueError("compare_tiled is single-strand; call per strand")
     profile = FleetProfile.of(bank2)
-    timings = StepTimings()
-    counters = WorkCounters()
     registry = MetricsRegistry()
 
     def per_tile():
         # A generator, so the merge filters each tile's records as it
         # arrives and no tile bank outlives its comparison.
-        for tile in iter_subject_tiles(bank2, tile_nt, overlap):
-            with span("tile.compare", tile=counters.n_tiles):
+        for i, tile in enumerate(iter_subject_tiles(bank2, tile_nt, overlap)):
+            with span("tile.compare", tile=i):
                 res = compare_shard(bank1, tile.bank, params, profile)
             registry.merge(res.metrics)
             registry.observe("tile.records", len(res.records))
-            timings.add(res.timings)
-            counters.add(res.counters)
-            counters.n_tiles += 1
+            registry.inc("tile.tiles")
             yield tile, res.records
 
     records, n_deduped = merge_shard_records(per_tile(), params.sort_key)
-    counters.n_records = len(records)
     # The ownership rule dropped border duplicates after the per-tile
     # display stage; restate step 4 so the funnel describes the *final*
     # output (records + evalue_filtered + ownership_filtered == alignments).
     registry.counter("step4.records").value = len(records)
     registry.inc("step4.ownership_filtered", n_deduped)
-    registry.inc("tile.tiles", counters.n_tiles)
     return ComparisonResult(
         records=records,
         alignments=[],  # per-tile alignments are not retained
-        timings=timings,
-        counters=counters,
         params=params,
         metrics=registry,
     )

@@ -4,8 +4,12 @@ Zero third-party dependencies.  See the submodule docstrings for the
 individual pieces:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
-  gauges, and log-scale histograms; picklable and mergeable so worker
-  registries ship through the scheduler result path like ``WorkCounters``.
+  gauges, and log-scale histograms: a run's one ledger.  Every count and
+  step time is recorded there once (``ComparisonResult.counters`` and
+  ``.timings`` are read-only views of it); it is picklable and mergeable,
+  so each range task's registry is the task's only record of its work
+  and ships back through the scheduler result path and the checkpoint
+  journal.
 * :mod:`repro.obs.tracing` — nestable, process-aware JSONL spans
   (``with span("step2.extend"): ...``), enabled by ``--trace FILE``.
 * :mod:`repro.obs.profiling` — cProfile dumps per process/task plus a

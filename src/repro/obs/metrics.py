@@ -375,6 +375,7 @@ FUNNEL_COUNTERS: tuple[str, ...] = (
     "step1.distinct_codes.bank2",
     "step2.seeds_enumerated",
     "step2.hit_pairs",
+    "step2.hits_skipped",
     "step2.extensions_started",
     "step2.cutoff_aborts_left",
     "step2.cutoff_aborts_right",
@@ -401,7 +402,8 @@ def check_funnel(registry: MetricsRegistry) -> list[str]:
 
     Checks the accounting identities the differential tests lock in:
 
-    * every enumerated hit pair starts exactly one extension;
+    * every enumerated hit pair starts exactly one extension, unless a
+      baseline's per-diagonal skip drops it first (ORIS never does);
     * every extension ends in exactly one of {left abort, right abort,
       dropped below S1, deduplicated away, HSP kept};
     * the funnel narrows monotonically (hits >= extensions >= HSPs kept
@@ -415,9 +417,11 @@ def check_funnel(registry: MetricsRegistry) -> list[str]:
             problems.append(message)
 
     expect(
-        f["step2.hit_pairs"] == f["step2.extensions_started"],
+        f["step2.hit_pairs"]
+        == f["step2.extensions_started"] + f["step2.hits_skipped"],
         f"hit_pairs ({f['step2.hit_pairs']}) != extensions_started "
-        f"({f['step2.extensions_started']})",
+        f"({f['step2.extensions_started']}) + hits_skipped "
+        f"({f['step2.hits_skipped']})",
     )
     outcomes = (
         f["step2.cutoff_aborts_left"]
@@ -434,6 +438,11 @@ def check_funnel(registry: MetricsRegistry) -> list[str]:
     expect(
         f["step2.extensions_started"] >= f["step2.hsps_kept"] >= 0,
         "funnel must narrow: extensions >= hsps_kept >= 0",
+    )
+    expect(
+        f["step3.extensions"] <= f["step2.hsps_kept"],
+        f"step3 extensions ({f['step3.extensions']}) exceed step2 "
+        f"hsps_kept ({f['step2.hsps_kept']})",
     )
     expect(
         f["step3.extensions"] + f["step3.skipped_contained"]
@@ -469,6 +478,7 @@ def format_funnel(registry: MetricsRegistry, prefix: str = "# ") -> str:
         ),
         ("step2 seeds enumerated", str(f["step2.seeds_enumerated"])),
         ("step2 hit pairs", str(f["step2.hit_pairs"])),
+        ("step2 hits skipped", str(f["step2.hits_skipped"])),
         ("step2 extensions started", str(f["step2.extensions_started"])),
         (
             "step2 cutoff aborts",

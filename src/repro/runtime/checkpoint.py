@@ -7,7 +7,7 @@ A checkpoint is a directory holding
     the run fingerprint (bank/code/parameter identity); every subsequent
     line records one completed range task and points at its chunk file.
 ``chunk_<task>.npz``
-    The HSPs (and work counters) the task produced, written atomically
+    The HSPs the task produced, written atomically
     (temp file + ``os.replace``) and checksummed with CRC-32; the journal
     line stores the checksum so resume never trusts a torn or bit-rotten
     chunk.
@@ -19,6 +19,12 @@ line + chunk (skip it on resume) or it does not (re-run it).  A torn
 silently dropped; damage anywhere else, or a header that does not match
 the resuming run, raises :class:`~repro.runtime.errors.CheckpointCorrupt`
 instead of resuming against the wrong inputs.
+
+Each task line carries the task's metrics snapshot
+(:meth:`~repro.obs.MetricsRegistry.as_dict`), the only record of its
+counts.  Version 1 journals kept separate ``n_pairs``/``n_cut``/``steps``
+fields and an optional snapshot; they are refused, never resumed with
+missing counts.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import CheckpointCorrupt
 __all__ = ["CheckpointJournal", "JOURNAL_VERSION"]
 
 #: Journal format version (bump on layout changes).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 _JOURNAL_NAME = "journal.jsonl"
 
@@ -135,17 +141,8 @@ class CheckpointJournal:
                 "hi": hi,
                 "file": chunk.name,
                 "crc": _crc32_file(chunk),
-                "n_pairs": result.n_pairs,
-                "n_cut": result.n_cut,
-                "steps": result.steps,
                 "n_hsps": result.n_hsps,
-                # Funnel metrics snapshot (JSON-exact; absent on journals
-                # written before the observability layer existed).
-                "metrics": (
-                    result.metrics.as_dict()
-                    if result.metrics is not None
-                    else None
-                ),
+                "metrics": result.metrics.as_dict(),
             }
         )
 
@@ -199,6 +196,10 @@ class CheckpointJournal:
                 raise CheckpointCorrupt(
                     f"unexpected journal entry kind {entry.get('kind')!r}"
                 )
+            if not isinstance(entry.get("metrics"), dict):
+                raise CheckpointCorrupt(
+                    f"journal {self.path} task entry has no metrics snapshot"
+                )
             task_id = int(entry["task"])
             chunk = self.directory / str(entry["file"])
             if not chunk.is_file():
@@ -225,13 +226,6 @@ class CheckpointJournal:
                     end1=z["end1"].copy(),
                     start2=z["start2"].copy(),
                     score=z["score"].copy(),
-                    n_pairs=int(entry["n_pairs"]),
-                    n_cut=int(entry["n_cut"]),
-                    steps=int(entry["steps"]),
-                    metrics=(
-                        MetricsRegistry.from_dict(entry["metrics"])
-                        if entry.get("metrics") is not None
-                        else None
-                    ),
+                    metrics=MetricsRegistry.from_dict(entry["metrics"]),
                 )
         return completed

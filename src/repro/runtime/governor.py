@@ -27,7 +27,7 @@ unresumable SIGKILL, the governor
   full filesystem;
 * samples the process's peak RSS (:func:`rss_peak_bytes`,
   ``VmHWM`` from ``/proc/self/status`` with a ``getrusage`` fallback)
-  into :class:`~repro.core.engine.WorkCounters` so ``--stats`` reports
+  into the run's ``resources.rss_peak_bytes`` gauge so ``--stats`` reports
   what the run actually used next to what the governor predicted.
 """
 
@@ -349,13 +349,12 @@ def rss_peak_bytes() -> int:
         return 0
 
 
-def sample_rss(counters) -> int:
-    """Fold the current RSS high-water mark into ``counters``.
+def sample_rss(registry) -> int:
+    """Fold the current RSS high-water mark into ``registry``.
 
-    ``counters`` is a :class:`~repro.core.engine.WorkCounters`; its
-    ``rss_peak_bytes`` only ever grows (it is a high-water mark, so
-    later samples can only confirm or raise it).
+    The ``resources.rss_peak_bytes`` gauge merges with ``max``, so it
+    only ever grows: later samples can only confirm or raise it.
     """
     peak = rss_peak_bytes()
-    counters.rss_peak_bytes = max(counters.rss_peak_bytes, peak)
+    registry.set_gauge("resources.rss_peak_bytes", float(peak), mode="max")
     return peak

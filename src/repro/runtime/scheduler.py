@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 from ..align.evalue import karlin_params
 from ..align.hsp import HSPTable
-from ..core.engine import ComparisonResult, OrisEngine, StepTimings, WorkCounters
+from ..core.engine import ComparisonResult, OrisEngine, finish_comparison
 from ..core.parallel import (
     RangePayload,
     RangeResult,
@@ -548,7 +548,6 @@ class TaskScheduler:
         payload: RangePayload | ShmRangePayload,
         ranges: list[tuple[int, int]],
         config: RuntimeConfig,
-        counters: WorkCounters,
         pool: WorkerPool,
         journal: CheckpointJournal | None = None,
         completed: dict[int, RangeResult] | None = None,
@@ -558,7 +557,6 @@ class TaskScheduler:
         self.payload = payload
         self.tasks = dict(enumerate(ranges))
         self.config = config
-        self.counters = counters
         #: Scheduler-level metrics (queue waits, task durations, retry
         #: taxonomy); per-task funnel registries travel on the results.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -607,7 +605,6 @@ class TaskScheduler:
             self._poison(task_id, exc)
         else:
             if degraded:
-                self.counters.n_degraded += 1
                 self.registry.inc("scheduler.degraded")
             self._complete(task_id, result)
 
@@ -625,7 +622,6 @@ class TaskScheduler:
             stacklevel=4,
         )
         self.skipped.append(task_id)
-        self.counters.n_skipped_tasks += 1
         self.registry.inc("scheduler.skipped_tasks")
 
     # ------------------------------------------------------------------ #
@@ -663,7 +659,6 @@ class TaskScheduler:
                 if attempt == self.config.max_retries:
                     self._poison(task_id, exc)
                     return
-                self.counters.n_retries += 1
                 self.registry.inc("scheduler.retries")
                 time.sleep(
                     min(
@@ -730,13 +725,11 @@ class TaskScheduler:
                 pool_failures += 1
             n = self._failures[tid] = self._failures.get(tid, 0) + 1
             if n > cfg.max_retries:
-                self.counters.n_quarantined += 1
                 self.registry.inc("scheduler.quarantined")
                 self._run_inline(tid, degraded=True)
                 if tid in self.completed or tid in self.skipped:
                     outstanding.discard(tid)
                 return
-            self.counters.n_retries += 1
             self.registry.inc("scheduler.retries")
             now = time.monotonic()
             delay = min(cfg.backoff_base * 2 ** (n - 1), cfg.backoff_cap)
@@ -817,7 +810,6 @@ class TaskScheduler:
                         continue
                     now = time.monotonic()
                     if not w.proc.is_alive():
-                        self.counters.n_crashes += 1
                         self.registry.inc("scheduler.crashes")
                         tid = w.task_id
                         w.kill()
@@ -825,7 +817,6 @@ class TaskScheduler:
                         w.task_id = tid
                         fail(w, "crash", "worker process died")
                     elif w.deadline is not None and now > w.deadline:
-                        self.counters.n_timeouts += 1
                         self.registry.inc("scheduler.timeouts")
                         tid = w.task_id
                         w.kill()
@@ -871,14 +862,12 @@ def run_step2(
     ranges: list[tuple[int, int]],
     config: RuntimeConfig,
     pool: WorkerPool,
-    counters: WorkCounters,
     registry: MetricsRegistry,
     *,
     journal: CheckpointJournal | None = None,
     completed: dict[int, RangeResult] | None = None,
     stop: ShutdownRequest | None = None,
     base_spec=None,
-    funnel: MetricsRegistry | None = None,
 ) -> HSPTable:
     """Run step 2 over *ranges*: publish, schedule, tear down, merge.
 
@@ -889,8 +878,8 @@ def run_step2(
     (the serving daemon's).  Degradation, not failure, when ``/dev/shm``
     cannot hold the arena: workers get the pickled payload.
 
-    Scheduler metrics and ``shm.bytes_published`` go to *registry*; the
-    per-task funnel metrics merge into *funnel* when given.  The arena
+    Scheduler metrics, ``shm.bytes_published`` and every task's metrics
+    go to *registry*.  The arena
     is closed and this process's mapping of it dropped (the quarantine
     path may have attached it) even when the run raises -- e.g.
     :class:`~repro.runtime.errors.RunInterrupted` -- and *journal*, if
@@ -911,7 +900,7 @@ def run_step2(
             )
     try:
         scheduler = TaskScheduler(
-            worker_payload, ranges, config, counters, pool, journal,
+            worker_payload, ranges, config, pool, journal,
             completed, stop=stop, registry=registry,
         )
         results = scheduler.run()
@@ -922,7 +911,7 @@ def run_step2(
             detach_block(block)
         if journal is not None:
             journal.close()
-    return merge_range_results(results, counters, funnel)
+    return merge_range_results(results, registry)
 
 
 def _run_fingerprint(payload: RangePayload, n_tasks: int) -> dict:
@@ -979,10 +968,8 @@ def compare_resilient(
             "what makes range tasks idempotent)"
         )
     engine = OrisEngine(params, index_cache=index_cache)
-    timings = StepTimings()
-    counters = WorkCounters()
     registry = MetricsRegistry()
-    index1, index2 = engine.index_step(bank1, bank2, timings, registry)
+    index1, index2 = engine.index_step(bank1, bank2, registry)
 
     t0 = time.perf_counter()
     common = index1.common_codes(index2)
@@ -1003,7 +990,6 @@ def compare_resilient(
         if config.resume:
             if journal.exists:
                 completed = journal.load(fingerprint)
-                counters.n_resumed = len(completed)
                 registry.inc("scheduler.resumed", len(completed))
                 journal.open_for_append()
             else:
@@ -1020,17 +1006,18 @@ def compare_resilient(
     try:
         with span("step2.extend", n_tasks=len(ranges)):
             table = run_step2(
-                payload, ranges, config, pool, counters, registry,
+                payload, ranges, config, pool, registry,
                 journal=journal, completed=completed, stop=stop,
-                funnel=registry,
             )
     finally:
         pool.stop()
-    timings.ungapped = time.perf_counter() - t0
     registry.set_gauge(
-        "time.step2_ungapped_seconds", timings.ungapped, mode="sum"
+        "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
     )
 
-    return engine.finish_comparison(
-        bank1, bank2, table, counters, timings, registry
+    return finish_comparison(
+        bank1, bank2, table, params, registry,
+        scheduling=params.gapped_scheduling,
+        min_align_score=params.min_align_score,
+        exclude_self=params.exclude_self,
     )

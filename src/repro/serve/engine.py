@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..align.evalue import karlin_params
-from ..core.engine import OrisEngine, StepTimings, WorkCounters
+from ..core.engine import OrisEngine, finish_comparison
 from ..core.parallel import build_range_payload, plan_ranges
 from ..core.params import OrisParams
 from ..align.hsp import HSPTable
@@ -519,8 +519,8 @@ class BatchEngine:
         batch_registry = MetricsRegistry()
         try:
             table = run_step2(
-                payload, ranges, self.config, self.pool, WorkCounters(),
-                batch_registry, stop=self._never_stop, base_spec=subject.spec,
+                payload, ranges, self.config, self.pool, batch_registry,
+                stop=self._never_stop, base_spec=subject.spec,
             )
         finally:
             self.registry.merge(batch_registry)
@@ -543,14 +543,13 @@ class BatchEngine:
         self, subject: _Subject, qbank: Bank, table: HSPTable
     ) -> str:
         """Steps 3-4 for one query -- the single-shot code on rebased HSPs."""
+        p = self.params
         registry = MetricsRegistry()
-        result = self._engine.finish_comparison(
-            qbank,
-            subject.bank,
-            table,
-            WorkCounters(),
-            StepTimings(),
-            registry,
+        result = finish_comparison(
+            qbank, subject.bank, table, p, registry,
+            scheduling=p.gapped_scheduling,
+            min_align_score=p.min_align_score,
+            exclude_self=p.exclude_self,
             subject_lengths=subject.evalue_lengths,
         )
         self.registry.merge(registry)

@@ -20,6 +20,20 @@ def fasta_pair(tmp_path, rng):
     return str(p1), str(p2)
 
 
+@pytest.fixture
+def minus_strand_pair(tmp_path, rng):
+    """A 400-nt query whose reverse complement sits inside a 1 000-nt
+    subject: only a minus-strand search finds it."""
+    core = random_dna(rng, 400)
+    rc = core[::-1].translate(str.maketrans("ACGT", "TGCA"))
+    b1 = Bank.from_strings([("q1", core)])
+    b2 = Bank.from_strings([("s1", random_dna(rng, 300) + rc + random_dna(rng, 300))])
+    p1, p2 = tmp_path / "q.fa", tmp_path / "s.fa"
+    b1.to_fasta(p1)
+    b2.to_fasta(p2)
+    return str(p1), str(p2)
+
+
 class TestParser:
     def test_defaults_match_paper(self):
         args = build_parser().parse_args(["a.fa", "b.fa"])
@@ -32,6 +46,47 @@ class TestParser:
     def test_engine_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["a", "b", "--engine", "bwa"])
+
+
+#: The ``counters`` keys of a ``--metrics`` snapshot.
+METRICS_OUT_COUNTERS = (
+    "n_pairs", "n_cut", "n_hsps", "ungapped_steps", "gapped_steps",
+    "n_gapped_extensions", "n_skipped_contained", "n_alignments",
+    "n_records", "n_waves", "n_retries", "n_crashes", "n_timeouts",
+    "n_quarantined", "n_degraded", "n_skipped_tasks", "n_resumed",
+    "n_tiles", "n_memory_degradations", "rss_peak_bytes",
+)
+
+
+class TestStrands:
+    @pytest.mark.parametrize("engine", ["oris", "blastn"])
+    def test_both_strands_find_the_reverse_complement(
+        self, minus_strand_pair, tmp_path, engine
+    ):
+        out = tmp_path / "hits.m8"
+        rc = run([
+            *minus_strand_pair, "--engine", engine, "--strand", "both",
+            "-o", str(out),
+        ])
+        assert rc == 0
+        full = [r for r in read_m8(out) if r.length == 400]
+        assert len(full) == 1
+        assert full[0].s_start > full[0].s_end  # minus strand
+
+    @pytest.mark.parametrize("engine", ["blat", "blastz"])
+    def test_single_strand_engines_refuse_both(
+        self, minus_strand_pair, tmp_path, capsys, engine
+    ):
+        # These engines have no minus-strand pass; silently searching the
+        # plus strand only would report no hit and exit 0.
+        out = tmp_path / "hits.m8"
+        rc = run([
+            *minus_strand_pair, "--engine", engine, "--strand", "both",
+            "-o", str(out),
+        ])
+        assert rc == 2
+        assert "single strand" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -221,6 +276,27 @@ class TestExitCodes:
         assert "corrupt" in err.lower()
         assert "Traceback" not in err
 
+    def test_version_1_checkpoint_is_5(self, fasta_pair, tmp_path, capsys):
+        # Version-1 task lines carry their counts outside the metrics
+        # snapshot; resuming one must fail loudly, not lose the counts.
+        import json
+
+        ckpt = tmp_path / "ckpt"
+        rc = run([*fasta_pair, "--workers", "2", "--checkpoint", str(ckpt),
+                  "-o", str(tmp_path / "first.m8")])
+        assert rc == 0
+        journal = ckpt / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        journal.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        second = tmp_path / "second.m8"
+        rc = run([*fasta_pair, "--workers", "2", "--checkpoint", str(ckpt),
+                  "--resume", "-o", str(second)])
+        assert rc == 5
+        assert "journal version 1" in capsys.readouterr().err
+        assert not second.exists()
+
     def test_hopeless_memory_budget_is_4(self, fasta_pair, capsys):
         rc = run([*fasta_pair, "--memory-budget", "1M"])
         assert rc == 4
@@ -375,6 +451,11 @@ class TestObservabilityFlags:
         assert funnel["step4.records"] == len(read_m8(out))
         assert doc["timings_seconds"]["total"] >= 0
         assert doc["counters"]["n_pairs"] == funnel["step2.hit_pairs"]
+        # The snapshot's views keep their keys.
+        assert sorted(doc["timings_seconds"]) == [
+            "display", "gapped", "index", "total", "ungapped",
+        ]
+        assert list(doc["counters"]) == sorted(METRICS_OUT_COUNTERS)
         # The snapshot is loadable back into a consistent registry.
         from repro.obs import MetricsRegistry, check_funnel
 

@@ -27,7 +27,6 @@ from repro.core.parallel import build_range_payload, merge_range_results, run_ra
 from repro.io.bank import Bank
 from repro.obs import MetricsRegistry, check_funnel, funnel_dict
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.core.engine import WorkCounters
 
 _TEXT = st.text(alphabet="ACGTacgtN", min_size=20, max_size=120)
 
@@ -98,7 +97,7 @@ class TestParallelFunnel:
             for lo, hi in _even_ranges(payload.n_codes, 5)
         ]
         merged = MetricsRegistry()
-        merge_range_results(results, WorkCounters(), merged)
+        merge_range_results(results, merged)
         assert check_funnel(merged) == []
         want = funnel_dict(serial)
         got = funnel_dict(merged)
@@ -119,7 +118,7 @@ class TestParallelFunnel:
                 for lo, hi in _even_ranges(payload.n_codes, n_tasks)
             ]
             merged = MetricsRegistry()
-            merge_range_results(results, WorkCounters(), merged)
+            merge_range_results(results, merged)
             merged_funnels.append(funnel_dict(merged))
         assert merged_funnels[0] == merged_funnels[1] == merged_funnels[2]
 
@@ -143,10 +142,10 @@ class TestResumeFunnelRestoration:
         assert sorted(restored) == list(range(len(ranges)))
 
         direct = MetricsRegistry()
-        merge_range_results(results, WorkCounters(), direct)
+        merge_range_results(results, direct)
         resumed = MetricsRegistry()
         merge_range_results(
-            [restored[t] for t in sorted(restored)], WorkCounters(), resumed
+            [restored[t] for t in sorted(restored)], resumed
         )
         assert check_funnel(resumed) == []
         assert funnel_dict(resumed) == funnel_dict(direct)

@@ -5,10 +5,10 @@ import pytest
 
 from repro.align.hsp import GappedAlignment, HSPTable
 from repro.align.scoring import ScoringScheme
-from repro.core.engine import WorkCounters
 from repro.core.gapped_stage import _filter_contained, run_gapped_stage
 from repro.data.synthetic import mutate, random_dna
 from repro.io.bank import Bank
+from repro.obs import MetricsRegistry
 
 
 def make_case(seed=0, n_cores=4):
@@ -29,7 +29,7 @@ def make_case(seed=0, n_cores=4):
     from repro.align.evalue import karlin_params
 
     thr = eng._resolve_hsp_min_score(b1, b2, karlin_params(ScoringScheme()))
-    table = eng._ungapped_stage(i1, i2, thr, WorkCounters())
+    table = eng._ungapped_stage(i1, i2, thr, MetricsRegistry())
     return b1, b2, table
 
 
@@ -39,10 +39,10 @@ class TestSchedulingEquivalence:
         b1, b2, table = make_case(3)
         sc = ScoringScheme()
         serial = run_gapped_stage(
-            b1, b2, table, sc, 16, WorkCounters(), scheduling="serial"
+            b1, b2, table, sc, 16, scheduling="serial"
         )
         other = run_gapped_stage(
-            b1, b2, table, sc, 16, WorkCounters(), scheduling=sched
+            b1, b2, table, sc, 16, scheduling=sched
         )
         key = lambda a: (a.start1, a.end1, a.start2, a.end2)
         s_keys = {key(a) for a in serial}
@@ -53,23 +53,23 @@ class TestSchedulingEquivalence:
         b1, b2, table = make_case(1)
         with pytest.raises(ValueError):
             run_gapped_stage(
-                b1, b2, table, ScoringScheme(), 16, WorkCounters(),
+                b1, b2, table, ScoringScheme(), 16,
                 scheduling="florp",
             )
 
     def test_empty_table(self):
         b = Bank.from_strings([("a", "ACGTACGTACGT")])
         out = run_gapped_stage(
-            b, b, HSPTable(), ScoringScheme(), 16, WorkCounters()
+            b, b, HSPTable(), ScoringScheme(), 16
         )
         assert out == []
 
     def test_min_align_score_floor(self):
         b1, b2, table = make_case(5)
         sc = ScoringScheme()
-        all_out = run_gapped_stage(b1, b2, table, sc, 16, WorkCounters())
+        all_out = run_gapped_stage(b1, b2, table, sc, 16)
         floored = run_gapped_stage(
-            b1, b2, table, sc, 16, WorkCounters(), min_align_score=10_000
+            b1, b2, table, sc, 16, min_align_score=10_000
         )
         assert len(floored) == 0
         assert len(all_out) > 0
@@ -88,32 +88,32 @@ class TestFilterContained:
     def test_contained_dropped(self):
         big = self.aln(0, 100, 50, 150, 90)
         small = self.aln(10, 50, 60, 100, 30)
-        c = WorkCounters()
-        kept = _filter_contained([big, small], 16, c)
+        registry = MetricsRegistry()
+        kept = _filter_contained([big, small], 16, registry)
         assert kept == [big]
-        assert c.n_skipped_contained == 1
+        assert registry.value("step3.skipped_contained") == 1
 
     def test_disjoint_kept(self):
         a = self.aln(0, 100, 50, 150, 90)
         b = self.aln(500, 600, 700, 800, 80)
-        kept = _filter_contained([a, b], 16, WorkCounters())
+        kept = _filter_contained([a, b], 16)
         assert set(map(id, kept)) == {id(a), id(b)}
 
     def test_same_box_different_diag_range_kept(self):
         # overlapping boxes on far diagonals must both survive
         a = self.aln(0, 100, 50, 150, 90)
         b = self.aln(0, 100, 500, 600, 80)
-        kept = _filter_contained([a, b], 16, WorkCounters())
+        kept = _filter_contained([a, b], 16)
         assert len(kept) == 2
 
     def test_order_preserved(self):
         a = self.aln(0, 100, 50, 150, 90)
         b = self.aln(500, 600, 700, 800, 95)
-        kept = _filter_contained([a, b], 16, WorkCounters())
+        kept = _filter_contained([a, b], 16)
         assert kept == [a, b]  # input (diagonal) order, not score order
 
     def test_empty(self):
-        assert _filter_contained([], 16, WorkCounters()) == []
+        assert _filter_contained([], 16) == []
 
 
 class TestDuplicateAlignments:
@@ -139,12 +139,10 @@ class TestDuplicateAlignments:
         assert "step3 duplicate alignments  294" in format_funnel(res.metrics)
 
     def test_serial_schedule_builds_no_duplicates(self):
-        from repro.obs import MetricsRegistry
-
         b1, b2, table = make_case(3)
         registry = MetricsRegistry()
         run_gapped_stage(
-            b1, b2, table, ScoringScheme(), 16, WorkCounters(),
+            b1, b2, table, ScoringScheme(), 16,
             scheduling="serial", registry=registry,
         )
         assert registry.value("step3.duplicate_alignments") == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import WorkCounters
 from repro.io.bank import Bank
+from repro.obs import MetricsRegistry
 from repro.runtime.errors import ResourceExhausted
 from repro.runtime.governor import (
     BASELINE_BYTES,
@@ -161,30 +162,26 @@ class TestRssSampling:
         assert peak > 1 << 20
 
     def test_sample_rss_is_high_water_mark(self):
-        counters = WorkCounters()
-        first = sample_rss(counters)
-        assert counters.rss_peak_bytes == first
-        counters.rss_peak_bytes = 1 << 50  # pretend an earlier, higher peak
-        sample_rss(counters)
-        assert counters.rss_peak_bytes == 1 << 50
+        registry = MetricsRegistry()
+        first = sample_rss(registry)
+        assert WorkCounters.of(registry).rss_peak_bytes == first
+        # Pretend an earlier, higher peak.
+        registry.set_gauge("resources.rss_peak_bytes", 1 << 50, mode="max")
+        sample_rss(registry)
+        assert WorkCounters.of(registry).rss_peak_bytes == 1 << 50
 
     def test_strand_merge_takes_max_not_sum(self):
-        from repro.core.engine import (
-            ComparisonResult,
-            StepTimings,
-            _merge_results,
-        )
+        from repro.core.engine import ComparisonResult, _merge_results
         from repro.core.params import OrisParams
 
         params = OrisParams()
 
         def result(rss):
+            metrics = MetricsRegistry()
+            metrics.inc("step2.hit_pairs")
+            metrics.set_gauge("resources.rss_peak_bytes", rss, mode="max")
             return ComparisonResult(
-                records=[],
-                alignments=[],
-                timings=StepTimings(),
-                counters=WorkCounters(n_pairs=1, rss_peak_bytes=rss),
-                params=params,
+                records=[], alignments=[], params=params, metrics=metrics
             )
 
         merged = _merge_results(result(100), result(300), params)

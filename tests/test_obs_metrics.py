@@ -176,6 +176,29 @@ class TestFunnelChecks:
         violations = check_funnel(r)
         assert violations, "inconsistent funnel not flagged"
 
+    def test_step3_cannot_extend_more_than_step2_kept(self):
+        # The serve registry once merged step 3 but not step 2: twelve
+        # extensions out of zero kept HSPs must not pass.
+        r = MetricsRegistry()
+        r.inc("step3.extensions", 12)
+        r.inc("step3.alignments", 6)
+        r.inc("step4.records", 6)
+        assert check_funnel(r) == [
+            "step3 extensions (12) exceed step2 hsps_kept (0)"
+        ]
+
+    def test_skipped_hits_balance_a_baseline_funnel(self):
+        # A baseline drops some hits on their diagonal before extending.
+        r = MetricsRegistry()
+        r.inc("step2.hit_pairs", 10)
+        r.inc("step2.hits_skipped", 4)
+        r.inc("step2.extensions_started", 6)
+        r.inc("step2.dropped_below_s1", 2)
+        r.inc("step2.hsps_kept", 4)
+        assert check_funnel(r) == []
+        r.inc("step2.hits_skipped")
+        assert check_funnel(r) != []
+
     def test_format_funnel_mentions_aborts(self):
         r = MetricsRegistry()
         r.inc("step2.extensions_started", 5)

@@ -121,7 +121,7 @@ class TestRangePayload:
         b = run_range(clone, 0, n // 2)
         assert np.array_equal(a.start1, b.start1)
         assert np.array_equal(a.score, b.score)
-        assert (a.n_pairs, a.n_cut, a.steps) == (b.n_pairs, b.n_cut, b.steps)
+        assert a.metrics == b.metrics
 
     def test_run_range_is_idempotent(self, est_pair):
         payload = self._payload(est_pair)
@@ -139,13 +139,14 @@ class TestRangePayload:
         assert np.array_equal(
             whole.start1, np.concatenate([p.start1 for p in parts])
         )
-        assert whole.n_pairs == sum(p.n_pairs for p in parts)
+        pairs = [p.metrics.value("step2.hit_pairs") for p in parts]
+        assert whole.metrics.value("step2.hit_pairs") == sum(pairs)
 
     def test_empty_range(self, est_pair):
         payload = self._payload(est_pair)
         res = run_range(payload, 3, 3)
         assert res.n_hsps == 0
-        assert res.n_pairs == 0
+        assert res.metrics.value("step2.hit_pairs") == 0
 
 
 class TestTaskFaultHook:
@@ -171,10 +172,26 @@ class TestTaskFaultHook:
         monkeypatch.setattr(faults, "inject", injected.append)
         faults.arm("worker.crash:1:0,worker.oom:1:0,worker.hang:1:0")
         res = _run_task(payload, 0, 0, 0, payload.n_codes)
-        assert res.n_pairs > 0
+        assert res.metrics.value("step2.hit_pairs") > 0
         assert injected == []
         _run_task(payload, 0, 0, 0, 1, in_worker=True)
         assert injected == ["worker.crash", "worker.oom", "worker.hang"]
+
+
+#: The WorkCounters fields that describe the comparison's work (the
+#: rest describe the runtime: retries, tiles, RSS).
+WORK_FIELDS = (
+    "n_pairs",
+    "n_cut",
+    "n_hsps",
+    "ungapped_steps",
+    "gapped_steps",
+    "n_gapped_extensions",
+    "n_skipped_contained",
+    "n_alignments",
+    "n_records",
+    "n_waves",
+)
 
 
 def _lines(result) -> list[str]:
@@ -191,8 +208,11 @@ class TestCompareParallel:
             *est_pair, OrisParams(), RuntimeConfig(n_workers=n_workers)
         )
         assert _lines(par) == _lines(seq)
-        assert par.counters.n_hsps == seq.counters.n_hsps
-        assert par.counters.n_pairs == seq.counters.n_pairs
+        # Every work field, lane steps and lane rows included: the task
+        # registries merge into the same ledger a serial run keeps.
+        for name in WORK_FIELDS:
+            got, want = getattr(par.counters, name), getattr(seq.counters, name)
+            assert got == want, name
 
     def test_single_worker_falls_back(self, est_pair):
         seq = OrisEngine(OrisParams()).compare(*est_pair)
@@ -289,7 +309,7 @@ class TestShmPayload:
             b = run_range(shm_payload, 0, n // 2)
             assert np.array_equal(a.start1, b.start1)
             assert np.array_equal(a.score, b.score)
-            assert (a.n_pairs, a.n_cut, a.steps) == (b.n_pairs, b.n_cut, b.steps)
+            assert a.metrics == b.metrics
         finally:
             arena.close()
 

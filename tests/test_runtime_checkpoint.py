@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.parallel import RangeResult
+from repro.obs import MetricsRegistry
 from repro.runtime.checkpoint import JOURNAL_VERSION, CheckpointJournal
 from repro.runtime.errors import CheckpointCorrupt
 
@@ -16,14 +17,15 @@ FP = {"algo": "test", "n_tasks": 4, "crc": 123}
 
 def make_result(n: int = 5, offset: int = 0) -> RangeResult:
     s1 = np.arange(n, dtype=np.int64) + offset
+    metrics = MetricsRegistry()
+    metrics.inc("step2.hit_pairs", 12)
+    metrics.inc("step2.lane_steps", 99)
     return RangeResult(
         start1=s1,
         end1=s1 + 10,
         start2=s1 + 3,
         score=np.full(n, 7, dtype=np.int64),
-        n_pairs=12,
-        n_cut=3,
-        steps=99,
+        metrics=metrics,
     )
 
 
@@ -44,8 +46,8 @@ class TestRoundTrip:
         assert sorted(loaded) == [0, 2]
         assert np.array_equal(loaded[0].start1, a.start1)
         assert np.array_equal(loaded[2].score, b.score)
-        assert loaded[2].n_pairs == 12
-        assert loaded[0].steps == 99
+        assert loaded[2].metrics.value("step2.hit_pairs") == 12
+        assert loaded[0].metrics == a.metrics
 
     def test_empty_journal_loads_nothing(self, journal):
         journal.create(FP)
@@ -83,6 +85,31 @@ class TestCorruption:
         header["version"] = JOURNAL_VERSION + 1
         journal.path.write_text(json.dumps(header) + "\n")
         with pytest.raises(CheckpointCorrupt, match="version"):
+            journal.load(FP)
+
+    def test_version_1_journal_is_refused(self, journal):
+        # Version 1 kept n_pairs/n_cut/steps beside an optional metrics
+        # snapshot; resuming it would restore tasks with missing counts.
+        journal.create(FP)
+        journal.record(0, 0, 10, make_result())
+        journal.close()
+        header, task = map(json.loads, journal.path.read_text().splitlines())
+        assert header["version"] == JOURNAL_VERSION == 2
+        header["version"] = 1
+        task = {**task, "n_pairs": 12, "n_cut": 3, "steps": 99, "metrics": None}
+        journal.path.write_text(json.dumps(header) + "\n" + json.dumps(task) + "\n")
+        with pytest.raises(CheckpointCorrupt, match="version 1"):
+            journal.load(FP)
+
+    def test_task_without_metrics_raises(self, journal):
+        journal.create(FP)
+        journal.record(0, 0, 10, make_result())
+        journal.close()
+        header, task = journal.path.read_text().splitlines()
+        task = json.loads(task)
+        del task["metrics"]
+        journal.path.write_text(header + "\n" + json.dumps(task) + "\n")
+        with pytest.raises(CheckpointCorrupt, match="metrics"):
             journal.load(FP)
 
     def test_torn_tail_is_tolerated(self, journal):

@@ -416,6 +416,27 @@ class TestExpandCommonPerQuery:
         assert codes == sorted(codes)
 
 
+class TestBatchEngineLedger:
+    def test_step2_funnel_reaches_the_service_registry(self):
+        # Task registries of the shared step-2 pass used to be dropped,
+        # leaving a service funnel with step-3 extensions out of zero hits.
+        from repro.data import load_bank
+        from repro.obs import check_funnel, funnel_dict
+
+        bank1 = load_bank("EST1", seed=20080407)
+        bank2 = load_bank("EST2", seed=20080407)
+        queries = [(bank1.names[i], bank1.sequence_str(i)) for i in range(6)]
+        engine = BatchEngine(bank2, OrisParams(), n_workers=1)
+        try:
+            engine.run_batch(queries)
+        finally:
+            engine.close()
+        funnel = funnel_dict(engine.registry)
+        assert funnel["step2.hit_pairs"] > 0
+        assert funnel["step3.extensions"] > 0
+        assert check_funnel(engine.registry) == []
+
+
 # --------------------------------------------------------------------- #
 # Worker pool reuse
 # --------------------------------------------------------------------- #
