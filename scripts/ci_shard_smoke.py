@@ -16,7 +16,13 @@ shard daemons plus a router, and one single-daemon reference):
      fail *loudly* with a structured partial-result error -- never a
      silently truncated result -- and post-recovery answers must again
      be byte-identical.
-  3. **Leaks** — after the fleet exits: no ``/dev/shm/scoris_*``
+  3. **Protocol abuse** — the router and the single daemon share one
+     socket frontend, so each is sent an unknown request ``type``, a
+     query with ``timeout_s: Infinity`` and a malformed frame.  Every
+     one must get a structured ``error`` reply (no traceback, no raw
+     exception repr), and both must then still answer a golden query
+     byte-identically.
+  4. **Leaks** — after the fleet exits: no ``/dev/shm/scoris_*``
      segment, no surviving shard or worker process.
 
 Before the daemons start, a **batch phase** checks the same tiling in
@@ -36,6 +42,8 @@ import argparse
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -60,6 +68,7 @@ from repro.serve.client import (  # noqa: E402
     ServerShed,
     ServiceError,
 )
+from repro.serve.protocol import recv_frame, send_frame  # noqa: E402
 
 CHROM_NT = 30_000
 CORE_NT = 300
@@ -280,6 +289,50 @@ def scenario_byte_identity(single, fleet, queries) -> None:
          f"bytes, fleet == single daemon exactly")
 
 
+def abuse_replies(host: str, port: int, seq: str) -> list[tuple[str, dict]]:
+    """Send the three abusive requests, each on its own connection."""
+    replies = []
+    for label, request in (
+        ("unknown type", {"type": "bogus"}),
+        ("timeout_s Infinity",
+         {"type": "query", "name": "qinf", "sequence": seq,
+          "timeout_s": float("inf")}),
+    ):
+        with socket.create_connection((host, port), timeout=60.0) as sock:
+            send_frame(sock, request)
+            replies.append((label, recv_frame(sock)))
+    with socket.create_connection((host, port), timeout=60.0) as sock:
+        body = b"{not json"
+        sock.sendall(struct.pack("!I", len(body)) + body)
+        replies.append(("malformed frame", recv_frame(sock)))
+        if recv_frame(sock) is not None:
+            fail(f"{host}:{port} kept a connection open after a malformed "
+                 "frame")
+    return replies
+
+
+def scenario_protocol_abuse(single, fleet, queries) -> None:
+    name, seq = queries[0]
+    for label, (host, port) in (("router", fleet), ("daemon", single)):
+        for what, reply in abuse_replies(host, port, seq):
+            error = reply.get("error") if isinstance(reply, dict) else None
+            if reply is None or reply.get("status") != "error" or not (
+                isinstance(error, str) and error
+            ):
+                fail(f"{label} answered {what} with {reply!r}, not a "
+                     "structured error")
+            if "Traceback" in error or "Error(" in error:
+                fail(f"{label} leaked an exception for {what}: {error}")
+    with OrisClient(*single, timeout=TIMEOUT) as ref_client, \
+         OrisClient(*fleet, timeout=TIMEOUT) as fleet_client:
+        if fleet_client.query(name, seq) != ref_client.query(name, seq):
+            fail("after protocol abuse the fleet and the daemon disagree "
+                 f"on {name}")
+    note("protocol abuse OK: unknown type, timeout_s Infinity and a "
+         "malformed frame got structured errors from router and daemon; "
+         "both still answer byte-identically")
+
+
 def scenario_shard_kill(fleet, work_dir: Path, queries) -> None:
     fhost, fport = fleet
     before = shard_pids(work_dir)
@@ -392,6 +445,7 @@ def main() -> int:
             note(f"fleet health OK: {h['n_shards']} shards all ready")
 
             scenario_byte_identity((shost, sport), (fhost, fport), queries)
+            scenario_protocol_abuse((shost, sport), (fhost, fport), queries)
             scenario_shard_kill((fhost, fport), work_dir, queries)
             # Post-recovery the seams must still be invisible.
             scenario_byte_identity((shost, sport), (fhost, fport), queries)

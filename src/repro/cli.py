@@ -214,6 +214,50 @@ def _add_obs_args(
         )
 
 
+def _add_frontend_args(parser: argparse.ArgumentParser):
+    """Flags shared by ``serve`` and ``serve-fleet``; returns the
+    admission group so each command can add its own admission flag."""
+    parser.add_argument(
+        "--host", default="127.0.0.1", help="bind address (default: loopback)"
+    )
+    parser.add_argument(
+        "--port", type=int, default=0,
+        help="bind port (default 0 = pick a free port; see the READY line)",
+    )
+    parser.add_argument(
+        "--announce-file", default=None, metavar="PATH",
+        help="also write the bound address as JSON ({host, port, pid}) "
+        "to PATH once the frontend is listening; written atomically, so "
+        "a supervisor can poll the file instead of scraping stdout",
+    )
+    admission = parser.add_argument_group("admission control")
+    admission.add_argument(
+        "--max-queue", type=int, default=64, metavar="N",
+        help="in-flight request cap; excess requests are shed with a "
+        "clean 'shed' status (default 64)",
+    )
+    admission.add_argument(
+        "--max-query-nt", type=int, default=1_000_000, metavar="NT",
+        help="per-query size cap (default 1000000)",
+    )
+    admission.add_argument(
+        "--request-timeout", type=float, default=60.0, metavar="SECONDS",
+        help="default server-side deadline per query (default 60)",
+    )
+    # Hidden chaos-testing hook: arm deterministic fault points
+    # (repro.runtime.faults specs, e.g. "worker.crash:0.05:1234").  The
+    # spec is exported as SCORIS_FAULTS so spawned workers inherit it.
+    parser.add_argument("--faults", default=None, help=argparse.SUPPRESS)
+    _add_ingest_arg(parser)
+    _add_seed_args(parser)
+    _add_scoring_args(parser)
+    _add_obs_args(parser, profile=False)
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    return admission
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``compare`` parser -- also the implicit default subcommand.
 
@@ -350,13 +394,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "this many (default 8)",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: loopback)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="bind port (default 0 = pick a free port; see the READY line)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="persistent worker processes for step 2 (default 1 = serial)",
     )
@@ -379,29 +416,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--max-batch-queries", type=int, default=64, metavar="N",
         help="query count cap per batch (default 64)",
     )
-    admission = parser.add_argument_group("admission control")
-    admission.add_argument(
-        "--max-queue", type=int, default=64, metavar="N",
-        help="in-flight request cap; excess requests are shed with a "
-        "clean 'shed' status (default 64)",
-    )
-    admission.add_argument(
-        "--max-query-nt", type=int, default=1_000_000, metavar="NT",
-        help="per-query size cap (default 1000000)",
-    )
-    admission.add_argument(
-        "--request-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="default server-side deadline per query (default 60)",
-    )
+    admission = _add_frontend_args(parser)
     admission.add_argument(
         "--no-memory-check", action="store_true",
         help="skip the governor's available-memory preflight on admission",
-    )
-    parser.add_argument(
-        "--announce-file", default=None, metavar="PATH",
-        help="also write the bound address as JSON ({host, port, pid}) "
-        "to PATH once the daemon is listening; written atomically, so a "
-        "supervisor can poll the file instead of scraping stdout",
     )
     parser.add_argument(
         "--fleet-profile", default=None, metavar="PATH",
@@ -410,18 +428,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "written profile JSON instead of the local tile's own (see "
         "'serve-fleet'; incompatible with --store)",
     )
-    # Hidden chaos-testing hook: arm deterministic fault points
-    # (repro.runtime.faults specs, e.g. "worker.crash:0.05:1234").  The
-    # spec is exported as SCORIS_FAULTS so spawned workers inherit it.
-    parser.add_argument("--faults", default=None, help=argparse.SUPPRESS)
-    _add_ingest_arg(parser)
-    _add_seed_args(parser)
-    _add_scoring_args(parser)
     _add_index_cache_args(parser)
-    _add_obs_args(parser, profile=False)
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
     return parser
 
 
@@ -457,46 +464,15 @@ def build_serve_fleet_parser() -> argparse.ArgumentParser:
         "(default: a temporary directory, removed on exit)",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1", help="router bind address"
-    )
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="router bind port (default 0 = pick a free port)",
-    )
-    parser.add_argument(
         "--workers-per-shard", type=int, default=1, metavar="N",
         help="step-2 worker processes per shard daemon (default 1)",
     )
-    parser.add_argument(
-        "--announce-file", default=None, metavar="PATH",
-        help="write the router's bound {host, port, pid} JSON to PATH",
-    )
-    admission = parser.add_argument_group("admission control")
-    admission.add_argument(
-        "--max-queue", type=int, default=64, metavar="N",
-        help="router-wide in-flight request cap (default 64)",
-    )
-    admission.add_argument(
-        "--max-query-nt", type=int, default=1_000_000, metavar="NT",
-        help="per-query size cap (default 1000000)",
-    )
+    admission = _add_frontend_args(parser)
     admission.add_argument(
         "--tenant-quota", type=int, default=None, metavar="N",
         help="per-tenant in-flight cap layered on the global queue: a "
         "query may carry a 'tenant' field, and a tenant over its quota "
         "is shed before it can starve the others (default: disabled)",
-    )
-    admission.add_argument(
-        "--request-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="default server-side deadline per query (default 60)",
-    )
-    parser.add_argument("--faults", default=None, help=argparse.SUPPRESS)
-    _add_ingest_arg(parser)
-    _add_seed_args(parser)
-    _add_scoring_args(parser)
-    _add_obs_args(parser, profile=False)
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     return parser
 
@@ -799,28 +775,17 @@ def _execute(args) -> int:
     if obs.trace_path is not None:
         configure_tracing(obs.trace_path)
 
-    scoring = ScoringScheme(
-        match=args.match,
-        mismatch=args.mismatch,
-        xdrop_ungapped=args.xdrop,
-        xdrop_gapped=args.xdrop_gapped,
-    )
+    scoring = _scoring(args)
     with span("ingest"):
         bank1, bank2, ingest_reports = _load_banks(args)
 
     if args.engine == "oris":
         engine = OrisEngine(
-            OrisParams(
-                w=args.word_size,
-                scoring=scoring,
-                filter_kind=args.filter_kind,
+            _oris_params(
+                args,
                 asymmetric=args.asymmetric,
                 spaced_seed=args.spaced_seed,
-                max_evalue=args.evalue,
-                band_radius=args.band_radius,
                 strand=args.strand,
-                sort_key=args.sort,
-                kernel=args.kernel,
             )
         )
     elif args.engine == "blastn":
@@ -947,11 +912,56 @@ def _execute(args) -> int:
     return EXIT_OK
 
 
+def _scoring(args) -> ScoringScheme:
+    return ScoringScheme(
+        match=args.match,
+        mismatch=args.mismatch,
+        xdrop_ungapped=args.xdrop,
+        xdrop_gapped=args.xdrop_gapped,
+    )
+
+
+def _oris_params(args, **extra) -> OrisParams:
+    """ORIS parameters from the seed and scoring flags every command has."""
+    return OrisParams(
+        w=args.word_size,
+        scoring=_scoring(args),
+        filter_kind=args.filter_kind,
+        max_evalue=args.evalue,
+        band_radius=args.band_radius,
+        sort_key=args.sort,
+        kernel=args.kernel,
+        **extra,
+    )
+
+
+def _serve_frontend(args, frontend, stop, index_cache=None) -> int:
+    """Start a frontend, announce it, serve until SIGTERM, report."""
+    from .runtime.scheduler import signal_shutdown
+
+    try:
+        frontend.start()
+        if args.announce_file is not None:
+            _write_announce(args.announce_file, *frontend.address)
+        print(frontend.ready_message(), flush=True)
+        with signal_shutdown(stop):
+            code = frontend.serve_forever()
+    finally:
+        frontend.shutdown()
+    if index_cache is not None:
+        index_cache.record_metrics(frontend.registry)
+    if args.metrics_out is not None:
+        _write_serve_metrics(args.metrics_out, frontend.registry)
+    if args.stats:
+        _print_serve_stats(frontend.registry)
+    return code
+
+
 def _execute_serve(args) -> int:
     import os
 
     from .obs import ObsSpec, configure_tracing
-    from .runtime.scheduler import ShutdownRequest, signal_shutdown
+    from .runtime.scheduler import ShutdownRequest
     from .serve import OrisDaemon, ServeConfig
 
     if args.workers < 1:
@@ -961,6 +971,24 @@ def _execute_serve(args) -> int:
             "--fleet-profile serves an immutable shard tile; it cannot "
             "be combined with --store"
         )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            n_workers=args.workers,
+            max_delay_ms=args.max_delay_ms,
+            max_batch_nt=args.max_batch_nt,
+            max_batch_queries=args.max_batch_queries,
+            max_queue=args.max_queue,
+            max_query_nt=args.max_query_nt,
+            request_timeout_s=args.request_timeout,
+            use_shm=not args.no_shm,
+            check_memory=not args.no_memory_check,
+            store_flush_nt=args.store_flush_nt,
+            store_max_segments=args.store_max_segments,
+        )
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     error, index_cache = _make_index_cache(args)
     if error is not None:
         return error
@@ -970,20 +998,7 @@ def _execute_serve(args) -> int:
     if obs.trace_path is not None:
         configure_tracing(obs.trace_path)
 
-    params = OrisParams(
-        w=args.word_size,
-        scoring=ScoringScheme(
-            match=args.match,
-            mismatch=args.mismatch,
-            xdrop_ungapped=args.xdrop,
-            xdrop_gapped=args.xdrop_gapped,
-        ),
-        filter_kind=args.filter_kind,
-        max_evalue=args.evalue,
-        band_radius=args.band_radius,
-        sort_key=args.sort,
-        kernel=args.kernel,
-    )
+    params = _oris_params(args)
 
     # Subject source: a plain immutable bank, or a mutable segment store
     # (optionally seeded from a bank on its very first run).
@@ -1034,24 +1049,6 @@ def _execute_serve(args) -> int:
         if report.warnings:
             _print_diagnostics(report.warnings)
 
-    try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            n_workers=args.workers,
-            max_delay_ms=args.max_delay_ms,
-            max_batch_nt=args.max_batch_nt,
-            max_batch_queries=args.max_batch_queries,
-            max_queue=args.max_queue,
-            max_query_nt=args.max_query_nt,
-            request_timeout_s=args.request_timeout,
-            use_shm=not args.no_shm,
-            check_memory=not args.no_memory_check,
-            store_flush_nt=args.store_flush_nt,
-            store_max_segments=args.store_max_segments,
-        )
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     fleet_profile = None
     if args.fleet_profile is not None:
         from .serve.fleet.planner import load_profile
@@ -1065,29 +1062,14 @@ def _execute_serve(args) -> int:
         bank2, params, config, index_cache=index_cache, obs=obs, stop=stop,
         store=store, fleet_profile=fleet_profile,
     )
-    try:
-        daemon.start()
-        if args.announce_file is not None:
-            _write_announce(args.announce_file, *daemon.address)
-        print(daemon.ready_message(), flush=True)
-        with signal_shutdown(stop):
-            code = daemon.serve_forever()
-    finally:
-        daemon.shutdown()
-    if index_cache is not None:
-        index_cache.record_metrics(daemon.registry)
-    if args.metrics_out is not None:
-        _write_serve_metrics(args.metrics_out, daemon.registry)
-    if args.stats:
-        _print_serve_stats(daemon.registry)
-    return code
+    return _serve_frontend(args, daemon, stop, index_cache=index_cache)
 
 
 def _execute_serve_fleet(args) -> int:
     import shutil
     import tempfile
 
-    from .runtime.scheduler import ShutdownRequest, signal_shutdown
+    from .runtime.scheduler import ShutdownRequest
     from .serve.fleet import (
         FleetRouter,
         RouterConfig,
@@ -1101,21 +1083,19 @@ def _execute_serve_fleet(args) -> int:
         return _fail_usage("--shards must be >= 1")
     if args.workers_per_shard < 1:
         return _fail_usage("--workers-per-shard must be >= 1")
+    try:
+        config = RouterConfig(
+            host=args.host,
+            port=args.port,
+            max_queue=args.max_queue,
+            max_query_nt=args.max_query_nt,
+            request_timeout_s=args.request_timeout,
+            tenant_quota=args.tenant_quota,
+        )
+    except ValueError as exc:
+        return _fail_usage(str(exc))
 
-    params = OrisParams(
-        w=args.word_size,
-        scoring=ScoringScheme(
-            match=args.match,
-            mismatch=args.mismatch,
-            xdrop_ungapped=args.xdrop,
-            xdrop_gapped=args.xdrop_gapped,
-        ),
-        filter_kind=args.filter_kind,
-        max_evalue=args.evalue,
-        band_radius=args.band_radius,
-        sort_key=args.sort,
-        kernel=args.kernel,
-    )
+    params = _oris_params(args)
     bank2, report = load_bank(args.bank, policy=args.ingest)
     if report.warnings:
         _print_diagnostics(report.warnings)
@@ -1167,45 +1147,18 @@ def _execute_serve_fleet(args) -> int:
         "--max-query-nt", str(args.max_query_nt),
         "--request-timeout", str(args.request_timeout),
     ]
-    try:
-        config = RouterConfig(
-            host=args.host,
-            port=args.port,
-            max_queue=args.max_queue,
-            max_query_nt=args.max_query_nt,
-            request_timeout_s=args.request_timeout,
-            tenant_quota=args.tenant_quota,
-        )
-    except ValueError as exc:
-        if ephemeral:
-            shutil.rmtree(work_dir, ignore_errors=True)
-        return _fail_usage(str(exc))
     stop = ShutdownRequest()
     manager = ShardManager(plan, work_dir, shard_args=shard_args)
-    router = None
     try:
         manager.start()
         router = FleetRouter(plan, manager, params, config, stop=stop)
         router.registry.merge(manager.registry)
         manager.registry = router.registry  # one fleet-wide registry
-        router.start()
-        if args.announce_file is not None:
-            _write_announce(args.announce_file, *router.address)
-        print(router.ready_message(), flush=True)
-        with signal_shutdown(stop):
-            code = router.serve_forever()
+        return _serve_frontend(args, router, stop)
     finally:
-        if router is not None:
-            router.shutdown()
         manager.stop()
         if ephemeral:
             shutil.rmtree(work_dir, ignore_errors=True)
-    if router is not None:
-        if args.metrics_out is not None:
-            _write_serve_metrics(args.metrics_out, router.registry)
-        if args.stats:
-            _print_serve_stats(router.registry)
-    return code
 
 
 def _write_announce(path: str, host: str, port: int) -> None:

@@ -13,8 +13,11 @@ lifetime accordingly:
   arrays into a :class:`~repro.runtime.shm.SharedArena` once, keeps a
   persistent :class:`~repro.runtime.scheduler.WorkerPool`, and answers
   queries forever;
+* :mod:`repro.serve.frontend` -- the socket server the daemon and the
+  fleet router share: listener, connection threads, the request check,
+  admission replies and the drain order;
 * :mod:`repro.serve.protocol` -- the length-prefixed socket framing
-  shared by daemon and client;
+  shared by every frontend and the client;
 * :mod:`repro.serve.batcher` -- the micro-batcher that coalesces
   in-flight queries into one ephemeral query bank per batch;
 * :mod:`repro.serve.engine` -- the batch comparison core, whose output

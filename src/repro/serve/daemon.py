@@ -6,17 +6,14 @@ subject-side worker arrays are published into shared memory **once**,
 the step-2 worker pool is spawned **once** -- and then the process
 answers queries until SIGTERM.
 
-Threading model (deliberately boring):
-
-* the **main thread** owns the listening socket's lifecycle and the
-  shutdown sequence (:meth:`OrisDaemon.serve_forever` blocks on the
-  shared :class:`~repro.runtime.scheduler.ShutdownRequest`, the same
-  primitive -- and signal plumbing -- the batch runtime drains with);
-* one **acceptor thread** accepts connections;
-* one short-lived **connection thread per client** speaks the framed
-  protocol, performs admission, and blocks on its query's response;
-* one **batcher thread** (:class:`~repro.serve.batcher.MicroBatcher`)
-  turns pending queries into :meth:`BatchEngine.run_batch` calls.
+Threading model: the socket side -- main thread, acceptor thread, one
+connection thread per client, the request check and admission -- is
+the :class:`~repro.serve.frontend.SocketFrontend` the fleet router runs
+too.  The daemon adds one **batcher thread**
+(:class:`~repro.serve.batcher.MicroBatcher`) that turns pending queries
+into :meth:`BatchEngine.run_batch` calls; a connection thread submits
+its query and blocks on the answer.  The main loop's tick cross-checks
+admission slots against the batcher (:meth:`OrisDaemon._watchdog_check`).
 
 Graceful drain (SIGTERM/SIGINT): admission flips to ``draining`` (new
 queries are refused with a clean status), the batch in flight completes
@@ -28,8 +25,6 @@ assert exactly this sequence.
 
 from __future__ import annotations
 
-import socket
-import threading
 import time
 from dataclasses import dataclass
 
@@ -37,34 +32,28 @@ from ..core.params import OrisParams
 from ..io.bank import Bank
 from ..obs import MetricsRegistry, ObsSpec, span
 from ..runtime.scheduler import ShutdownRequest
-from .admission import AdmissionController
 from .batcher import MicroBatcher, PendingQuery
 from .engine import BatchEngine
-from .protocol import ProtocolError, recv_frame, send_frame
+from .frontend import FrontendConfig, SocketFrontend
 
 __all__ = ["OrisDaemon", "ServeConfig"]
 
 
-@dataclass(frozen=True)
-class ServeConfig:
-    """Service knobs (the CLI ``serve`` subcommand maps onto these)."""
+@dataclass(frozen=True, kw_only=True)
+class ServeConfig(FrontendConfig):
+    """Service knobs (the CLI ``serve`` subcommand maps onto these).
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = pick a free port; announced on stdout
+    The bind address, admission caps, timeouts and ``retry_after_ms``
+    are the :class:`~repro.serve.frontend.FrontendConfig` fields.
+    """
+
     n_workers: int = 1
     start_method: str | None = None
     max_delay_ms: float = 25.0
     max_batch_nt: int = 2_000_000
     max_batch_queries: int = 64
-    max_queue: int = 64
-    max_query_nt: int = 1_000_000
-    request_timeout_s: float = 60.0
-    drain_timeout_s: float = 30.0
     use_shm: bool = True
     check_memory: bool = True
-    #: Backoff hint shipped in ``shed`` responses; a well-behaved client
-    #: (``OrisClient``) sleeps roughly this long before retrying.
-    retry_after_ms: float = 100.0
     #: Segment-store maintenance policy (only daemons started with a
     #: store mutate): the delta is flushed into an immutable segment
     #: once it holds this many nucleotides...
@@ -74,16 +63,17 @@ class ServeConfig:
     store_max_segments: int = 8
 
     def __post_init__(self) -> None:
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be positive")
-        if self.drain_timeout_s < 0:
-            raise ValueError("drain_timeout_s must be >= 0")
-        if self.retry_after_ms < 0:
-            raise ValueError("retry_after_ms must be >= 0")
+        super().__post_init__()
+        if not self.max_delay_ms >= 0:
+            raise ValueError("max_delay_ms must be >= 0")
+        if self.max_batch_nt < 1 or self.max_batch_queries < 1:
+            raise ValueError("batch caps must be >= 1")
 
 
-class OrisDaemon:
+class OrisDaemon(SocketFrontend):
     """A warm-index ORIS service bound to one subject bank."""
+
+    admin_ops = ("add_sequences", "remove_sequences", "reindex")
 
     def __init__(
         self,
@@ -97,90 +87,55 @@ class OrisDaemon:
         store=None,
         fleet_profile=None,
     ):
-        self.config = config or ServeConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.stop = stop if stop is not None else ShutdownRequest()
+        config = config or ServeConfig()
+        super().__init__(
+            config, registry, stop, check_memory=config.check_memory
+        )
         self.engine = BatchEngine(
             bank2,
             params,
-            n_workers=self.config.n_workers,
-            start_method=self.config.start_method,
+            n_workers=config.n_workers,
+            start_method=config.start_method,
             index_cache=index_cache,
-            use_shm=self.config.use_shm,
+            use_shm=config.use_shm,
             registry=self.registry,
             obs=obs,
             # Bound every range task by the request deadline: a hung
             # worker (or a wedged kernel) must surface as a recoverable
             # task timeout, never as a daemon that stops answering.
-            task_timeout=self.config.request_timeout_s,
+            task_timeout=config.request_timeout_s,
             store=store,
-            store_flush_nt=self.config.store_flush_nt,
-            store_max_segments=self.config.store_max_segments,
+            store_flush_nt=config.store_flush_nt,
+            store_max_segments=config.store_max_segments,
             fleet_profile=fleet_profile,
-        )
-        self.admission = AdmissionController(
-            max_queue=self.config.max_queue,
-            max_query_nt=self.config.max_query_nt,
-            registry=self.registry,
-            check_memory=self.config.check_memory,
         )
         self.batcher = MicroBatcher(
             self.engine,
-            max_delay_ms=self.config.max_delay_ms,
-            max_batch_nt=self.config.max_batch_nt,
-            max_batch_queries=self.config.max_batch_queries,
+            max_delay_ms=config.max_delay_ms,
+            max_batch_nt=config.max_batch_nt,
+            max_batch_queries=config.max_batch_queries,
             registry=self.registry,
             on_resolved=lambda _pending: self.admission.release(),
         )
-        self._listener: socket.socket | None = None
-        self._acceptor: threading.Thread | None = None
-        self._conns: set[socket.socket] = set()
-        self._conn_threads: list[threading.Thread] = []
-        self._conn_lock = threading.Lock()
-        self._closed = False
         self._watchdog_strikes = 0
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """Bound ``(host, port)``; valid after :meth:`start`."""
-        if self._listener is None:
-            raise RuntimeError("daemon is not started")
-        addr = self._listener.getsockname()
-        return addr[0], addr[1]
 
     def ready_message(self) -> str:
         host, port = self.address
         return f"SERVE READY host={host} port={port}"
 
-    def start(self) -> "OrisDaemon":
-        """Bind, start the batcher and the acceptor; returns immediately."""
-        if self._listener is not None:
-            return self
-        listener = socket.create_server(
-            (self.config.host, self.config.port), backlog=128
-        )
-        listener.settimeout(0.2)  # poll granularity for shutdown
-        self._listener = listener
+    def _start_backend(self) -> None:
         self.batcher.start()
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="oris-acceptor", daemon=True
-        )
-        self._acceptor.start()
-        return self
 
-    def serve_forever(self) -> int:
-        """Run until the shutdown request trips; returns an exit code."""
-        self.start()
-        with span("serve.run"):
-            while not self.stop.is_set():
-                self.stop.wait(0.5)
-                self._watchdog_check()
-        self.shutdown()
-        return 0
+    def _drain_in_flight(self) -> None:
+        # The running batch completes; the buffer gets clean rejections.
+        self.batcher.drain(timeout=self.config.drain_timeout_s)
+
+    def _close(self) -> None:
+        # The warm state: pool workers, subject arena.
+        self.engine.close()
+
+    def _tick(self) -> None:
+        self._watchdog_check()
 
     def _watchdog_check(self) -> None:
         """Repair admission-slot leaks the invariant cannot rule out.
@@ -209,143 +164,9 @@ class OrisDaemon:
                 self.admission.release()
         self._watchdog_strikes = 0
 
-    def shutdown(self) -> None:
-        """Graceful drain: finish in-flight work, refuse the rest, stop."""
-        if self._closed:
-            return
-        self._closed = True
-        self.stop.trip(self.stop.signum)
-        # 1. No new queries (admission) and no new connections (listener).
-        self.admission.start_draining()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already torn
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=2.0)
-        # 2. The running batch completes; the buffer gets clean rejections.
-        self.batcher.drain(timeout=self.config.drain_timeout_s)
-        # 3. Let connection threads flush their response frames, then
-        #    stop their reads (EOF) so they exit.
-        with self._conn_lock:
-            conns = list(self._conns)
-            threads = list(self._conn_threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        deadline = time.monotonic() + 5.0
-        for thread in threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.1))
-        # 4. Tear down the warm state (pool workers, subject arena).
-        self.engine.close()
-
-    # ------------------------------------------------------------------ #
-    # Accept / connection handling
-    # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self.stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # listener closed by shutdown
-                return
-            conn.settimeout(None)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="oris-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conns.add(conn)
-                # Prune finished threads so a long-lived daemon with many
-                # short connections does not accrete thread objects.
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                while True:
-                    try:
-                        request = recv_frame(conn)
-                    except ProtocolError as exc:
-                        self._try_send(
-                            conn, {"status": "error", "error": str(exc)}
-                        )
-                        return
-                    if request is None:
-                        return
-                    try:
-                        response = self._handle(request)
-                    except Exception as exc:  # noqa: BLE001 - answer, then live on
-                        self.registry.inc("serve.requests_failed")
-                        response = {"status": "error", "error": repr(exc)}
-                    if not self._try_send(conn, response):
-                        return
-        finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-
-    def _try_send(self, conn: socket.socket, obj: dict) -> bool:
-        """Best-effort response delivery; never raises.
-
-        A client that vanished before its answer is normal service
-        weather, but not silently ignorable: every undelivered response
-        is a query whose work was wasted, so it is counted
-        (``serve.responses_undeliverable``).  A response frame over the
-        protocol cap is downgraded to a structured error so the client
-        gets a diagnosis instead of a dead socket.
-        """
-        try:
-            send_frame(conn, obj)
-            return True
-        except ProtocolError:
-            fallback = {
-                "status": "error",
-                "error": "response frame too large for the protocol cap",
-            }
-            try:
-                send_frame(conn, fallback)
-                return True
-            except OSError:
-                self.registry.inc("serve.responses_undeliverable")
-                return False
-        except OSError:
-            self.registry.inc("serve.responses_undeliverable")
-            return False
-
     # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
-
-    def _handle(self, request: dict) -> dict:
-        kind = request.get("type")
-        if kind == "ping":
-            return {"status": "ok"}
-        if kind == "health":
-            return self._handle_health()
-        if kind == "stats":
-            return {
-                "status": "ok",
-                "metrics": self.registry.as_dict(),
-                "draining": self.admission.draining,
-            }
-        if kind == "query":
-            return self._handle_query(request)
-        if kind in ("add_sequences", "remove_sequences", "reindex"):
-            return self._handle_admin(kind, request)
-        self.registry.inc("serve.requests_failed")
-        return {"status": "error", "error": f"unknown request type {kind!r}"}
 
     def _handle_admin(self, kind: str, request: dict) -> dict:
         """Bank mutation ops: validate, mutate durably, swap, report.
@@ -391,55 +212,26 @@ class OrisDaemon:
         self.registry.inc("serve.admin_ops")
         return {"status": "ok", **result}
 
-    def _handle_health(self) -> dict:
-        """Structured liveness: per-component states plus one verdict.
-
-        Components: ``pool`` (worker liveness, respawn/replacement
-        counts), ``arena`` (the published subject shared memory),
-        ``batcher`` (thread alive, buffered/unresolved queries,
-        quarantine size), ``admission`` (in-flight slots, draining).
-        ``healthy`` is the conjunction of the component ``ok`` flags --
-        the chaos smoke's end-of-soak assertion.
-        """
-        engine_health = self.engine.health()
+    def _health_components(self) -> dict:
+        """``pool`` (worker liveness, respawn/replacement counts),
+        ``arena`` (the published subject shared memory) and ``batcher``
+        (thread alive, unresolved queries, quarantine size); the
+        frontend adds ``admission``.  The chaos smoke's end-of-soak
+        assertion is their conjunction."""
         batcher_ok = self.batcher._thread.is_alive() and not self.batcher._stopped
-        components = {
-            **engine_health,
+        return {
+            **self.engine.health(),
             "batcher": {
                 "ok": batcher_ok,
                 "unresolved": self.batcher.unresolved_count(),
                 "quarantined": len(self.batcher._quarantined),
             },
-            "admission": {
-                "ok": not self.admission.draining,
-                "in_flight": self.admission.in_flight,
-                "draining": self.admission.draining,
-            },
         }
-        healthy = all(c.get("ok", False) for c in components.values())
-        return {"status": "ok", "healthy": healthy, "components": components}
 
-    def _handle_query(self, request: dict) -> dict:
-        name = request.get("name", "query")
-        sequence = request.get("sequence")
-        if not isinstance(name, str) or not isinstance(sequence, str) or not sequence:
-            self.registry.inc("serve.requests_failed")
-            return {
-                "status": "error",
-                "error": "a query needs a string name and a non-empty sequence",
-            }
-        timeout_s = request.get("timeout_s", self.config.request_timeout_s)
-        try:
-            timeout_s = float(timeout_s)
-        except (TypeError, ValueError):
-            self.registry.inc("serve.requests_failed")
-            return {"status": "error", "error": "timeout_s must be a number"}
-        decision = self.admission.try_admit(len(sequence))
-        if not decision.admitted:
-            response: dict = {"status": decision.status, "reason": decision.reason}
-            if decision.status == "shed":
-                response["retry_after_ms"] = self.config.retry_after_ms
-            return response
+    def _answer_query(
+        self, name: str, sequence: str, timeout_s: float, request: dict
+    ) -> dict:
+        # The batcher's resolution releases the admission slot.
         pending = PendingQuery(
             name=name,
             sequence=sequence,

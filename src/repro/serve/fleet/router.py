@@ -1,30 +1,34 @@
 """Fleet router: scatter queries to every shard, gather, merge exactly.
 
-The router is a drop-in frontend: it binds a socket and speaks the same
-length-prefixed JSON protocol as a single daemon, so ``scoris-n query``
-and :class:`~repro.serve.client.OrisClient` work against it unchanged.
-Per query it:
+The router is a drop-in frontend: it is the same
+:class:`~repro.serve.frontend.SocketFrontend` as a single daemon --
+listener, connection threads, request check, admission, drain -- so
+``scoris-n query`` and :class:`~repro.serve.client.OrisClient` work
+against it unchanged.  Threading model: the frontend's main, acceptor
+and connection threads, plus a scatter pool; the connection thread of
+a query blocks on its gather.  Per query it:
 
 1. admits (per-tenant quota, then the global bounded queue -- both shed
    with the standard ``shed``/``retry_after_ms`` contract);
 2. **scatters** the query to every shard concurrently;
 3. **gathers** the per-shard ``-m 8`` texts;
-4. **merges** them: each shard's seam-ownership rule drops the
-   non-owner copy of alignments straddling a window overlap (the
-   canonical-generator property guarantees the owner's copy is the
-   byte-identical whole alignment), subject coordinates are shifted
-   back into the original sequences, and records are re-sorted with the
-   engine's exact e-value key.
+4. **merges** them with the tiles' own seam merge
+   (:func:`repro.core.tiled.merge_shard_records`): each shard's
+   ownership rule drops the non-owner copy of alignments straddling a
+   window overlap (the canonical-generator property guarantees the
+   owner's copy is the byte-identical whole alignment), subject
+   coordinates are shifted back into the original sequences, and
+   records are re-sorted with the engine's own key.
 
 Because shards compute e-values and S1 thresholds from the *global*
 profile (see :mod:`planner`), the merged byte stream equals what one
-daemon over the whole bank would have produced.  The merge re-derives
-each record's exact e-value from its bit score (the ``-m 8`` text
-rounds e-values too coarsely to sort on): the raw score is recovered by
-inverting the bit-score formula -- rounding to the nearest integer
-undoes the one-decimal formatting -- and fed through the same
+daemon over the whole bank would have produced.  The ``-m 8`` text
+rounds e-values too coarsely to sort on, so the merge first restores
+each parsed record's exact e-value from its bit score: the raw score is
+recovered by inverting the bit-score formula -- rounding to the nearest
+integer undoes the one-decimal formatting -- and fed through the same
 Karlin-Altschul evaluator the shard used, which reproduces the shard's
-float bit-for-bit.
+float bit-for-bit (and so its formatted e-value).
 
 Degraded mode is loud: if any shard cannot answer (down, unreachable,
 mid-respawn), the query fails with a structured partial-result error
@@ -36,53 +40,53 @@ fault points let the chaos smoke force both paths deterministically.
 from __future__ import annotations
 
 import math
-import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ...align.evalue import karlin_params
 from ...core.params import OrisParams
+from ...core.tiled import merge_shard_records
+from ...io.m8 import format_m8, parse_m8
 from ...obs import MetricsRegistry, span
 from ...runtime import faults
 from ...runtime.scheduler import ShutdownRequest
-from ..admission import AdmissionController, TenantQuotas
+from ..admission import TenantQuotas
 from ..client import OrisClient, ServiceError
-from ..protocol import ProtocolError, recv_frame, send_frame
+from ..frontend import FrontendConfig, SocketFrontend
+from ..protocol import ProtocolError
 from .manager import ShardManager
 from .planner import FleetPlan
 
 __all__ = ["FleetRouter", "RouterConfig"]
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Router knobs (the ``serve-fleet`` subcommand maps onto these)."""
+@dataclass(frozen=True, kw_only=True)
+class RouterConfig(FrontendConfig):
+    """Router knobs (the ``serve-fleet`` subcommand maps onto these).
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    max_queue: int = 64
-    max_query_nt: int = 1_000_000
-    request_timeout_s: float = 60.0
-    drain_timeout_s: float = 30.0
-    retry_after_ms: float = 100.0
+    The bind address, admission caps, timeouts and ``retry_after_ms``
+    are the :class:`~repro.serve.frontend.FrontendConfig` fields.
+    """
+
     #: Per-tenant in-flight cap; ``None`` disables tenant quotas.
     tenant_quota: int | None = None
 
     def __post_init__(self) -> None:
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be positive")
-        if self.drain_timeout_s < 0:
-            raise ValueError("drain_timeout_s must be >= 0")
+        super().__post_init__()
+        if self.tenant_quota is not None and self.tenant_quota < 1:
+            raise ValueError("per-tenant quota must be >= 1")
 
 
 class _ShardDown(RuntimeError):
     """One shard could not answer (down, unreachable, or injected)."""
 
 
-class FleetRouter:
+class FleetRouter(SocketFrontend):
     """Scatter-gather frontend over a :class:`ShardManager`'s shards."""
+
+    prefix = "fleet"
+    admission_component = "router"
 
     def __init__(
         self,
@@ -93,43 +97,20 @@ class FleetRouter:
         registry: MetricsRegistry | None = None,
         stop: ShutdownRequest | None = None,
     ):
+        config = config or RouterConfig()
+        # Shards own the memory; they shed themselves.
+        super().__init__(config, registry, stop, check_memory=False)
         self.plan = plan
         self.manager = manager
         self.params = params or OrisParams()
-        self.config = config or RouterConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.stop = stop if stop is not None else ShutdownRequest()
         self._stats = karlin_params(self.params.scoring)
         self._specs = sorted(plan.specs, key=lambda s: s.shard_id)
-        self.admission = AdmissionController(
-            max_queue=self.config.max_queue,
-            max_query_nt=self.config.max_query_nt,
-            registry=self.registry,
-            check_memory=False,  # shards own the memory; they shed themselves
-        )
         self.tenants = (
-            TenantQuotas(self.config.tenant_quota, registry=self.registry)
-            if self.config.tenant_quota is not None
+            TenantQuotas(config.tenant_quota, registry=self.registry)
+            if config.tenant_quota is not None
             else None
         )
-        self._listener: socket.socket | None = None
-        self._acceptor: threading.Thread | None = None
         self._scatter: ThreadPoolExecutor | None = None
-        self._conns: set[socket.socket] = set()
-        self._conn_threads: list[threading.Thread] = []
-        self._conn_lock = threading.Lock()
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle (mirrors OrisDaemon's accept/drain shape)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("router is not started")
-        addr = self._listener.getsockname()
-        return addr[0], addr[1]
 
     def ready_message(self) -> str:
         host, port = self.address
@@ -138,157 +119,29 @@ class FleetRouter:
             f"shards={self.manager.n_shards}"
         )
 
-    def start(self) -> "FleetRouter":
-        if self._listener is not None:
-            return self
+    def _start_backend(self) -> None:
         self._scatter = ThreadPoolExecutor(
             max_workers=max(4 * self.manager.n_shards, 4),
             thread_name_prefix="fleet-scatter",
         )
-        listener = socket.create_server(
-            (self.config.host, self.config.port), backlog=128
-        )
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="fleet-acceptor", daemon=True
-        )
-        self._acceptor.start()
-        return self
 
-    def serve_forever(self) -> int:
-        self.start()
-        with span("fleet.run"):
-            while not self.stop.is_set():
-                self.stop.wait(0.5)
-                self._update_degraded_gauge()
-        self.shutdown()
-        return 0
+    def _tick(self) -> None:
+        self._update_degraded_gauge()
 
-    def shutdown(self) -> None:
-        """Drain: refuse new work, finish in-flight gathers, stop."""
-        if self._closed:
-            return
-        self._closed = True
-        self.stop.trip(self.stop.signum)
-        self.admission.start_draining()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already torn
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=2.0)
+    def _drain_in_flight(self) -> None:
         # In-flight scatters run on connection threads; give them the
-        # drain budget, then stop their reads so the threads exit.
+        # drain budget.
         deadline = time.monotonic() + self.config.drain_timeout_s
         while self.admission.in_flight > 0 and time.monotonic() < deadline:
             time.sleep(0.05)
-        with self._conn_lock:
-            conns = list(self._conns)
-            threads = list(self._conn_threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        join_by = time.monotonic() + 5.0
-        for thread in threads:
-            thread.join(timeout=max(join_by - time.monotonic(), 0.1))
+
+    def _close(self) -> None:
         if self._scatter is not None:
             self._scatter.shutdown(wait=False)
 
     # ------------------------------------------------------------------ #
-    # Connections
-    # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self.stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="fleet-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conns.add(conn)
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                while True:
-                    try:
-                        request = recv_frame(conn)
-                    except ProtocolError as exc:
-                        self._try_send(
-                            conn, {"status": "error", "error": str(exc)}
-                        )
-                        return
-                    if request is None:
-                        return
-                    try:
-                        response = self._handle(request)
-                    except Exception as exc:  # noqa: BLE001 - answer, then live on
-                        self.registry.inc("fleet.requests_failed")
-                        response = {"status": "error", "error": repr(exc)}
-                    if not self._try_send(conn, response):
-                        return
-        finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-
-    def _try_send(self, conn: socket.socket, obj: dict) -> bool:
-        try:
-            send_frame(conn, obj)
-            return True
-        except ProtocolError:
-            fallback = {
-                "status": "error",
-                "error": "response frame too large for the protocol cap",
-            }
-            try:
-                send_frame(conn, fallback)
-                return True
-            except OSError:
-                self.registry.inc("fleet.responses_undeliverable")
-                return False
-        except OSError:
-            self.registry.inc("fleet.responses_undeliverable")
-            return False
-
-    # ------------------------------------------------------------------ #
     # Requests
     # ------------------------------------------------------------------ #
-
-    def _handle(self, request: dict) -> dict:
-        kind = request.get("type")
-        if kind == "ping":
-            return {"status": "ok"}
-        if kind == "health":
-            return self._handle_health()
-        if kind == "stats":
-            return {
-                "status": "ok",
-                "metrics": self.registry.as_dict(),
-                "draining": self.admission.draining,
-            }
-        if kind == "query":
-            return self._handle_query(request)
-        self.registry.inc("fleet.requests_failed")
-        return {"status": "error", "error": f"unknown request type {kind!r}"}
 
     def _update_degraded_gauge(self) -> int:
         down = sum(1 for s in self.manager.health() if not s.ok)
@@ -296,12 +149,13 @@ class FleetRouter:
         return down
 
     def _handle_health(self) -> dict:
-        """One fleet verdict aggregated over every shard's own health.
+        return {**super()._handle_health(), "n_shards": self.manager.n_shards}
 
-        A shard contributes its supervision state (up, port, respawn
+    def _health_components(self) -> dict:
+        """One entry per shard: its supervision state (up, port, respawn
         count) *and* its daemon's component health, fetched over the
-        wire.  ``healthy`` is the conjunction: every shard up, every
-        shard internally healthy, router not draining.
+        wire.  The fleet is healthy when every shard is up and
+        internally healthy and the router is not draining.
         """
         shards: dict[str, dict] = {}
         for state in self.manager.health():
@@ -329,68 +183,32 @@ class FleetRouter:
                     entry["error"] = str(exc)
             shards[f"shard{state.shard_id}"] = entry
         self._update_degraded_gauge()
-        components = {
-            **shards,
-            "router": {
-                "ok": not self.admission.draining,
-                "in_flight": self.admission.in_flight,
-                "draining": self.admission.draining,
-            },
-        }
-        healthy = all(c.get("ok", False) for c in components.values())
-        return {
-            "status": "ok",
-            "healthy": healthy,
-            "n_shards": self.manager.n_shards,
-            "components": components,
-        }
+        return shards
 
-    def _handle_query(self, request: dict) -> dict:
-        name = request.get("name", "query")
-        sequence = request.get("sequence")
+    def _admit(self, request: dict, query_nt: int) -> dict | None:
+        # Tenant quota first (fairness), then the global bounded queue
+        # (capacity) -- both shed with the retry hint.
         tenant = request.get("tenant", "")
-        if not isinstance(name, str) or not isinstance(sequence, str) or not sequence:
-            self.registry.inc("fleet.requests_failed")
-            return {
-                "status": "error",
-                "error": "a query needs a string name and a non-empty sequence",
-            }
         if not isinstance(tenant, str):
-            self.registry.inc("fleet.requests_failed")
-            return {"status": "error", "error": "tenant must be a string"}
-        timeout_s = request.get("timeout_s", self.config.request_timeout_s)
-        try:
-            timeout_s = float(timeout_s)
-        except (TypeError, ValueError):
-            self.registry.inc("fleet.requests_failed")
-            return {"status": "error", "error": "timeout_s must be a number"}
-        # Admission: tenant quota first (fairness), then the global
-        # bounded queue (capacity) -- both shed with the retry hint.
-        if self.tenants is not None:
-            decision = self.tenants.try_acquire(tenant)
-            if not decision.admitted:
-                return {
-                    "status": decision.status,
-                    "reason": decision.reason,
-                    "retry_after_ms": self.config.retry_after_ms,
-                }
-        try:
-            decision = self.admission.try_admit(len(sequence))
-            if not decision.admitted:
-                response: dict = {
-                    "status": decision.status,
-                    "reason": decision.reason,
-                }
-                if decision.status == "shed":
-                    response["retry_after_ms"] = self.config.retry_after_ms
-                return response
-            try:
-                return self._scatter_gather(name, sequence, timeout_s)
-            finally:
-                self.admission.release()
-        finally:
-            if self.tenants is not None:
+            return self._fail("tenant must be a string")
+        if self.tenants is None:
+            return super()._admit(request, query_nt)
+        refusal = self._refusal(self.tenants.try_acquire(tenant))
+        if refusal is None:
+            refusal = super()._admit(request, query_nt)
+            if refusal is not None:
                 self.tenants.release(tenant)
+        return refusal
+
+    def _answer_query(
+        self, name: str, sequence: str, timeout_s: float, request: dict
+    ) -> dict:
+        try:
+            return self._scatter_gather(name, sequence, timeout_s)
+        finally:
+            self.admission.release()
+            if self.tenants is not None:
+                self.tenants.release(request.get("tenant", ""))
 
     # ------------------------------------------------------------------ #
     # Scatter / gather / merge
@@ -468,16 +286,11 @@ class FleetRouter:
     def _merge(
         self, sequence: str, results: list[tuple[int, str]]
     ) -> tuple[str, int]:
-        """Ownership-dedup, coordinate-shift, and exact-key re-sort.
+        """Parse, restore exact e-values, seam-merge, format.
 
-        Operates on the shards' ``-m 8`` text directly: owned lines keep
-        every byte except the two subject coordinates, which are shifted
-        by the owner window's offset.  Sorting needs more precision than
-        the text carries, so each line's exact e-value is recomputed
-        from its bit score (see the module docstring).  Shards are
-        concatenated in ``shard_id`` order and the sort is stable, so
-        within-shard tie order (= the shard's own generation order) is
-        preserved.
+        Shards are merged in ``shard_id`` order and the sort is stable,
+        so within-shard tie order (= the shard's own generation order)
+        is preserved.
         """
         stats = self._stats
         full_nt = self.plan.profile.full_nt
@@ -485,39 +298,18 @@ class FleetRouter:
         ln2 = math.log(2.0)
         ln_k = math.log(stats.k)
         spec_of = {spec.shard_id: spec for spec in self._specs}
-        entries: list[tuple[float, float, str]] = []
-        lines: list[str] = []
-        deduped = 0
-        for shard_id, text in sorted(results):
-            spec = spec_of[shard_id]
-            for line in text.splitlines():
-                if not line:
-                    continue
-                f = line.split("\t")
-                sid = f[1]
-                s_start, s_end = int(f[8]), int(f[9])
-                if not spec.owns(sid, s_start, s_end):
-                    deduped += 1
-                    continue
-                off = spec.offsets[sid]
-                if off:
-                    f[8] = str(s_start + off)
-                    f[9] = str(s_end + off)
-                    line = "\t".join(f)
-                bit = float(f[11])
-                raw = round((bit * ln2 + ln_k) / stats.lam)
-                evalue = stats.evalue(raw, m, full_nt[sid])
-                entries.append((evalue, -bit, f[0]))
-                lines.append(line)
-        order = sorted(range(len(lines)), key=entries.__getitem__)
-        if self.params.sort_key != "evalue":
-            # Non-default sorts lose nothing to text rounding; fall back
-            # to re-sorting the parsed records the engine's way.
-            from ...io.m8 import format_m8, parse_m8
-            from ...align.records import sort_records
 
-            records = parse_m8("\n".join(lines[i] for i in order) + "\n")
-            return format_m8(
-                sort_records(records, key=self.params.sort_key)
-            ), deduped
-        return "".join(lines[i] + "\n" for i in order), deduped
+        def exact(rec):
+            raw = round((rec.bit_score * ln2 + ln_k) / stats.lam)
+            return replace(
+                rec, evalue=stats.evalue(raw, m, full_nt[rec.subject_id])
+            )
+
+        records, deduped = merge_shard_records(
+            (
+                (spec_of[shard_id], [exact(rec) for rec in parse_m8(text)])
+                for shard_id, text in sorted(results)
+            ),
+            self.params.sort_key,
+        )
+        return format_m8(records), deduped

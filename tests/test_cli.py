@@ -597,6 +597,57 @@ class TestSubcommands:
         assert "cannot reach daemon" in capsys.readouterr().err
 
 
+class TestServeFlagErrors:
+    """Bad frontend flags are usage errors (exit 2) caught before any
+    bank is loaded, index built or shard daemon spawned."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import repro.cli as cli_mod
+        from repro.serve.fleet import ShardManager
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("work started despite a bad flag")
+
+        monkeypatch.setattr(cli_mod, "load_bank", refuse)
+        monkeypatch.setattr(ShardManager, "start", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--max-queue", "0"], "max_queue must be >= 1"),
+            (["serve", "--max-batch-queries", "0"], "batch caps must be >= 1"),
+            (["serve", "--max-delay-ms", "-1"], "max_delay_ms must be >= 0"),
+            (["serve", "--request-timeout", "inf"], "request_timeout_s"),
+            (["serve", "--request-timeout", "nan"], "request_timeout_s"),
+            (["serve-fleet", "--max-queue", "0"], "max_queue must be >= 1"),
+            (["serve-fleet", "--tenant-quota", "0"], "quota must be >= 1"),
+            (["serve-fleet", "--max-query-nt", "0"], "max_query_nt must be >= 1"),
+            (["serve", "--port", "70000"], "port must be in 0..65535"),
+            (["serve-fleet", "--port", "-1"], "port must be in 0..65535"),
+        ],
+    )
+    def test_exit_2_before_any_work(
+        self, fasta_pair, no_work, capsys, argv, message
+    ):
+        _, bank = fasta_pair
+        assert run([argv[0], bank, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_busy_port_is_a_clean_error(self, fasta_pair, capsys):
+        import socket
+
+        _, bank = fasta_pair
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            code = run(["serve", bank, "--port", str(port)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "in use" in err and "Traceback" not in err
+
+
 class TestIndexCacheCap:
     def test_cap_flag_parses_sizes(self, fasta_pair, tmp_path):
         p1, p2 = fasta_pair

@@ -44,6 +44,7 @@ from repro.serve import (
     send_frame,
 )
 from repro.serve import protocol as protocol_mod
+from repro.serve.frontend import try_send
 
 
 @pytest.fixture(autouse=True)
@@ -284,41 +285,39 @@ class TestAdmissionLeaks:
 
 
 class TestTrySend:
-    def _daemon_self(self):
-        return types.SimpleNamespace(registry=MetricsRegistry())
+    """The one reply sender every frontend uses (daemon and router)."""
 
     def test_vanished_client_counted(self):
-        fake = self._daemon_self()
+        registry = MetricsRegistry()
         a, b = socket.socketpair()
         b.close()
         try:
             # Two sends: the first may land in the buffer before the
             # reset is observed, the second must fail.
-            ok = OrisDaemon._try_send(fake, a, {"status": "ok"})
-            ok = ok and OrisDaemon._try_send(fake, a, {"status": "ok"})
+            ok = try_send(a, {"status": "ok"}, registry, "serve")
+            ok = ok and try_send(a, {"status": "ok"}, registry, "serve")
             assert not ok
-            assert fake.registry.value("serve.responses_undeliverable") == 1
+            assert registry.value("serve.responses_undeliverable") == 1
         finally:
             a.close()
 
     def test_delivered_response_not_counted(self):
-        fake = self._daemon_self()
+        registry = MetricsRegistry()
         a, b = socket.socketpair()
         try:
-            assert OrisDaemon._try_send(fake, a, {"status": "ok"})
+            assert try_send(a, {"status": "ok"}, registry, "fleet")
             assert recv_frame(b) == {"status": "ok"}
-            assert fake.registry.value("serve.responses_undeliverable") == 0
+            assert registry.value("fleet.responses_undeliverable") == 0
         finally:
             a.close()
             b.close()
 
     def test_oversized_response_downgraded(self, monkeypatch):
         monkeypatch.setattr(protocol_mod, "MAX_FRAME_BYTES", 128)
-        fake = self._daemon_self()
         a, b = socket.socketpair()
         b.settimeout(5.0)
         try:
-            assert OrisDaemon._try_send(fake, a, {"m8": "x" * 4096})
+            assert try_send(a, {"m8": "x" * 4096}, MetricsRegistry(), "serve")
             reply = recv_frame(b)
             assert reply["status"] == "error"
             assert "too large" in reply["error"]
