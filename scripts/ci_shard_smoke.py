@@ -17,11 +17,14 @@ shard daemons plus a router, and one single-daemon reference):
      silently truncated result -- and post-recovery answers must again
      be byte-identical.
   3. **Protocol abuse** — the router and the single daemon share one
-     socket frontend, so each is sent an unknown request ``type``, a
-     query with ``timeout_s: Infinity`` and a malformed frame.  Every
-     one must get a structured ``error`` reply (no traceback, no raw
-     exception repr), and both must then still answer a golden query
-     byte-identically.
+     socket frontend, so each is sent an unknown request ``type``,
+     queries with ``timeout_s: Infinity`` and ``timeout_s: 1e300``, and
+     a malformed frame.  Every one must get a structured ``error``
+     reply (no traceback, no raw exception repr), and both must then
+     still answer a golden query byte-identically, also under the
+     client names ``#q``, `` q`` and the empty name (names reach the
+     m8 verbatim, so the router's merge must not read them as
+     comments or strip them).
   4. **Leaks** — after the fleet exits: no ``/dev/shm/scoris_*``
      segment, no surviving shard or worker process.
 
@@ -297,6 +300,9 @@ def abuse_replies(host: str, port: int, seq: str) -> list[tuple[str, dict]]:
         ("timeout_s Infinity",
          {"type": "query", "name": "qinf", "sequence": seq,
           "timeout_s": float("inf")}),
+        ("timeout_s 1e300",
+         {"type": "query", "name": "qhuge", "sequence": seq,
+          "timeout_s": 1e300}),
     ):
         with socket.create_connection((host, port), timeout=60.0) as sock:
             send_frame(sock, request)
@@ -325,12 +331,14 @@ def scenario_protocol_abuse(single, fleet, queries) -> None:
                 fail(f"{label} leaked an exception for {what}: {error}")
     with OrisClient(*single, timeout=TIMEOUT) as ref_client, \
          OrisClient(*fleet, timeout=TIMEOUT) as fleet_client:
-        if fleet_client.query(name, seq) != ref_client.query(name, seq):
-            fail("after protocol abuse the fleet and the daemon disagree "
-                 f"on {name}")
-    note("protocol abuse OK: unknown type, timeout_s Infinity and a "
-         "malformed frame got structured errors from router and daemon; "
-         "both still answer byte-identically")
+        for qname in (name, "#q", " q", ""):
+            if fleet_client.query(qname, seq) != ref_client.query(qname, seq):
+                fail("after protocol abuse the fleet and the daemon "
+                     f"disagree on query name {qname!r}")
+    note("protocol abuse OK: unknown type, timeout_s Infinity/1e300 and "
+         "a malformed frame got structured errors from router and daemon; "
+         "both still answer byte-identically, '#q', ' q' and '' names "
+         "included")
 
 
 def scenario_shard_kill(fleet, work_dir: Path, queries) -> None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from ...align.evalue import karlin_params
 from ...core.params import OrisParams
 from ...core.tiled import merge_shard_records
-from ...io.m8 import format_m8, parse_m8
+from ...io.m8 import M8Record, format_m8
 from ...obs import MetricsRegistry, span
 from ...runtime import faults
 from ...runtime.scheduler import ShutdownRequest
@@ -288,9 +288,12 @@ class FleetRouter(SocketFrontend):
     ) -> tuple[str, int]:
         """Parse, restore exact e-values, seam-merge, format.
 
-        Shards are merged in ``shard_id`` order and the sort is stable,
-        so within-shard tie order (= the shard's own generation order)
-        is preserved.
+        Every non-empty line is a record: query names come from the
+        client verbatim, so a name that starts with ``#`` or a space, or
+        is empty, must survive the round trip (no comment skipping, no
+        stripping).  Shards are merged in ``shard_id`` order and the
+        sort is stable, so within-shard tie order (= the shard's own
+        generation order) is preserved.
         """
         stats = self._stats
         full_nt = self.plan.profile.full_nt
@@ -299,7 +302,8 @@ class FleetRouter(SocketFrontend):
         ln_k = math.log(stats.k)
         spec_of = {spec.shard_id: spec for spec in self._specs}
 
-        def exact(rec):
+        def exact(line):
+            rec = M8Record.from_line(line)
             raw = round((rec.bit_score * ln2 + ln_k) / stats.lam)
             return replace(
                 rec, evalue=stats.evalue(raw, m, full_nt[rec.subject_id])
@@ -307,7 +311,7 @@ class FleetRouter(SocketFrontend):
 
         records, deduped = merge_shard_records(
             (
-                (spec_of[shard_id], [exact(rec) for rec in parse_m8(text)])
+                (spec_of[shard_id], [exact(ln) for ln in text.split("\n") if ln])
                 for shard_id, text in sorted(results)
             ),
             self.params.sort_key,

@@ -18,8 +18,9 @@ Threading model (deliberately boring):
   answer, and sends it with :func:`try_send`.
 
 The request check rejects a query without a string ``name`` and a
-non-empty ``sequence``, and any ``timeout_s`` that is not a finite
-number of seconds above zero, before admission takes a slot.  Every
+non-empty ``sequence``, and any ``timeout_s`` outside
+``(0, MAX_TIMEOUT_S]`` (infinite and NaN included), before admission
+takes a slot.  Every
 rejection, unknown request type and unexpected handler exception is a
 structured ``{"status": "error"}`` reply counted in
 ``{prefix}.requests_failed``; a malformed frame is answered once, then
@@ -50,7 +51,13 @@ from ..runtime.scheduler import ShutdownRequest
 from .admission import AdmissionController, AdmissionDecision
 from .protocol import ProtocolError, recv_frame, send_frame
 
-__all__ = ["FrontendConfig", "SocketFrontend", "try_send"]
+__all__ = ["MAX_TIMEOUT_S", "FrontendConfig", "SocketFrontend", "try_send"]
+
+#: Upper bound on every frontend timeout (config and per-request), one
+#: week.  Far beyond any query, yet small enough that a timeout plus the
+#: drain timeout plus the daemon's grace still fits ``threading`` waits
+#: and socket timeouts on every platform (``threading.TIMEOUT_MAX``).
+MAX_TIMEOUT_S = 7 * 86_400.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -74,10 +81,14 @@ class FrontendConfig:
             raise ValueError("max_queue must be >= 1")
         if self.max_query_nt < 1:
             raise ValueError("max_query_nt must be >= 1")
-        if not 0 < self.request_timeout_s < math.inf:
-            raise ValueError("request_timeout_s must be positive and finite")
-        if not 0 <= self.drain_timeout_s < math.inf:
-            raise ValueError("drain_timeout_s must be >= 0 and finite")
+        if not 0 < self.request_timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(
+                f"request_timeout_s must be in (0, {MAX_TIMEOUT_S:g}] seconds"
+            )
+        if not 0 <= self.drain_timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(
+                f"drain_timeout_s must be in [0, {MAX_TIMEOUT_S:g}] seconds"
+            )
         if not self.retry_after_ms >= 0:
             raise ValueError("retry_after_ms must be >= 0")
 
@@ -364,8 +375,10 @@ class SocketFrontend:
             )
         except (TypeError, ValueError):
             timeout_s = math.nan
-        if not 0 < timeout_s < math.inf:
-            return self._fail("timeout_s must be a finite number of seconds > 0")
+        if not 0 < timeout_s <= MAX_TIMEOUT_S:
+            return self._fail(
+                f"timeout_s must be in (0, {MAX_TIMEOUT_S:g}] seconds"
+            )
         refusal = self._admit(request, len(sequence))
         if refusal is not None:
             return refusal

@@ -620,6 +620,8 @@ class TestServeFlagErrors:
             (["serve", "--max-delay-ms", "-1"], "max_delay_ms must be >= 0"),
             (["serve", "--request-timeout", "inf"], "request_timeout_s"),
             (["serve", "--request-timeout", "nan"], "request_timeout_s"),
+            (["serve", "--request-timeout", "1e300"], "request_timeout_s"),
+            (["serve-fleet", "--request-timeout", "1e300"], "request_timeout_s"),
             (["serve-fleet", "--max-queue", "0"], "max_queue must be >= 1"),
             (["serve-fleet", "--tenant-quota", "0"], "quota must be >= 1"),
             (["serve-fleet", "--max-query-nt", "0"], "max_query_nt must be >= 1"),

@@ -460,6 +460,17 @@ class TestFleetEndToEnd:
         for name, seq in queries:
             assert fleet.query(name, seq) == single.query(name, seq)
 
+    @pytest.mark.parametrize("name", ["#q", " q", "q ", ""])
+    def test_client_names_survive_the_merge(self, fleet_stack, name):
+        """Query names reach the m8 verbatim; the router's merge must
+        not read a ``#`` name as a comment or strip a space."""
+        s = fleet_stack
+        single = OrisClient(*s["daemon"].address, timeout=60)
+        fleet = OrisClient(*s["router"].address, timeout=120)
+        ref = single.query(name, s["core"])
+        assert ref
+        assert fleet.query(name, s["core"]) == ref
+
     def test_health_aggregates_all_shards(self, fleet_stack):
         client = OrisClient(*fleet_stack["router"].address, timeout=30)
         h = client.health()

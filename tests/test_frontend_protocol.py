@@ -30,7 +30,7 @@ from repro.serve.fleet import (
     plan_fleet,
     required_overlap,
 )
-from repro.serve.frontend import FrontendConfig
+from repro.serve.frontend import MAX_TIMEOUT_S, FrontendConfig
 
 _RNG = np.random.default_rng(2008)
 _CORE = random_dna(_RNG, 300)
@@ -133,7 +133,9 @@ class TestDispatch:
 
 class TestTimeoutCheck:
     @pytest.mark.parametrize(
-        "timeout_s", [float("inf"), float("-inf"), float("nan"), -1, 0, "soon", None]
+        "timeout_s",
+        [float("inf"), float("-inf"), float("nan"), 1e300, MAX_TIMEOUT_S * 2,
+         -1, 0, "soon", None],
     )
     def test_bad_timeout_rejected_before_admission(self, frontend, timeout_s):
         reply = _ask(
@@ -143,7 +145,7 @@ class TestTimeoutCheck:
         )
         assert reply == {
             "status": "error",
-            "error": "timeout_s must be a finite number of seconds > 0",
+            "error": f"timeout_s must be in (0, {MAX_TIMEOUT_S:g}] seconds",
         }
         assert _failed(frontend) == 1
         # Refused before admission, so no slot taken and no work run.
@@ -223,7 +225,9 @@ class TestConfigChecks:
             ("request_timeout_s", 0),
             ("request_timeout_s", float("inf")),
             ("request_timeout_s", float("nan")),
+            ("request_timeout_s", 1e300),
             ("drain_timeout_s", -1),
+            ("drain_timeout_s", 1e300),
             ("retry_after_ms", -1),
         ],
     )
