@@ -18,13 +18,13 @@ shard daemons plus a router, and one single-daemon reference):
      be byte-identical.
   3. **Protocol abuse** — the router and the single daemon share one
      socket frontend, so each is sent an unknown request ``type``,
-     queries with ``timeout_s: Infinity`` and ``timeout_s: 1e300``, and
-     a malformed frame.  Every one must get a structured ``error``
-     reply (no traceback, no raw exception repr), and both must then
-     still answer a golden query byte-identically, also under the
-     client names ``#q``, `` q`` and the empty name (names reach the
-     m8 verbatim, so the router's merge must not read them as
-     comments or strip them).
+     queries with ``timeout_s: Infinity`` and ``timeout_s: 1e300``, a
+     query whose name holds a tab, and a malformed frame.  Every one
+     must get a structured ``error`` reply (no traceback, no raw
+     exception repr), and both must then still answer a golden query
+     byte-identically, also under the client names ``#q``, `` q`` and
+     the empty name (names reach the m8 verbatim, so the router's merge
+     must not read them as comments or strip them).
   4. **Leaks** — after the fleet exits: no ``/dev/shm/scoris_*``
      segment, no surviving shard or worker process.
 
@@ -293,7 +293,7 @@ def scenario_byte_identity(single, fleet, queries) -> None:
 
 
 def abuse_replies(host: str, port: int, seq: str) -> list[tuple[str, dict]]:
-    """Send the three abusive requests, each on its own connection."""
+    """Send the four abusive requests, each on its own connection."""
     replies = []
     for label, request in (
         ("unknown type", {"type": "bogus"}),
@@ -303,6 +303,8 @@ def abuse_replies(host: str, port: int, seq: str) -> list[tuple[str, dict]]:
         ("timeout_s 1e300",
          {"type": "query", "name": "qhuge", "sequence": seq,
           "timeout_s": 1e300}),
+        ("tab in name",
+         {"type": "query", "name": "q\tx", "sequence": seq}),
     ):
         with socket.create_connection((host, port), timeout=60.0) as sock:
             send_frame(sock, request)
@@ -335,10 +337,10 @@ def scenario_protocol_abuse(single, fleet, queries) -> None:
             if fleet_client.query(qname, seq) != ref_client.query(qname, seq):
                 fail("after protocol abuse the fleet and the daemon "
                      f"disagree on query name {qname!r}")
-    note("protocol abuse OK: unknown type, timeout_s Infinity/1e300 and "
-         "a malformed frame got structured errors from router and daemon; "
-         "both still answer byte-identically, '#q', ' q' and '' names "
-         "included")
+    note("protocol abuse OK: unknown type, timeout_s Infinity/1e300, a "
+         "tab in a name and a malformed frame got structured errors from "
+         "router and daemon; both still answer byte-identically, '#q', "
+         "' q' and '' names included")
 
 
 def scenario_shard_kill(fleet, work_dir: Path, queries) -> None:

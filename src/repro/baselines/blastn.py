@@ -50,7 +50,7 @@ from ..align.ungapped import batch_extend
 from ..core.engine import ComparisonResult, _merge_results, finish_comparison
 from ..encoding import invalid_code, seed_codes
 from ..filters import make_filter_mask
-from ..index.seed_index import CsrSeedIndex, valid_window_mask
+from ..index.seed_index import CsrSeedIndex, sort_positions_by_code, valid_window_mask
 from ..io.bank import Bank
 from ..obs import MetricsRegistry
 
@@ -320,8 +320,7 @@ class _BatchLookup:
             self.counts = np.empty(0, dtype=np.int64)
             self.positions = pos
             return
-        order = np.argsort(codes[pos], kind="stable")
-        self.positions = pos[order]
+        self.positions = sort_positions_by_code(codes, pos)
         sorted_codes = codes[self.positions]
         boundary = np.empty(self.n_words, dtype=bool)
         boundary[0] = True

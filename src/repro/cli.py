@@ -717,6 +717,24 @@ def run(argv: list[str] | None = None) -> int:
         return exit_code_for(exc)
 
 
+def _obs_spec(args):
+    """The run's :class:`ObsSpec` from the ``_add_obs_args`` flags; arms
+    tracing under ``--trace``.  The serving commands have no ``--profile``."""
+    import os
+
+    from .obs import ObsSpec, configure_tracing
+
+    profile = getattr(args, "profile", "none")
+    obs = ObsSpec(
+        trace_path=os.path.abspath(args.trace) if args.trace else None,
+        profile_mode=profile,
+        profile_dir=os.path.abspath(args.profile_out) if profile != "none" else None,
+    )
+    if obs.trace_path is not None:
+        configure_tracing(obs.trace_path)
+    return obs
+
+
 def _execute(args) -> int:
     from .runtime.governor import (
         estimate_checkpoint_bytes,
@@ -759,22 +777,9 @@ def _execute(args) -> int:
     if error is not None:
         return error
 
-    import os
+    from .obs import maybe_profile, span
 
-    from .obs import ObsSpec, configure_tracing, maybe_profile, span
-
-    obs = ObsSpec(
-        trace_path=os.path.abspath(args.trace) if args.trace else None,
-        profile_mode=args.profile,
-        profile_dir=(
-            os.path.abspath(args.profile_out)
-            if args.profile != "none"
-            else None
-        ),
-    )
-    if obs.trace_path is not None:
-        configure_tracing(obs.trace_path)
-
+    obs = _obs_spec(args)
     scoring = _scoring(args)
     with span("ingest"):
         bank1, bank2, ingest_reports = _load_banks(args)
@@ -958,9 +963,6 @@ def _serve_frontend(args, frontend, stop, index_cache=None) -> int:
 
 
 def _execute_serve(args) -> int:
-    import os
-
-    from .obs import ObsSpec, configure_tracing
     from .runtime.scheduler import ShutdownRequest
     from .serve import OrisDaemon, ServeConfig
 
@@ -992,11 +994,7 @@ def _execute_serve(args) -> int:
     error, index_cache = _make_index_cache(args)
     if error is not None:
         return error
-    obs = ObsSpec(
-        trace_path=os.path.abspath(args.trace) if args.trace else None,
-    )
-    if obs.trace_path is not None:
-        configure_tracing(obs.trace_path)
+    obs = _obs_spec(args)
 
     params = _oris_params(args)
 
@@ -1094,6 +1092,7 @@ def _execute_serve_fleet(args) -> int:
         )
     except ValueError as exc:
         return _fail_usage(str(exc))
+    _obs_spec(args)
 
     params = _oris_params(args)
     bank2, report = load_bank(args.bank, policy=args.ingest)

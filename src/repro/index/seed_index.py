@@ -38,7 +38,32 @@ from ..encoding.spaced import SpacedSeedMask, spaced_seed_codes
 from ..encoding.subset import SubsetSeedMask, subset_seed_codes
 from ..io.bank import Bank
 
-__all__ = ["valid_window_mask", "LinkedSeedIndex", "CsrSeedIndex", "CommonCodes"]
+__all__ = [
+    "valid_window_mask", "sort_positions_by_code", "LinkedSeedIndex",
+    "CsrSeedIndex", "CommonCodes",
+]
+
+
+def sort_positions_by_code(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``pos`` ordered by ``(codes[pos], pos)``: the code-major posting order.
+
+    This is ``pos[np.argsort(codes[pos], kind="stable")]`` for an ascending
+    ``pos``.  The keys ``code << pbits | pos`` are unique, so a plain
+    in-place integer sort of them gives that order; ``np.lexsort`` takes
+    over when code and position need more than 63 bits.
+    """
+    pos = np.asarray(pos, dtype=np.int64)
+    if pos.shape[0] < 2:
+        return pos.copy()
+    keys = codes[pos].astype(np.int64, copy=False)
+    pbits = int(pos.max()).bit_length()
+    if int(keys.max()).bit_length() + pbits > 63:
+        return pos[np.lexsort((pos, keys))]
+    keys <<= pbits
+    keys |= pos
+    keys.sort()
+    keys &= (1 << pbits) - 1
+    return keys
 
 
 def valid_window_mask(
@@ -297,12 +322,7 @@ class CsrSeedIndex:
         #: the ordered-seed cutoff test, so it must cover all positions, not
         #: only indexed ones.
         self.codes_at = codes
-        pos = np.nonzero(ok)[0].astype(np.int64)
-        sort_keys = codes[pos]
-        if self.w <= 15:  # codes < 4**15 fit int32: single-width radix
-            sort_keys = sort_keys.astype(np.int32)
-        order = np.argsort(sort_keys, kind="stable")  # stable: position asc
-        self.positions = pos[order]
+        self.positions = sort_positions_by_code(codes, np.nonzero(ok)[0])
         self.sorted_codes = codes[self.positions]
         self.unique_codes, self.code_starts, self.code_counts = _unique_runs(
             self.sorted_codes
@@ -402,9 +422,14 @@ class CsrSeedIndex:
                 "cannot intersect indexes with different widths or masks "
                 f"({self.w}/{self.mask} vs {other.w}/{other.mask})"
             )
-        codes, i1, i2 = np.intersect1d(
-            self.unique_codes, other.unique_codes, assume_unique=True, return_indices=True
-        )
+        # Both code lists are sorted and unique, so a binary search of each
+        # code of index 1 into index 2 is the merge join; the -1 past the
+        # end (no code) catches codes above index 2's last.
+        u1, u2 = self.unique_codes, other.unique_codes
+        j = np.searchsorted(u2, u1)
+        i1 = np.nonzero(np.append(u2, -1)[j] == u1)[0]
+        i2 = j[i1]
+        codes = u1[i1]
         return CommonCodes(
             codes=codes,
             start1=self.code_starts[i1],

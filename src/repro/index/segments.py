@@ -73,7 +73,7 @@ from .manifest import (
     publish_manifest,
 )
 from .persist import load_index, save_index
-from .seed_index import CsrSeedIndex, _unique_runs
+from .seed_index import CsrSeedIndex, _unique_runs, sort_positions_by_code
 
 __all__ = ["SegmentStore", "StoreFailed", "WAL_VERSION"]
 
@@ -724,7 +724,6 @@ class SegmentStore:
             )
 
         parts_pos: list[np.ndarray] = []
-        parts_codes: list[np.ndarray] = []
         merged_seq_idx = 0
         for index, kept in sources:
             bank = index.bank
@@ -742,23 +741,13 @@ class SegmentStore:
             parts_pos.append(
                 index.positions[keep_mask] + shift[owner[keep_mask]]
             )
-            parts_codes.append(index.sorted_codes[keep_mask])
 
-        if parts_pos:
-            all_pos = np.concatenate(parts_pos)
-            all_codes = np.concatenate(parts_codes)
-        else:
-            all_pos = np.empty(0, dtype=np.int64)
-            all_codes = np.empty(0, dtype=np.int64)
-        # Same stable sort (and the same narrow-key fast path) as the
-        # CsrSeedIndex constructor.  Ties -- equal codes -- stay in
-        # concatenation order, which is merged-position-ascending
-        # because sources are concatenated in merged-bank order and each
-        # source's postings ascend within a code.
-        sort_keys = all_codes.astype(np.int32) if self.w <= 15 else all_codes
-        order = np.argsort(sort_keys, kind="stable")
-        positions = all_pos[order]
+        all_pos = (
+            np.concatenate(parts_pos) if parts_pos else np.empty(0, dtype=np.int64)
+        )
+        # The constructor's posting order: by code, then by merged position.
         codes_at = seed_codes(merged_bank.seq, self.w)
+        positions = sort_positions_by_code(codes_at, all_pos)
         sorted_codes = codes_at[positions]
         unique_codes, code_starts, code_counts = _unique_runs(sorted_codes)
         index = CsrSeedIndex.from_arrays(

@@ -18,9 +18,9 @@ Threading model (deliberately boring):
   answer, and sends it with :func:`try_send`.
 
 The request check rejects a query without a string ``name`` and a
-non-empty ``sequence``, and any ``timeout_s`` outside
-``(0, MAX_TIMEOUT_S]`` (infinite and NaN included), before admission
-takes a slot.  Every
+non-empty ``sequence``, any ``timeout_s`` outside ``(0, MAX_TIMEOUT_S]``
+(infinite and NaN included), and a name holding a tab, CR or LF (it
+would split its m8 records), before admission takes a slot.  Every
 rejection, unknown request type and unexpected handler exception is a
 structured ``{"status": "error"}`` reply counted in
 ``{prefix}.requests_failed``; a malformed frame is answered once, then
@@ -379,6 +379,8 @@ class SocketFrontend:
             return self._fail(
                 f"timeout_s must be in (0, {MAX_TIMEOUT_S:g}] seconds"
             )
+        if any(c in name for c in "\t\r\n"):  # m8 field/record separators
+            return self._fail("a query name must not contain a tab, CR or LF")
         refusal = self._admit(request, len(sequence))
         if refusal is not None:
             return refusal

@@ -1,11 +1,15 @@
 """Tests for the low-complexity filters (repro.filters)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.data import load_bank
 from repro.data.synthetic import random_dna
 from repro.encoding import encode
 from repro.filters import dust_mask, dust_scores, entropy_mask, entropy_scores, make_filter_mask
+from repro.filters.dust import _recent_occurrence_counts, _triplet_codes
 from repro.io.bank import Bank
 
 
@@ -59,6 +63,42 @@ class TestDust:
         m = dust_mask(b)
         s0, e0 = b.bounds(0)
         assert m[s0:e0].mean() < 0.1
+
+
+def _brute_recent_counts(triplets: np.ndarray, lookback: int) -> np.ndarray:
+    """Earlier equal valid triplets less than ``lookback`` positions back."""
+    t = triplets.tolist()
+    out = np.zeros(len(t), dtype=np.int64)
+    for j, tj in enumerate(t):
+        if tj < 64:
+            out[j] = sum(t[i] == tj for i in range(max(0, j - lookback + 1), j))
+    return out
+
+
+class TestDustOracle:
+    @pytest.mark.parametrize("window", [8, 64, 200])
+    @pytest.mark.parametrize("alphabet", [2, 5])  # 5 includes the N code
+    def test_recent_counts_match_brute_force(self, window, alphabet):
+        lookback = window - 2
+        rng = np.random.default_rng(window * 10 + alphabet)
+        for n in sorted({0, 1, 2, 3, lookback - 1, lookback, lookback + 1, 300}):
+            codes = rng.integers(0, alphabet, n).astype(np.int8)
+            codes[rng.random(n) < 0.05] = 4  # scattered invalid bases
+            triplets = _triplet_codes(codes)
+            got = _recent_occurrence_counts(triplets, lookback)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, _brute_recent_counts(triplets, lookback), err_msg=f"n={n}"
+            )
+
+    def test_bench_h10_mask_pinned(self):
+        """The mask of the benchmark's H10 bank (seed 20080407) is the
+        one the grouping-sort implementation produced."""
+        mask = dust_mask(load_bank("H10", seed=20080407))
+        assert int(mask.sum()) == 16514
+        assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == (
+            "18912b06c84e2946ddaf380415b4ff7ce91ef2cf26c7dec6a162a06872a57cac"
+        )
 
 
 class TestEntropy:

@@ -331,41 +331,76 @@ class TestAnnounceFile:
         assert data == {"host": "127.0.0.1", "port": 4321, "pid": os.getpid()}
 
     def test_daemon_announces_bound_address(self, rng, tmp_path):
-        import subprocess
-        import sys
-        import time
-
         bank = Bank.from_strings([("s", random_dna(rng, 2_000))])
         fa = tmp_path / "bank.fa"
         bank.to_fasta(str(fa))
         ann = tmp_path / "daemon.json"
-        import repro
-
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=pkg_root)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(fa),
-             "--port", "0", "--workers", "1", "--announce-file", str(ann)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        proc, data = _spawn_announced(
+            ["serve", str(fa), "--port", "0", "--workers", "1"], ann
         )
         try:
-            deadline = time.monotonic() + 60
-            data = None
-            while time.monotonic() < deadline:
-                if ann.exists():
-                    try:
-                        data = json.loads(ann.read_text())
-                        break
-                    except json.JSONDecodeError:
-                        pass  # mid-write; the write is atomic, retry
-                time.sleep(0.05)
-            assert data is not None, "daemon never announced"
             assert data["pid"] == proc.pid
             client = OrisClient(data["host"], data["port"], timeout=30)
             assert client.ping()
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+    def test_fleet_trace_records_router_spans(self, rng, tmp_path):
+        """``serve-fleet --trace`` writes the router's own spans."""
+        core = random_dna(rng, 400)
+        bank = Bank.from_strings(
+            [("s", random_dna(rng, 2_000) + core + random_dna(rng, 2_000))]
+        )
+        fa = tmp_path / "bank.fa"
+        bank.to_fasta(str(fa))
+        trace = tmp_path / "t.jsonl"
+        proc, data = _spawn_announced(
+            ["serve-fleet", str(fa), "--shards", "1", "--port", "0",
+             "--work-dir", str(tmp_path / "fleet"), "--trace", str(trace)],
+            tmp_path / "fleet.json",
+        )
+        try:
+            with OrisClient(data["host"], data["port"], timeout=30) as client:
+                assert "\ts\t" in client.query("q", core)
+        finally:
+            proc.terminate()
+            assert proc.wait(timeout=60) == 0
+        names = {
+            json.loads(line)["name"]
+            for line in trace.read_text().splitlines()
+        }
+        assert {"fleet.run", "fleet.query"} <= names
+
+
+def _spawn_announced(argv: list[str], ann) -> tuple:
+    """Start ``python -m repro.cli ARGV --announce-file ANN``; wait for it.
+
+    Returns the process and the announced ``{host, port, pid}``.
+    """
+    import subprocess
+    import sys
+    import time
+
+    import repro
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv, "--announce-file", str(ann)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if ann.exists():
+            try:
+                return proc, json.loads(ann.read_text())
+            except json.JSONDecodeError:
+                pass  # mid-write; the write is atomic, retry
+        time.sleep(0.05)
+    proc.kill()
+    proc.wait(timeout=30)
+    raise AssertionError(f"{argv[0]} never announced")
 
 
 # --------------------------------------------------------------------- #

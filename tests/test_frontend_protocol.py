@@ -3,8 +3,8 @@
 The query daemon and the fleet router are the same socket frontend
 (:mod:`repro.serve.frontend`) with different query answers, so every
 protocol path is exercised against both: malformed frames, unknown
-request types, the request check on ``timeout_s``, oversized replies,
-vanished clients and the draining reply.  The router runs over a stub
+request types, the request check on ``timeout_s`` and on the name,
+oversized replies, vanished clients and the draining reply.  The router runs over a stub
 shard manager whose single shard is down -- none of these paths needs a
 shard to answer, and a query that gets past admission proves it by
 failing with the router's loud partial-gather error.
@@ -164,6 +164,22 @@ class TestTimeoutCheck:
             assert reply["status"] == "ok" and reply["m8"]
         else:  # the stub fleet's only shard is down: loud refusal
             assert reply["kind"] == "PartialGather"
+
+
+class TestNameCheck:
+    @pytest.mark.parametrize("name", ["a\tb", "a\rb", "a\nb", "q\n"])
+    def test_separator_in_name_rejected_before_admission(self, frontend, name):
+        reply = _ask(
+            frontend, {"type": "query", "name": name, "sequence": _CORE}
+        )
+        assert reply == {
+            "status": "error",
+            "error": "a query name must not contain a tab, CR or LF",
+        }
+        assert _failed(frontend) == 1
+        assert frontend.registry.value("serve.requests_accepted") == 0
+        assert frontend.registry.value("serve.batches") == 0
+        assert frontend.registry.value("fleet.partial_results") == 0
 
 
 class TestOversizedReply:

@@ -1,13 +1,91 @@
 """Tests for the seed indexes (repro.index.seed_index)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.synthetic import random_dna
 from repro.encoding import code_of_word, seed_codes
+from repro.encoding.spaced import SpacedSeedMask, spaced_seed_codes
+from repro.encoding.subset import SubsetSeedMask, subset_seed_codes
+from repro.filters import dust_mask
 from repro.index import CsrSeedIndex, LinkedSeedIndex, valid_window_mask
+from repro.index.seed_index import sort_positions_by_code
 from repro.io.bank import Bank
+
+
+def _stable_order(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The oracle: positions stably argsorted by their codes."""
+    return pos[np.argsort(codes[pos], kind="stable")]
+
+
+class TestSortPositionsByCode:
+    """The packed-key sort orders postings exactly as a stable argsort."""
+
+    def _check(self, codes, pos):
+        pos = np.asarray(pos, dtype=np.int64)
+        got = sort_positions_by_code(codes, pos)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _stable_order(codes, pos))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=80), min_size=1, max_size=4),
+        st.sampled_from(["w4", "w11", "w15", "spaced", "subset"]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_equals_stable_argsort(self, seqs, kind, stride):
+        seq = Bank.from_strings(seqs).seq
+        if kind == "spaced":
+            mask = SpacedSeedMask("1101011")
+            codes, bad = spaced_seed_codes(seq, mask), mask.invalid_code()
+        elif kind == "subset":
+            mask = SubsetSeedMask("#@-@#")
+            codes, bad = subset_seed_codes(seq, mask), mask.invalid_code()
+        else:
+            w = int(kind[1:])
+            codes, bad = seed_codes(seq, w), 4**w
+        pos = np.nonzero(codes < bad)[0][::stride]
+        self._check(codes, pos)
+
+    def test_empty_and_single(self):
+        codes = np.array([5, 3, 9], dtype=np.int64)
+        self._check(codes, np.empty(0, dtype=np.int64))
+        self._check(codes, [1])
+
+    def test_all_equal_codes(self):
+        self._check(np.zeros(1000, dtype=np.int64), np.arange(0, 1000, 3))
+
+    def test_keys_over_63_bits_fall_back(self):
+        rng = np.random.default_rng(7)
+        codes = (np.int64(1) << 62) + rng.integers(0, 3, 64)
+        self._check(codes, np.arange(64))
+
+    def test_index_arrays_pinned(self):
+        """All six index arrays, dtypes included, hash as before the
+        packed sort: archives and cache keys stay valid."""
+        rng = np.random.default_rng(20080407)
+        seqs = []
+        for i in range(6):
+            s = random_dna(rng, 3000)
+            s = s[:500] + "N" * 7 + s[500:1500] + "AC" * 200 + s[1500:]
+            seqs.append((f"s{i}", s))
+        bank = Bank.from_strings(seqs)
+        index = CsrSeedIndex(bank, 11, dust_mask(bank))
+        h = hashlib.sha256()
+        for a in (
+            index.positions, index.sorted_codes, index.unique_codes,
+            index.code_starts, index.code_counts, index.codes_at,
+        ):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        assert index.n_indexed == 17276
+        assert h.hexdigest() == (
+            "2cd92c492767450136e5aa5dbebbf8781472d36af373c7527be0600b1296b632"
+        )
 
 
 class TestValidWindowMask:
@@ -136,6 +214,50 @@ class TestCommonCodes:
         b = Bank.from_strings([("a", "ACGTACGT")])
         with pytest.raises(ValueError):
             CsrSeedIndex(b, 4).common_codes(CsrSeedIndex(b, 5))
+
+    @pytest.mark.parametrize(
+        "seq1, seq2",
+        [
+            ("ACGTACGTGGATCCAT", "GGATCCATTTACGTAC"),
+            ("NNNN", "ACGTACGT"),
+            ("ACGTACGT", "NNNN"),
+            ("NNNN", "NNNN"),
+        ],
+    )
+    def test_equals_intersect1d(self, seq1, seq2):
+        i1 = CsrSeedIndex(Bank.from_strings([("a", seq1)]), 4)
+        i2 = CsrSeedIndex(Bank.from_strings([("b", seq2)]), 4)
+        codes, k1, k2 = np.intersect1d(
+            i1.unique_codes, i2.unique_codes, assume_unique=True,
+            return_indices=True,
+        )
+        cc = i1.common_codes(i2)
+        for got, want in (
+            (cc.codes, codes),
+            (cc.start1, i1.code_starts[k1]),
+            (cc.count1, i1.code_counts[k1]),
+            (cc.start2, i2.code_starts[k2]),
+            (cc.count2, i2.code_counts[k2]),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=60), min_size=1, max_size=3),
+        st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=60), min_size=1, max_size=3),
+    )
+    def test_equals_intersect1d_random(self, seqs1, seqs2):
+        i1 = CsrSeedIndex(Bank.from_strings(seqs1), 3)
+        i2 = CsrSeedIndex(Bank.from_strings(seqs2), 3)
+        codes, k1, k2 = np.intersect1d(
+            i1.unique_codes, i2.unique_codes, assume_unique=True,
+            return_indices=True,
+        )
+        cc = i1.common_codes(i2)
+        np.testing.assert_array_equal(cc.codes, codes)
+        np.testing.assert_array_equal(cc.start1, i1.code_starts[k1])
+        np.testing.assert_array_equal(cc.start2, i2.code_starts[k2])
 
     def test_disjoint_banks(self):
         b1 = Bank.from_strings([("a", "AAAAAAAA")])
