@@ -23,6 +23,10 @@ filter marginally more aggressive -- acceptable for a filter, and
 documented here).  The statistic costs O(n * window): one vectorised
 int8 equality pass per lag.  At the fixed window of 64 that is 61 passes
 over a byte array, cheaper than the sort a per-triplet grouping needs.
+The passes cost a fixed ~180 NumPy calls however short the input, so a
+bank's sequences are scored together in runs of up to ``_RUN_CHARS``
+characters, laid out a window apart so that each is still scored alone;
+a bank of short ESTs pays that fixed cost once per run, not per sequence.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ _TRIPLET_INVALID = 64  # sentinel for triplets touching an invalid character
 
 def _triplet_codes(codes: np.ndarray) -> np.ndarray:
     """Code (0..63) of the triplet starting at each position, or sentinel."""
-    arr = np.asarray(codes, dtype=np.int64)
+    arr = np.asarray(codes, dtype=np.int8)
     n = arr.shape[0]
-    out = np.full(n, _TRIPLET_INVALID, dtype=np.int64)
+    out = np.full(n, _TRIPLET_INVALID, dtype=np.int8)
     if n < 3:
         return out
     a, b, c = arr[:-2], arr[1:-1], arr[2:]
@@ -62,7 +66,7 @@ def _recent_occurrence_counts(triplets: np.ndarray, lookback: int) -> np.ndarray
     pass per lag, counted in the narrowest type that holds ``lookback``.
     """
     n = triplets.shape[0]
-    t = triplets.astype(np.int8)
+    t = triplets.astype(np.int8, copy=False)
     rep = np.zeros(n, dtype=np.min_scalar_type(lookback))
     for d in range(1, min(lookback, n)):
         rep[d:] += t[d:] == t[:-d]
@@ -79,24 +83,54 @@ def dust_scores(
     at (and including) position ``j``; positions with fewer than ``window``
     preceding characters score their partial window.
     """
+    return _run_scores(np.asarray(codes), np.zeros(1, dtype=np.int64), window)[0]
+
+
+def _run_scores(
+    codes: np.ndarray, run_lo: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of a run of sequences, each scored as if alone.
+
+    ``run_lo`` holds the ascending start offsets of the sequences in
+    ``codes`` (``run_lo[0] == 0``); whatever lies between two sequences is
+    scored too and must be ignored by the caller.  The sequences are laid
+    out ``window`` invalid characters apart, so no triplet pair and no
+    window sum reaches from one sequence into another, and the lag passes
+    run once for the whole run.  Returns the scores, each position's
+    sequence index and its offset within that sequence.
+    """
     if window < 8:
         raise ValueError(f"window must be >= 8, got {window}")
-    triplets = _triplet_codes(np.asarray(codes))
     lookback = window - 2  # number of triplet positions per window
-    rep = _recent_occurrence_counts(triplets, lookback)
-    csum = np.concatenate(([0], np.cumsum(rep)))
-    n = rep.shape[0]
-    ends = np.arange(n)
-    starts = np.maximum(ends - lookback + 1, 0)
-    pair_counts = csum[ends + 1] - csum[starts]
-    k = np.minimum(ends + 1, lookback)  # triplets in (partial) window
-    denom = np.maximum(k - 1, 1)
+    n = codes.shape[0]
+    seq_of = np.zeros(n, dtype=np.int64)
+    seq_of[run_lo[1:]] = 1
+    np.cumsum(seq_of, out=seq_of)
+    at = np.arange(n) + window * seq_of  # position in the spaced layout
+    spaced = np.full(n + window * (run_lo.shape[0] - 1), INVALID, dtype=codes.dtype)
+    spaced[at] = codes
+    rep = _recent_occurrence_counts(_triplet_codes(spaced), lookback)
+    # Trailing sums over `lookback` counts.  Before each sequence lie >=
+    # lookback zero counts, so the sums need no per-sequence clamp.
+    csum = np.cumsum(rep)
+    window_sums = csum.copy()
+    window_sums[lookback:] -= csum[:-lookback]
+    pair_counts = window_sums[at]
+    local = np.arange(n) - run_lo[seq_of]
+    # k - 1 for the k = min(local + 1, lookback) triplets in the window.
+    denom = np.clip(local, 1, lookback - 1)
     # The trailing-window statistic counts, in addition to the pairs fully
     # inside the window, pairs whose earlier member lies up to `lookback`
     # characters before the window start.  On stationary sequence that is an
     # almost exact 2x overcount (k*k/64 vs C(k,2)/64 expected pairs), so we
     # halve the count to keep DUST's score scale and its threshold of 20.
-    return 5.0 * pair_counts / denom
+    return 5.0 * pair_counts / denom, seq_of, local
+
+
+#: Sequences are scored in runs of about this many characters: enough to
+#: spread the lag passes' fixed cost over many short sequences, few enough
+#: to keep the run's int64 scratch arrays small.
+_RUN_CHARS: int = 1 << 18
 
 
 def dust_mask(
@@ -115,28 +149,42 @@ def dust_mask(
     order) or a raw code array (single-sequence semantics).
     """
     if isinstance(bank, Bank):
-        mask = np.zeros(bank.seq.shape[0], dtype=bool)
-        for i in range(bank.n_sequences):
-            lo, hi = bank.bounds(i)
-            mask[lo:hi] = _dust_mask_array(bank.seq[lo:hi], window, threshold)
-        return mask
-    return _dust_mask_array(np.asarray(bank), window, threshold)
+        seq, starts, ends = bank.seq, bank.starts, bank.starts + bank.lengths
+    else:
+        seq = np.asarray(bank)
+        starts, ends = np.zeros(1, dtype=np.int64), np.array([seq.shape[0]])
+    mask = np.zeros(seq.shape[0], dtype=bool)
+    i = 0
+    while i < starts.shape[0]:
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + _RUN_CHARS, "right")))
+        lo, hi = int(starts[i]), int(ends[j - 1])
+        mask[lo:hi] = _dust_mask_runs(
+            seq[lo:hi], starts[i:j] - lo, ends[i:j] - lo, window, threshold
+        )
+        i = j
+    return mask
 
 
-def _dust_mask_array(
-    codes: np.ndarray, window: int, threshold: float
+def _dust_mask_runs(
+    codes: np.ndarray,
+    run_lo: np.ndarray,
+    run_hi: np.ndarray,
+    window: int,
+    threshold: float,
 ) -> np.ndarray:
-    scores = dust_scores(codes, window=window)
-    hot_end = scores > threshold
-    if not hot_end.any():
-        return np.zeros(codes.shape[0], dtype=bool)
-    # A window end at j masks characters [j - window + 1, j + 2] (the last
-    # triplet starts at j and covers j..j+2).  Dilate via difference array.
+    """Mask of the sequences ``codes[run_lo[i]:run_hi[i]]``, each alone."""
     n = codes.shape[0]
+    scores, seq_of, local = _run_scores(codes, run_lo, window)
+    hot_end = (scores > threshold) & (local < (run_hi - run_lo)[seq_of])
+    if not hot_end.any():
+        return np.zeros(n, dtype=bool)
+    # A window end at j masks characters [j - window + 1, j + 2] of its
+    # sequence (the last triplet starts at j and covers j..j+2).  Dilate
+    # via a difference array.
     diff = np.zeros(n + 1, dtype=np.int64)
     ends = np.nonzero(hot_end)[0]
-    lo = np.maximum(ends - window + 1, 0)
-    hi = np.minimum(ends + 3, n)
+    lo = np.maximum(ends - window + 1, run_lo[seq_of[ends]])
+    hi = np.minimum(ends + 3, run_hi[seq_of[ends]])
     np.add.at(diff, lo, 1)
     np.add.at(diff, hi, -1)
     return np.cumsum(diff[:-1]) > 0

@@ -47,10 +47,13 @@ __all__ = [
 def sort_positions_by_code(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``pos`` ordered by ``(codes[pos], pos)``: the code-major posting order.
 
-    This is ``pos[np.argsort(codes[pos], kind="stable")]`` for an ascending
-    ``pos``.  The keys ``code << pbits | pos`` are unique, so a plain
-    in-place integer sort of them gives that order; ``np.lexsort`` takes
-    over when code and position need more than 63 bits.
+    ``pos`` must hold unique positions, in any order; the segment-store
+    merge passes them code-major per source.  For an ascending ``pos`` the
+    result is ``pos[np.argsort(codes[pos], kind="stable")]``.  The keys
+    ``code << pbits | pos`` are unique, so a plain in-place integer sort of
+    them gives the ``(code, pos)`` order whatever the input order;
+    ``np.lexsort`` takes over when code and position need more than 63
+    bits.
     """
     pos = np.asarray(pos, dtype=np.int64)
     if pos.shape[0] < 2:

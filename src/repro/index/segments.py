@@ -745,7 +745,9 @@ class SegmentStore:
         all_pos = (
             np.concatenate(parts_pos) if parts_pos else np.empty(0, dtype=np.int64)
         )
-        # The constructor's posting order: by code, then by merged position.
+        # all_pos is code-major per source, not ascending.  The helper
+        # orders by (code, merged position) whatever the input order, which
+        # is the order a fresh CsrSeedIndex over the merged bank holds.
         codes_at = seed_codes(merged_bank.seq, self.w)
         positions = sort_positions_by_code(codes_at, all_pos)
         sorted_codes = codes_at[positions]

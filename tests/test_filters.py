@@ -9,6 +9,7 @@ from repro.data import load_bank
 from repro.data.synthetic import random_dna
 from repro.encoding import encode
 from repro.filters import dust_mask, dust_scores, entropy_mask, entropy_scores, make_filter_mask
+from repro.filters import dust
 from repro.filters.dust import _recent_occurrence_counts, _triplet_codes
 from repro.io.bank import Bank
 
@@ -90,6 +91,27 @@ class TestDustOracle:
             np.testing.assert_array_equal(
                 got, _brute_recent_counts(triplets, lookback), err_msg=f"n={n}"
             )
+
+    @pytest.mark.parametrize("run_chars", [1, 700, 1 << 18])
+    @pytest.mark.parametrize("window", [8, 64])
+    def test_bank_mask_is_per_sequence(self, monkeypatch, run_chars, window):
+        """Scoring many sequences in one run masks each as if alone."""
+        monkeypatch.setattr(dust, "_RUN_CHARS", run_chars)
+        rng = np.random.default_rng(window + run_chars)
+        seqs = []
+        for length in rng.integers(1, 400, 60):
+            s = list(random_dna(rng, int(length)))
+            a = int(rng.integers(0, length))
+            s[a : a + 80] = "A" * 80  # low-complexity tract, often cut short
+            seqs.append("".join(s)[:length])
+        b = Bank.from_strings(seqs)
+        got = dust_mask(b, window=window)
+        want = np.zeros_like(got)
+        for i in range(b.n_sequences):
+            lo, hi = b.bounds(i)
+            want[lo:hi] = dust_mask(np.array(b.seq[lo:hi]), window=window)
+        assert want.any()
+        np.testing.assert_array_equal(got, want)
 
     def test_bench_h10_mask_pinned(self):
         """The mask of the benchmark's H10 bank (seed 20080407) is the

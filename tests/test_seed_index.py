@@ -59,6 +59,19 @@ class TestSortPositionsByCode:
     def test_all_equal_codes(self):
         self._check(np.zeros(1000, dtype=np.int64), np.arange(0, 1000, 3))
 
+    def test_any_input_order(self):
+        """Unique positions in any order come out ordered by (code, pos),
+        as the segment-store merge needs for its code-major input."""
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 16, 500)
+        pos = np.arange(0, 500, 2)
+        expected = _stable_order(codes, pos)
+        self._check(codes, pos)
+        np.testing.assert_array_equal(
+            sort_positions_by_code(codes, rng.permutation(pos)), expected
+        )
+        np.testing.assert_array_equal(sort_positions_by_code(codes, expected), expected)
+
     def test_keys_over_63_bits_fall_back(self):
         rng = np.random.default_rng(7)
         codes = (np.int64(1) << 62) + rng.integers(0, 3, 64)
