@@ -1,8 +1,11 @@
-"""Tile-sweep ungapped extension over 2-bit packed banks.
+"""Block- and tile-sweep ungapped extension over 2-bit packed banks.
 
 :func:`batch_extend_vector` is a drop-in replacement for
 :func:`repro.align.ungapped.batch_extend` that processes extension columns
-64 at a time instead of one per NumPy pass.  Per tile and per lane it
+many at a time instead of one per NumPy pass.  While many lanes are live
+(the *head*), each pass advances every lane 8 columns through a
+precomputed x-drop automaton (:func:`_block_tables`); the thinned tail
+then runs in tiles of up to 64 columns.  Per tile and per lane it
 
 1. extracts a 64-column window of both banks from their
    :class:`~repro.encoding.packed.PackedBank` images (two packed-word
@@ -37,15 +40,34 @@ and the stop reasons are mutually exclusive where it matters (a cutoff
 column is a valid match whose deficit is under the x-drop, so reading
 the cutoff mask at the stop column cannot confuse a separator or x-drop
 stop for a cut).
+
+Why the head's automaton is exact
+---------------------------------
+
+Over a string of match/mismatch columns the scalar kernel is a finite
+automaton.  Its x-drop state is the deficit ``d = maxi - score``, an
+integer in ``[0, xdrop)`` while the lane lives; its cutoff state is the
+match run, which only matters up to ``w``.  Everything the scalar
+kernel computes over a block -- the first x-drop column, the rise of
+``maxi``, the last improving column, the deficit and run after any
+prefix, the columns where a full seed word re-forms -- is a function of
+that finite state, the block's 8-bit match pattern and the prefix
+length, so tables indexed by exactly those reproduce it.  The first
+invalid column is a function of the 8-bit validity pattern.  The one
+input the tables cannot hold, the start code, is compared sparsely at
+the candidate columns before the x-drop/separator stop, as the tile path
+does.  The stop column is the minimum of the three, and each lane
+commits its outputs over the prefix before it, so the head inherits the
+tiles' exactness argument above, with the same cut-lane divergence.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import INVALID
 from ..encoding.packed import PackedBank, bit_columns, match_columns
 from .scoring import ScoringScheme
 from .ungapped import DEFAULT_MAX_EXTEND, BatchExtensionResult
@@ -64,18 +86,201 @@ TILE = 64
 #: extension depth instead of per-lane ages.
 _TILE_SCHEDULE = (8, 16, 32)
 
-#: Above this many live lanes, one per-column sweep is cheaper than its
-#: share of a speculative tile: with the lane mass still alive, column
-#: work dominates the fixed per-sweep overhead, and per-column lane
-#: compression (the scalar kernel's strength) wastes no work on lanes
-#: that stop within a few columns -- the common case.  The kernel
-#: therefore runs scalar-style sweeps while the population is above this
-#: mark and switches to tiles for the surviving long tail, where the
-#: per-sweep overhead -- not the column work -- is the bottleneck.
+#: Above this many live lanes the kernel runs its *head*: every live lane
+#: advances :data:`_BLOCK` columns per NumPy pass through the x-drop
+#: automaton of :func:`_block_tables`, whose work per lane is a handful
+#: of table lookups however many columns the block holds.  With the lane
+#: mass still alive, that column-free cost is what counts; below the mark
+#: the fixed per-pass overhead dominates instead, and the surviving long
+#: tail moves to the widening tiles.
 _SCALAR_HEAD_LANES = 1024
 
 #: Sentinel for masked-out prefix scores; far below any reachable score.
 _NEG = np.int64(-(1 << 62))
+
+#: Columns per head pass: one byte of match flags per lane.
+_BLOCK = 8
+
+_BYTE = np.arange(256, dtype=np.uint8)
+_BYTE_BITS = (_BYTE[:, None] >> np.arange(_BLOCK, dtype=np.uint8)) & 1
+#: Bit reversal of a byte (a left scan reads its window backwards).
+_REV8 = np.packbits(_BYTE_BITS, axis=1, bitorder="big").reshape(-1)
+#: Index of the lowest clear bit of a byte (8 when all are set).
+_FIRST_CLEAR = np.where(_BYTE == 255, _BLOCK, _BYTE_BITS.argmin(axis=1))
+_FIRST_CLEAR = _FIRST_CLEAR.astype(np.uint8)
+#: Match flags of 8 columns from the XOR of two 16-bit code windows:
+#: bit ``j`` is set iff 2-bit group ``j`` of the XOR is zero.  Built
+#: from the 4 flags of each byte (the low byte holds columns 0-3).
+_NIBBLE = np.zeros(256, dtype=np.uint8)
+for _j in range(4):
+    _NIBBLE |= (((_BYTE >> (2 * _j)) & 3) == 0).astype(np.uint8) << _j
+_MATCH8 = (_NIBBLE[None, :] | (_NIBBLE[:, None] << 4)).reshape(-1)
+#: ``_LOW_BITS[c]`` keeps the bits of columns ``0 .. c-1``.
+_LOW_BITS = ((1 << np.arange(_BLOCK + 1)) - 1).astype(np.uint8)
+for _t in (_MATCH8, _REV8, _FIRST_CLEAR, _LOW_BITS):
+    _t.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _BlockTables:
+    """The head's x-drop automaton over one block of 8 columns.
+
+    A live lane's x-drop state is its deficit ``d = maxi - score`` in
+    ``[0, xdrop)``.  The tables map ``(state, c)`` -- state = row of the
+    deficit * 256 + the block's match pattern, ``c`` a prefix length in
+    ``0..8`` -- to what the scalar kernel computes over the block's
+    first ``c`` columns:
+
+    ``gain``   rise of the running maximum, ``maxi' - maxi``;
+    ``last``   last improving column + 1 (0: no improvement);
+    ``delta``  change of the deficit, ``d' - d``;
+
+    and a state to ``xcol``, the first column whose deficit reaches
+    ``xdrop`` (8: none).  Deficits collapse to rows exactly: a block can
+    raise the maximum only from ``d < near`` (= 8·match) and reach the
+    x-drop only from ``d > far0`` (= xdrop - 1 - 8·mismatch), so every
+    deficit in ``[near, far0]`` behaves alike up to its offset, which
+    ``delta`` carries.  That bounds the tables by the scoring, not by
+    ``xdrop``.
+
+    The contiguous-seed cutoff's state is the match run, capped at ``w``
+    (beyond it only ``run >= w`` matters): ``run * 256 + pattern``
+    indexes ``cand`` (bit ``j``: column ``j`` re-forms a full seed word)
+    and, with ``c``, ``run`` (the capped run after ``c`` columns).
+    """
+
+    near: int
+    far0: int
+    gain: np.ndarray  # (rows * 256, 9), smallest int holding ±8·score
+    last: np.ndarray  # (rows * 256, 9) int8
+    delta: np.ndarray  # (rows * 256, 9), as gain
+    xcol: np.ndarray  # (rows * 256,) uint8
+    cand: np.ndarray  # ((w + 1) * 256,) uint8
+    run: np.ndarray  # ((w + 1) * 256, 9), smallest uint holding w
+
+    def rows(self, d: np.ndarray) -> np.ndarray:
+        """Table row of each deficit."""
+        if self.far0 == self.near:
+            return d
+        return d - np.clip(d - self.near, 0, self.far0 - self.near)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_tables(match: int, mismatch: int, xdrop: int, w: int) -> _BlockTables:
+    """Build (once per scoring and seed width) the head's automaton.
+
+    The arrays are read-only: the cache shares them between calls.
+    """
+    near = min(_BLOCK * match, xdrop)
+    far0 = max(near, xdrop - 1 - _BLOCK * mismatch)
+    rep = np.concatenate([np.arange(near), np.arange(far0, xdrop)])[:, None]
+    shape = (rep.shape[0], 256, _BLOCK + 1)
+    small = np.min_scalar_type(-_BLOCK * max(match, mismatch) - 1)
+    gain = np.zeros(shape, dtype=small)
+    last = np.zeros(shape, dtype=np.int8)
+    delta = np.zeros(shape, dtype=small)
+    xcol = np.full(shape[:2], _BLOCK, dtype=np.uint8)
+    s = np.broadcast_to(-rep, shape[:2])  # score relative to entry maxi
+    m = np.zeros(shape[:2], dtype=np.int64)
+    lst = np.zeros(shape[:2], dtype=np.int64)
+    run = np.broadcast_to(np.arange(w + 1)[:, None], (w + 1, 256))
+    cand = np.zeros((w + 1, 256), dtype=np.uint8)
+    runs = np.zeros((w + 1, 256, _BLOCK + 1), dtype=np.min_scalar_type(w))
+    runs[:, :, 0] = run
+    for j in range(_BLOCK):
+        eq = _BYTE_BITS[:, j] == 1
+        s = s + np.where(eq, match, -mismatch)
+        lst = np.where(s > m, j + 1, lst)
+        m = np.maximum(m, s)
+        xcol[(xcol == _BLOCK) & (m - s >= xdrop)] = j
+        gain[:, :, j + 1] = m
+        last[:, :, j + 1] = lst
+        delta[:, :, j + 1] = m - s - rep
+        run = np.where(eq, np.minimum(run + 1, w), 0)
+        cand |= (eq & (run >= w)).astype(np.uint8) << j
+        runs[:, :, j + 1] = run
+    tables = [
+        a.reshape(-1, *a.shape[2:]) for a in (gain, last, delta, xcol, cand, runs)
+    ]
+    for a in tables:
+        a.setflags(write=False)
+    return _BlockTables(near, far0, *tables)
+
+
+def _best_after(best: np.ndarray, last: np.ndarray, ext: int) -> np.ndarray:
+    """Best offsets after a block prefix whose last improvement is ``last``.
+
+    ``last`` is a column + 1, or 0 where the prefix never improved; an
+    improvement always lies past the old best offset, which is at most
+    ``ext``, so the maximum picks it.
+    """
+    new = np.add(last, ext, dtype=np.int64)
+    new *= last > 0
+    return np.maximum(new, best, out=new)
+
+
+def _seed_cuts(
+    codes1: np.ndarray,
+    codes2: np.ndarray | None,
+    ok2: np.ndarray | None,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    start: np.ndarray,
+    left: bool,
+) -> np.ndarray:
+    """Whether the hit seeds starting at ``s1``/``s2`` cut their lanes.
+
+    The paper's line-18 test: the seed's code is below the lane's start
+    code (or equal, on the left), and the seed is one step 2 enumerates
+    -- a bank-2 window in ``ok2``, or, for spaced and subset seeds,
+    equal codes in both banks.
+    """
+    cc1 = codes1[s1]
+    cuts = cc1 <= start if left else cc1 < start
+    if codes2 is not None:
+        cuts &= codes2[s2] == cc1
+    elif ok2 is not None:
+        cuts &= ok2[s2]
+    return cuts
+
+
+def _block_flags(
+    packed1: PackedBank,
+    packed2: PackedBank,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    left: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match and validity bytes of each lane's next 8 scanned columns.
+
+    ``g1``/``g2`` are the windows' first bank positions.  Bit ``j`` of
+    both (uint8) arrays describes the ``j``-th column the lane examines;
+    match bits are masked by validity, since padding and ambiguity codes
+    pack as ``A``.
+    """
+    x, valid = packed1.gather8(g1)
+    x2, v2 = packed2.gather8(g2)
+    x ^= x2
+    valid &= v2
+    pat = _MATCH8[x]
+    pat &= valid
+    if left:  # the window is in bank order: reverse to scan order
+        return _REV8[pat], _REV8[valid]
+    return pat, valid.astype(np.uint8)
+
+
+def _run_block(
+    tabs: _BlockTables, run: np.ndarray, pat: np.ndarray, tcur: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous-seed cutoff over one block: ``(cand, run after tcur)``.
+
+    ``cand`` marks the columns where a full seed word re-forms; the run
+    after ``tcur`` columns is only read for lanes carried through.  A
+    function of its own, so the int64 table index dies on return.
+    """
+    rstate = np.multiply(run, 256, dtype=np.int64)
+    rstate += pat
+    return tabs.cand[rstate], tabs.run[:, tcur][rstate]
 
 
 def _extend_dir_tiles(
@@ -96,7 +301,7 @@ def _extend_dir_tiles(
     codes2: np.ndarray | None,
     initial_scores: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One-sided tile-sweep extension; same contract as ``_batch_extend_dir``."""
+    """One-sided block/tile sweep; same contract as ``_batch_extend_dir``."""
     n = p1.shape[0]
     match = np.int64(scoring.match)
     mismatch = np.int64(scoring.mismatch)
@@ -110,75 +315,111 @@ def _extend_dir_tiles(
     out_offset = np.zeros(n, dtype=np.int64)
     out_cut = np.zeros(n, dtype=bool)
 
-    # Active-lane state (compressed after each tile).
+    # Active-lane state (compressed after each block and tile).  In the
+    # head, q1/q2 are the first bank positions of the next 8-column
+    # window (bank order, so a left scan's window ends at its next
+    # column); the tiles use the next scanned column.
     idx = np.arange(n, dtype=np.int64)
     if left:
-        q1 = p1 - 1  # first scanned column of the next tile
-        q2 = p2 - 1
+        q1 = p1 - _BLOCK
+        q2 = p2 - _BLOCK
     else:
         q1 = p1 + w
         q2 = p2 + w
-    score = init.copy()
+    tabs = _block_tables(
+        int(scoring.match), int(scoring.mismatch), int(scoring.xdrop_ungapped), w
+    )
     maxi = init.copy()
+    # Deficit below maxi (score = maxi - d), in [0, xdrop) while live.
+    d = np.zeros(n, dtype=np.min_scalar_type(-int(xdrop) - 1))
     best = np.zeros(n, dtype=np.int64)
-    run = np.full(n, w, dtype=np.int64)
-    codes = start_codes.copy()
+    run = np.full(n, w, dtype=tabs.run.dtype)
 
     spaced = codes2 is not None
     steps = 0
     ext = 0
 
-    # Head: per-column sweeps, verbatim scalar-kernel semantics, while
-    # the lane population is large enough to amortise them.
-    stp = -1 if left else 1
+    # Head: 8-column blocks through the x-drop automaton while the lane
+    # population is large.  Per block and lane, the state (deficit row
+    # and match pattern) indexes the block's first x-drop column and,
+    # for the prefix before the lane's stop, the gain, last improving
+    # column and deficit change the scalar kernel computes column by
+    # column.
     while idx.size > _SCALAR_HEAD_LANES and ext < max_extend:
-        steps += idx.size
-        c1 = seq1[q1]
-        c2 = seq2[q2]
-        valid = (c1 < INVALID) & (c2 < INVALID)
-        eq = (c1 == c2) & valid
+        tcur = min(_BLOCK, max_extend - ext)
+        pat, valid = _block_flags(packed1, packed2, q1, q2, left)
+        state = np.multiply(tabs.rows(d), 256, dtype=np.int64)
+        state += pat
+        js = np.minimum(tabs.xcol[state], _FIRST_CLEAR[valid])
+        np.minimum(js, tcur, out=js)  # first stop column, or tcur
 
-        score = np.where(eq, score + match, score - mismatch)
-        run = np.where(eq, run + 1, 0)
-        improved = score > maxi
-        maxi = np.where(improved, score, maxi)
-        best = np.where(improved & eq, ext + 1, best)
-
+        # -- ordered-seed cutoff: the candidate columns before the
+        # x-drop/separator stop, tested column by column over the lanes
+        # that still hold one, so a cut lane tests nothing past its cut
+        # (candidates are valid matches: their seed starts are in range)
+        cut = None
         if ordered_cutoff:
-            if left:
-                seed1, seed2 = q1, q2
-                lower = codes1[seed1] <= codes
-            else:
-                seed1, seed2 = q1 - (w - 1), q2 - (w - 1)
-                lower = codes1[seed1] < codes
             if spaced:
-                cut_now = eq & lower & (codes1[seed1] == codes2[seed2])
+                cand = pat.copy()
             else:
-                if ok2 is not None:
-                    lower = lower & ok2[seed2]
-                cut_now = eq & (run >= w) & lower
-        else:
-            cut_now = np.zeros(idx.size, dtype=bool)
+                cand, run = _run_block(tabs, run, pat, tcur)
+            cand &= _LOW_BITS[js]
+            cut = np.zeros(idx.size, dtype=bool)
+            for j in range(int(cand.max(initial=0)).bit_length()):
+                t = np.flatnonzero(cand & (1 << j))
+                # seed start of column j, from the window's first position
+                lag = _BLOCK - 1 - j if left else j - (w - 1)
+                t = t[
+                    _seed_cuts(
+                        codes1, codes2, ok2, q1[t] + lag, q2[t] + lag,
+                        start_codes[idx[t]], left,
+                    )
+                ]
+                cut[t] = True
+                js[t] = j
+                cand[t] = 0
+        steps += int(np.minimum(js + 1, tcur).sum())
 
-        xstop = (maxi - score) >= xdrop
-        stop = ~valid | cut_now | xstop
-        if stop.any():
-            sidx = idx[stop]
-            out_score[sidx] = maxi[stop]
-            out_offset[sidx] = best[stop]
-            out_cut[sidx] = cut_now[stop]
-            keep = ~stop
-            idx = idx[keep]
-            q1 = q1[keep]
-            q2 = q2[keep]
-            score = score[keep]
-            maxi = maxi[keep]
-            best = best[keep]
-            run = run[keep]
-            codes = codes[keep]
-        q1 = q1 + stp
-        q2 = q2 + stp
-        ext += 1
+        # -- commit lanes stopping inside the block, over the columns
+        # strictly before the stop ------------------------------------ #
+        done = js < tcur
+        if done.any():
+            sel = np.flatnonzero(done)
+            lanes = idx[sel]
+            at = state[sel]
+            at *= _BLOCK + 1
+            at += js[sel]
+            out_score[lanes] = maxi[sel] + tabs.gain.ravel()[at]
+            out_offset[lanes] = _best_after(best[sel], tabs.last.ravel()[at], ext)
+            if cut is not None:
+                out_cut[lanes] = cut[sel]
+            del lanes, at  # before the compression's copies
+            sel = np.flatnonzero(~done)  # the lanes carried on
+            idx = idx[sel]
+            q1 = q1[sel]
+            q2 = q2[sel]
+            maxi = maxi[sel]
+            d = d[sel]
+            best = best[sel]
+            run = run[sel]
+            state = state[sel]
+
+        # -- carry the others through the whole block ------------------ #
+        maxi = maxi + tabs.gain[:, tcur][state]
+        best = _best_after(best, tabs.last[:, tcur][state], ext)
+        d = d + tabs.delta[:, tcur][state]
+        if left:
+            q1 = q1 - tcur
+            q2 = q2 - tcur
+        else:
+            q1 = q1 + tcur
+            q2 = q2 + tcur
+        ext += tcur
+    if left:  # back to the next scanned column
+        q1 = q1 + (_BLOCK - 1)
+        q2 = q2 + (_BLOCK - 1)
+    score = maxi - d
+    codes = start_codes[idx]
 
     tile_no = 0
     while idx.size and ext < max_extend:
@@ -248,16 +489,9 @@ def _extend_dir_tiles(
                 else:
                     sp1 = q1[li] + cj - (w - 1)
                     sp2 = q2[li] + cj - (w - 1)
-                cc1 = codes1[sp1]
-                if left:
-                    lower = cc1 <= codes[li]
-                else:
-                    lower = cc1 < codes[li]
-                if spaced:
-                    lower &= codes2[sp2] == cc1
-                elif ok2 is not None:
-                    lower &= ok2[sp2]
-                cut[li, cj] = lower
+                cut[li, cj] = _seed_cuts(
+                    codes1, codes2, ok2, sp1, sp2, codes[li], left
+                )
         else:
             cut = None
 

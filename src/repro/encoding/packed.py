@@ -27,6 +27,8 @@ words then expand to per-column booleans through byte-indexed lookup
 tables (:func:`match_columns`, :func:`bit_columns`) -- the popcount-style
 trick, except positions are needed rather than counts, so each byte maps
 to its 4 (match) or 8 (bit) column flags instead of a sum.
+:meth:`PackedBank.gather8` reads the narrow 8-column windows of the
+kernel's automaton head the same way, from 16- and 8-bit groups.
 """
 
 from __future__ import annotations
@@ -171,6 +173,34 @@ class PackedBank:
         lo = self.valid[widx]
         hi = self.valid[widx + 1]
         return np.where(sh == 0, lo, (lo >> sh) | (hi << inv))
+
+    def gather8(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lane 8-column windows: ``(codes, valid)``, both uint32.
+
+        ``codes`` packs the 2-bit codes of bank positions ``starts[i]``
+        .. ``starts[i] + 7`` in its low 16 bits and ``valid`` their
+        validity bits in its low 8 bits, position order from bit 0; the
+        higher bits are zero.  The window is read as two adjacent 16-bit
+        (code) or 8-bit (validity) groups shifted together, so no shift
+        ever spans a whole word.  Overhang rules as :meth:`gather_words`.
+        """
+        k = np.asarray(starts, dtype=np.int64) + self.pad
+        sh = (k & 7).astype(np.uint32)
+        k >>= 3
+        c16 = _le_bytes(self.words).reshape(-1).view("<u2")
+        v8 = _le_bytes(self.valid).reshape(-1)
+        codes = c16[1:][k].astype(np.uint32)  # the next group, high half
+        codes <<= 16
+        codes |= c16[k]
+        valid = v8[1:][k].astype(np.uint32)
+        valid <<= 8
+        valid |= v8[k]
+        valid >>= sh
+        valid &= 0xFF
+        sh <<= 1
+        codes >>= sh
+        codes &= 0xFFFF
+        return codes, valid
 
 
 #: Small per-process memo for :func:`packed_bank_cached`.  Values keep a

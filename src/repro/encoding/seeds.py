@@ -12,11 +12,12 @@ order and change which occurrence of an HSP is its canonical generator --
 the algorithm would still be correct, but it would not be the paper's).
 
 :func:`seed_codes` computes the code of the window starting at every
-position of an encoded sequence in a vectorised pass.  Windows that contain
-an invalid character (``N`` or a bank separator) or that run off the end of
-the array receive the sentinel :data:`invalid_code`, which is larger than
-every valid code so it can never satisfy the ordered-seed cutoff
-(``code <= start_code``) by accident.
+position of an encoded sequence in ``O(log W)`` vectorised passes.
+Windows that contain an invalid character (``N`` or a bank separator) or
+that run off the end of the array receive the sentinel
+:data:`invalid_code`, which is larger than every valid code so it can
+never satisfy the ordered-seed cutoff (``code <= start_code``) by
+accident.
 """
 
 from __future__ import annotations
@@ -89,15 +90,32 @@ def seed_codes(codes: np.ndarray, w: int) -> np.ndarray:
     if n < w:
         return out
 
-    # Little-endian weighted sum over the window: w vectorised passes.
+    # Codes of power-of-two widths by doubling -- the width-2k code at
+    # ``i`` is the width-k code at ``i`` plus ``4**k`` times the one at
+    # ``i + k`` -- and the widths of w's binary digits appended low to
+    # high.  int32 holds every code up to w = 15.  Invalid characters
+    # pack as ``c & 3``; their windows are masked below.
+    dtype = np.int32 if w <= 15 else np.int64
+    part = (arr & 3).astype(dtype)  # codes of width 1
+    acc = None  # codes of the first ``done`` characters of each window
+    done = 0
+    width = 1
+    while True:
+        if w & width:
+            span = n - done - width + 1
+            tail = part[done : done + span]
+            acc = tail if acc is None else acc[:span] + (4**done) * tail
+            done += width
+        if 2 * width > w:
+            break
+        part = part[:-width] + (4**width) * part[width:]
+        width *= 2
+
+    # A window is valid iff it holds no invalid character: one cumsum.
     valid_len = n - w + 1
-    acc = np.zeros(valid_len, dtype=np.int64)
-    ok = np.ones(valid_len, dtype=bool)
-    for j in range(w):
-        col = arr[j : j + valid_len].astype(np.int64)
-        ok &= col < INVALID
-        acc += (4**j) * np.where(col < INVALID, col, 0)
-    out[:valid_len] = np.where(ok, acc, bad)
+    n_bad = np.zeros(n + 1, dtype=np.int32 if n < 1 << 31 else np.int64)
+    np.cumsum(arr >= INVALID, out=n_bad[1:])
+    out[:valid_len] = np.where(n_bad[w:] == n_bad[:valid_len], acc, bad)
     return out
 
 

@@ -88,6 +88,24 @@ class TestPackedBank:
                 if inside:
                     assert (eq[i, j] & valid[i, j]) == (s1[p] == s2[p])
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 64, 65])
+    def test_gather8_is_the_low_byte_of_the_wide_gathers(self, n):
+        # The head's 8-column windows, at every start a lane can reach
+        # (overhang on both sides included), against the 64-column ones.
+        rng = np.random.default_rng(n)
+        seq = rng.integers(0, 4, size=n).astype(np.int8)
+        seq[rng.random(n) < 0.2] = INVALID
+        packed = PackedBank(seq)
+        starts = np.arange(-9, n + 2)
+        codes, valid = packed.gather8(starts)
+        assert codes.dtype == valid.dtype == np.uint32
+        np.testing.assert_array_equal(
+            codes, packed.gather_words(starts, 1)[:, 0] & np.uint64(0xFFFF)
+        )
+        np.testing.assert_array_equal(
+            valid, packed.gather_valid(starts) & np.uint64(0xFF)
+        )
+
     def test_pad_is_invalid(self):
         packed = PackedBank(np.zeros(10, dtype=np.int8))
         before = packed.gather_valid(np.array([-PAD]))
