@@ -159,10 +159,7 @@ def verify_recovery(store_dir: Path, context: str) -> dict:
                 merged_bank.seq, want_bank.seq
             ):
                 fail(f"{context}: merged bank differs from cold rebuild")
-            for field in (
-                "positions", "sorted_codes", "unique_codes",
-                "code_starts", "code_counts", "codes_at",
-            ):
+            for field in CsrSeedIndex.ARRAY_FIELDS:
                 got = getattr(merged_index, field)
                 want = getattr(want_index, field)
                 if got.dtype != want.dtype or not np.array_equal(got, want):

@@ -567,8 +567,8 @@ def batch_extend(
     seq1, seq2:
         Encoded bank arrays (with separators).
     codes1:
-        Per-position seed codes of bank 1 (``CsrSeedIndex.codes_at``),
-        used by the ordered-seed cutoff test.
+        Per-position seed codes of bank 1 (``CsrSeedIndex.cutoff_codes``,
+        any integer dtype), used by the ordered-seed cutoff test.
     p1, p2:
         Hit seed positions (global), one lane per hit pair.
     start_codes:

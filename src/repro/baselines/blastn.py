@@ -50,7 +50,7 @@ from ..align.ungapped import batch_extend
 from ..core.engine import ComparisonResult, _merge_results, finish_comparison
 from ..encoding import invalid_code, seed_codes
 from ..filters import make_filter_mask
-from ..index.seed_index import CsrSeedIndex, sort_positions_by_code, valid_window_mask
+from ..index.seed_index import CsrSeedIndex, sort_postings, valid_window_mask
 from ..io.bank import Bank
 from ..obs import MetricsRegistry
 
@@ -312,22 +312,13 @@ class _BatchLookup:
         q_lo: int,
         q_hi: int,
     ):
-        pos = q_lo + np.nonzero(ok_full[q_lo:q_hi])[0].astype(np.int64)
-        self.n_words = int(pos.shape[0])
-        if self.n_words == 0:
-            self.unique_codes = np.empty(0, dtype=np.int64)
-            self.starts = np.empty(0, dtype=np.int64)
-            self.counts = np.empty(0, dtype=np.int64)
-            self.positions = pos
-            return
-        self.positions = sort_positions_by_code(codes, pos)
-        sorted_codes = codes[self.positions]
-        boundary = np.empty(self.n_words, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundary[1:])
-        self.starts = np.nonzero(boundary)[0].astype(np.int64)
-        self.counts = np.diff(np.concatenate((self.starts, [self.n_words])))
-        self.unique_codes = sorted_codes[self.starts]
+        positions, self.unique_codes, offsets = sort_postings(
+            codes[q_lo:q_hi], ok_full[q_lo:q_hi]
+        )
+        self.positions = positions.astype(np.int64) + q_lo
+        self.n_words = int(positions.shape[0])
+        self.starts = offsets[:-1]
+        self.counts = np.diff(offsets)
 
     def join(self, db_scan_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All (db_pos, query_pos) hits of the database against the batch.

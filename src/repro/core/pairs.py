@@ -58,7 +58,7 @@ def segmented_cartesian(
     ``positions2[start2[k] : +count2[k]]`` is emitted in row-major order
     (bank-1 position varying slowest), matching the paper's nested loops.
     """
-    t = (count1 * count2).astype(np.int64)
+    t = count1.astype(np.int64) * count2
     total = int(t.sum())
     if total == 0:
         z = np.empty(0, dtype=np.int64)
@@ -70,8 +70,9 @@ def segmented_cartesian(
     b = count2[seg_id]
     i = rank // b
     j = rank - i * b
-    p1 = positions1[start1[seg_id] + i]
-    p2 = positions2[start2[seg_id] + j]
+    # The index arrays may be int32; the lanes are int64.
+    p1 = positions1[start1[seg_id] + i].astype(np.int64)
+    p2 = positions2[start2[seg_id] + j].astype(np.int64)
     return PairChunk(p1=p1, p2=p2, codes=codes[seg_id].astype(np.int64))
 
 
@@ -171,7 +172,7 @@ def iter_pair_chunks(
         codes, c1, c2, s1, s2 = codes[keep], c1[keep], c2[keep], s1[keep], s2[keep]
     if codes.shape[0] == 0:
         return
-    products = (c1 * c2).astype(np.int64)
+    products = c1.astype(np.int64) * c2
     # Greedy split: cut a new chunk whenever the running product total
     # passes chunk_pairs.  np.searchsorted over the cumulative sum gives
     # all boundaries without a Python loop per code.

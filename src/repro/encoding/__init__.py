@@ -16,6 +16,7 @@ from .codes import (
 from .seeds import (
     MAX_SEED_WIDTH,
     invalid_code,
+    code_dtype,
     n_seed_codes,
     seed_codes,
     code_of_word,
@@ -39,6 +40,7 @@ __all__ = [
     "is_valid",
     "MAX_SEED_WIDTH",
     "invalid_code",
+    "code_dtype",
     "n_seed_codes",
     "seed_codes",
     "code_of_word",

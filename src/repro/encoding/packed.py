@@ -115,21 +115,23 @@ class PackedBank:
         total = n + 2 * pad
         ok = seq < INVALID
 
+        # Four 2-bit codes per byte, base i at bits 2*(i % 4), so each
+        # 8 bytes read as a little-endian uint64 hold 32 codes, base i at
+        # bits 2*(i % 32); validity likewise packs 8 bits per byte.
         n32 = -(-total // 32) + 2  # +2 slack words for shift-combine reads
-        codes = np.zeros(n32 * 32, dtype=np.uint64)
-        codes[pad : pad + n] = np.where(ok, seq, 0).astype(np.uint64)
-        shifts2 = np.arange(32, dtype=np.uint64) * np.uint64(2)
-        words = np.bitwise_or.reduce(
-            codes.reshape(-1, 32) << shifts2[None, :], axis=1
-        )
+        codes = np.zeros(n32 * 32, dtype=np.uint8)
+        np.copyto(codes[pad : pad + n], seq, where=ok, casting="unsafe")
+        quads = codes.reshape(-1, 4)
+        packed = quads[:, 3] << 6
+        for j in (2, 1, 0):
+            packed |= quads[:, j] << 2 * j
+        words = packed.view("<u8").astype(np.uint64, copy=False)
 
         n64 = -(-total // 64) + 2
-        vbits = np.zeros(n64 * 64, dtype=np.uint64)
+        vbits = np.zeros(n64 * 64, dtype=bool)
         vbits[pad : pad + n] = ok
-        shifts1 = np.arange(64, dtype=np.uint64)
-        valid = np.bitwise_or.reduce(
-            vbits.reshape(-1, 64) << shifts1[None, :], axis=1
-        )
+        valid = np.packbits(vbits, bitorder="little").view("<u8")
+        valid = valid.astype(np.uint64, copy=False)
 
         self.n = n
         self.pad = int(pad)

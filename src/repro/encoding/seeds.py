@@ -29,6 +29,7 @@ from .codes import INVALID, encode, decode
 __all__ = [
     "MAX_SEED_WIDTH",
     "invalid_code",
+    "code_dtype",
     "n_seed_codes",
     "seed_codes",
     "code_of_word",
@@ -63,6 +64,16 @@ def invalid_code(w: int) -> int:
     return n_seed_codes(w)
 
 
+def code_dtype(sentinel: int) -> np.dtype:
+    """Dtype of seed codes whose invalid sentinel is ``sentinel``.
+
+    int32 while the sentinel (above every valid code) is below ``2**31``:
+    contiguous seeds up to ``w = 15`` and spaced or subset masks whose
+    ``invalid_code()`` fits; int64 beyond.
+    """
+    return np.dtype(np.int32 if sentinel < 1 << 31 else np.int64)
+
+
 def seed_codes(codes: np.ndarray, w: int) -> np.ndarray:
     """Compute the seed code of every window of width ``w``.
 
@@ -76,7 +87,8 @@ def seed_codes(codes: np.ndarray, w: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``int64`` array of length ``n``.  Entry ``i`` is
+        Array of length ``n`` in :func:`code_dtype` (int32 up to
+        ``w = 15``).  Entry ``i`` is
         ``codeSEED(codes[i:i+w])`` when that window lies fully inside the
         array and contains only valid nucleotides; otherwise it is
         :func:`invalid_code`.
@@ -86,16 +98,16 @@ def seed_codes(codes: np.ndarray, w: int) -> np.ndarray:
     n = arr.shape[0]
     w = int(w)
     bad = invalid_code(w)
-    out = np.full(n, bad, dtype=np.int64)
+    dtype = code_dtype(bad)
+    out = np.full(n, bad, dtype=dtype)
     if n < w:
         return out
 
     # Codes of power-of-two widths by doubling -- the width-2k code at
     # ``i`` is the width-k code at ``i`` plus ``4**k`` times the one at
     # ``i + k`` -- and the widths of w's binary digits appended low to
-    # high.  int32 holds every code up to w = 15.  Invalid characters
-    # pack as ``c & 3``; their windows are masked below.
-    dtype = np.int32 if w <= 15 else np.int64
+    # high, in the output dtype.  Invalid characters pack as ``c & 3``;
+    # their windows are masked below.
     part = (arr & 3).astype(dtype)  # codes of width 1
     acc = None  # codes of the first ``done`` characters of each window
     done = 0
@@ -115,7 +127,7 @@ def seed_codes(codes: np.ndarray, w: int) -> np.ndarray:
     valid_len = n - w + 1
     n_bad = np.zeros(n + 1, dtype=np.int32 if n < 1 << 31 else np.int64)
     np.cumsum(arr >= INVALID, out=n_bad[1:])
-    out[:valid_len] = np.where(n_bad[w:] == n_bad[:valid_len], acc, bad)
+    np.copyto(out[:valid_len], acc, where=n_bad[w:] == n_bad[:valid_len])
     return out
 
 

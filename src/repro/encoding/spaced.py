@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import INVALID
-from .seeds import MAX_SEED_WIDTH
+from .seeds import MAX_SEED_WIDTH, code_dtype
 
 __all__ = ["SpacedSeedMask", "spaced_seed_codes", "PATTERNHUNTER_11_18"]
 
@@ -89,17 +89,19 @@ def spaced_seed_codes(codes: np.ndarray, mask: SpacedSeedMask) -> np.ndarray:
     n = arr.shape[0]
     span = mask.span
     bad = mask.invalid_code()
-    out = np.full(n, bad, dtype=np.int64)
+    dtype = code_dtype(bad)
+    out = np.full(n, bad, dtype=dtype)
     if n < span:
         return out
     valid_len = n - span + 1
     # Validity over the full span (cumulative count of invalid chars).
-    invalid = (arr >= INVALID).astype(np.int32)
-    csum = np.concatenate(([0], np.cumsum(invalid)))
-    ok = (csum[span : span + valid_len] - csum[:valid_len]) == 0
-    acc = np.zeros(valid_len, dtype=np.int64)
+    csum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(arr >= INVALID, out=csum[1:])
+    ok = csum[span : span + valid_len] == csum[:valid_len]
+    acc = np.zeros(valid_len, dtype=dtype)
     for j, off in enumerate(mask.offsets):
-        col = arr[off : off + valid_len].astype(np.int64)
-        acc += (4**j) * np.where(col >= 0, np.minimum(col, 3), 0)
-    out[:valid_len] = np.where(ok, acc, bad)
+        col = np.clip(arr[off : off + valid_len], 0, 3).astype(dtype)
+        col *= 4**j
+        acc += col
+    np.copyto(out[:valid_len], acc, where=ok)
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import INVALID
-from .seeds import MAX_SEED_WIDTH
+from .seeds import MAX_SEED_WIDTH, code_dtype
 
 __all__ = ["SubsetSeedMask", "subset_seed_codes", "TRANSITION_EXAMPLE_9_3"]
 
@@ -97,19 +97,20 @@ def subset_seed_codes(codes: np.ndarray, mask: SubsetSeedMask) -> np.ndarray:
     n = arr.shape[0]
     span = mask.span
     bad = mask.invalid_code()
-    out = np.full(n, bad, dtype=np.int64)
+    dtype = code_dtype(bad)
+    out = np.full(n, bad, dtype=dtype)
     if n < span:
         return out
     valid_len = n - span + 1
-    invalid = (arr >= INVALID).astype(np.int32)
-    csum = np.concatenate(([0], np.cumsum(invalid)))
-    ok = (csum[span : span + valid_len] - csum[:valid_len]) == 0
-    acc = np.zeros(valid_len, dtype=np.int64)
-    radix = np.int64(1)
+    csum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(arr >= INVALID, out=csum[1:])
+    ok = csum[span : span + valid_len] == csum[:valid_len]
+    acc = np.zeros(valid_len, dtype=dtype)
+    radix = 1
     for off, kind in enumerate(mask.pattern):
         if kind == "-":
             continue
-        col = arr[off : off + valid_len].astype(np.int64)
+        col = arr[off : off + valid_len].astype(dtype)
         col = np.where((col >= 0) & (col < INVALID), col, 0)
         if kind == "#":
             digit = col
@@ -119,5 +120,5 @@ def subset_seed_codes(codes: np.ndarray, mask: SubsetSeedMask) -> np.ndarray:
             base = 2
         acc += radix * digit
         radix *= base
-    out[:valid_len] = np.where(ok, acc, bad)
+    np.copyto(out[:valid_len], acc, where=ok)
     return out

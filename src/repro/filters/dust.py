@@ -71,7 +71,16 @@ def _recent_occurrence_counts(triplets: np.ndarray, lookback: int) -> np.ndarray
     for d in range(1, min(lookback, n)):
         rep[d:] += t[d:] == t[:-d]
     rep[t == _TRIPLET_INVALID] = 0
-    return rep.astype(np.int64)
+    return rep
+
+
+#: The score is ``_SCALE * pairs / (k - 1)``.  The trailing-window
+#: statistic counts, in addition to the pairs fully inside the window,
+#: pairs whose earlier member lies up to ``lookback`` characters before the
+#: window start.  On stationary sequence that is an almost exact 2x
+#: overcount (k*k/64 vs C(k,2)/64 expected pairs), so DUST's factor 10 is
+#: halved to keep its score scale and its threshold of 20.
+_SCALE = 5
 
 
 def dust_scores(
@@ -83,53 +92,55 @@ def dust_scores(
     at (and including) position ``j``; positions with fewer than ``window``
     preceding characters score their partial window.
     """
-    return _run_scores(np.asarray(codes), np.zeros(1, dtype=np.int64), window)[0]
+    pairs, denom, _seq_of, _local = _run_scores(
+        np.asarray(codes), np.zeros(1, dtype=np.int64), window
+    )
+    return _SCALE * pairs / denom
 
 
 def _run_scores(
     codes: np.ndarray, run_lo: np.ndarray, window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores of a run of sequences, each scored as if alone.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score terms of a run of sequences, each scored as if alone.
 
     ``run_lo`` holds the ascending start offsets of the sequences in
     ``codes`` (``run_lo[0] == 0``); whatever lies between two sequences is
     scored too and must be ignored by the caller.  The sequences are laid
     out ``window`` invalid characters apart, so no triplet pair and no
     window sum reaches from one sequence into another, and the lag passes
-    run once for the whole run.  Returns the scores, each position's
-    sequence index and its offset within that sequence.
+    run once for the whole run.  Returns, per position, the window's pair
+    count and the ``k - 1`` it is divided by (the score is ``_SCALE *
+    pairs / denom``), the position's sequence index and its offset within
+    that sequence, all in int32 while the sums fit.
     """
     if window < 8:
         raise ValueError(f"window must be >= 8, got {window}")
     lookback = window - 2  # number of triplet positions per window
     n = codes.shape[0]
-    seq_of = np.zeros(n, dtype=np.int64)
+    size = n + window * (run_lo.shape[0] - 1)  # the spaced layout
+    idx = np.int32 if size * lookback < 1 << 31 else np.int64
+    seq_of = np.zeros(n, dtype=idx)
     seq_of[run_lo[1:]] = 1
     np.cumsum(seq_of, out=seq_of)
-    at = np.arange(n) + window * seq_of  # position in the spaced layout
-    spaced = np.full(n + window * (run_lo.shape[0] - 1), INVALID, dtype=codes.dtype)
+    at = np.arange(n, dtype=idx)
+    local = at - run_lo.astype(idx)[seq_of]
+    at += window * seq_of  # position in the spaced layout
+    spaced = np.full(size, INVALID, dtype=codes.dtype)
     spaced[at] = codes
     rep = _recent_occurrence_counts(_triplet_codes(spaced), lookback)
     # Trailing sums over `lookback` counts.  Before each sequence lie >=
     # lookback zero counts, so the sums need no per-sequence clamp.
-    csum = np.cumsum(rep)
+    csum = np.cumsum(rep, dtype=idx)
     window_sums = csum.copy()
     window_sums[lookback:] -= csum[:-lookback]
-    pair_counts = window_sums[at]
-    local = np.arange(n) - run_lo[seq_of]
     # k - 1 for the k = min(local + 1, lookback) triplets in the window.
     denom = np.clip(local, 1, lookback - 1)
-    # The trailing-window statistic counts, in addition to the pairs fully
-    # inside the window, pairs whose earlier member lies up to `lookback`
-    # characters before the window start.  On stationary sequence that is an
-    # almost exact 2x overcount (k*k/64 vs C(k,2)/64 expected pairs), so we
-    # halve the count to keep DUST's score scale and its threshold of 20.
-    return 5.0 * pair_counts / denom, seq_of, local
+    return window_sums[at], denom, seq_of, local
 
 
 #: Sequences are scored in runs of about this many characters: enough to
 #: spread the lag passes' fixed cost over many short sequences, few enough
-#: to keep the run's int64 scratch arrays small.
+#: to keep the run's scratch arrays small.
 _RUN_CHARS: int = 1 << 18
 
 
@@ -174,15 +185,22 @@ def _dust_mask_runs(
 ) -> np.ndarray:
     """Mask of the sequences ``codes[run_lo[i]:run_hi[i]]``, each alone."""
     n = codes.shape[0]
-    scores, seq_of, local = _run_scores(codes, run_lo, window)
-    hot_end = (scores > threshold) & (local < (run_hi - run_lo)[seq_of])
+    pairs, denom, seq_of, local = _run_scores(codes, run_lo, window)
+    # score > threshold, cross-multiplied: _SCALE * pairs > threshold *
+    # denom, against floor(threshold * d) for each denominator d (the
+    # left side is an integer), clipped to what a window can reach.
+    top = _SCALE * window * window
+    limit = np.clip(np.floor(threshold * np.arange(window - 2)), -1, top)
+    pairs *= _SCALE
+    hot_end = pairs > limit.astype(pairs.dtype)[denom]
+    hot_end &= local < (run_hi - run_lo).astype(local.dtype)[seq_of]
     if not hot_end.any():
         return np.zeros(n, dtype=bool)
     # A window end at j masks characters [j - window + 1, j + 2] of its
     # sequence (the last triplet starts at j and covers j..j+2).  Dilate
     # via a difference array.
-    diff = np.zeros(n + 1, dtype=np.int64)
-    ends = np.nonzero(hot_end)[0]
+    diff = np.zeros(n + 1, dtype=local.dtype)
+    ends = np.flatnonzero(hot_end)
     lo = np.maximum(ends - window + 1, run_lo[seq_of[ends]])
     hi = np.minimum(ends + 3, run_hi[seq_of[ends]])
     np.add.at(diff, lo, 1)

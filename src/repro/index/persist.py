@@ -7,27 +7,27 @@ archive stores the encoded bank, its layout, and the CSR arrays; loading
 reconstructs a :class:`~repro.index.seed_index.CsrSeedIndex` without
 re-sorting.
 
-Two formats are understood:
+The archive (format **v4**) is a single uncompressed file: an 8-byte
+magic, a JSON header describing every array (name, dtype, shape, offset,
+CRC-32), then the raw array bytes at 64-byte-aligned offsets.  The
+arrays are the bank's ``seq``/``starts``/``lengths`` and the index's
+:attr:`~repro.index.seed_index.CsrSeedIndex.ARRAY_FIELDS`, in their
+narrow in-memory dtypes.  Loading ``mmap``\\ s the file and hands out
+read-only views: O(1) regardless of bank size, the kernel pages data in
+on first touch, and -- because file-backed mappings are shared -- every
+worker process that loads the same archive shares one physical copy.
+The header CRC is always checked; the per-array CRCs are checked when
+``verify=True`` (paying one sequential read).
 
-**v3 (default)** -- a single uncompressed file: an 8-byte magic, a JSON
-header describing every array (name, dtype, shape, offset, CRC-32), then
-the raw array bytes at 64-byte-aligned offsets.  Loading ``mmap``\\ s the
-file and hands out read-only views: O(1) regardless of bank size, the
-kernel pages data in on first touch, and -- because file-backed mappings
-are shared -- every worker process that loads the same archive shares one
-physical copy.  The header CRC is always checked; the per-array CRCs are
-checked when ``verify=True`` (paying one sequential read).
+Damage raises :class:`~repro.runtime.errors.IndexCorrupt` -- the
+resilient runtime's resume path depends on never silently deserialising
+garbage inputs.  An archive of the previous format (v3: the same
+container, with int64 arrays and the since-dropped ``sorted_codes`` /
+``codes_at``) raises its subclass
+:class:`~repro.runtime.errors.IndexOutdated`; its bank still loads
+through :func:`load_archived_bank`, so a holder can re-index it.
 
-**v2 (legacy)** -- ``np.savez_compressed`` with a meta block and a
-content CRC.  Still loaded transparently (the loader sniffs the magic),
-still fully verified on load (decompression reads everything anyway);
-``save_index(..., format="v2")`` keeps a writer for compatibility tests.
-
-Both paths raise :class:`~repro.runtime.errors.IndexCorrupt` on damage --
-the resilient runtime's resume path depends on never silently
-deserialising garbage inputs.
-
-:class:`IndexCache` keys v3 archives by a content hash of the bank and
+:class:`IndexCache` keys archives by a content hash of the bank and
 the index parameters, turning repeated-library workloads ("serve a
 library of banks", ROADMAP) into cache hits that skip step 1 entirely.
 """
@@ -41,7 +41,6 @@ import contextlib
 import os
 import struct
 import zlib
-import zipfile
 from pathlib import Path
 
 try:
@@ -53,10 +52,10 @@ import numpy as np
 
 from ..io.bank import Bank
 from ..runtime import faults
-from ..runtime.errors import IndexCorrupt
+from ..runtime.errors import IndexCorrupt, IndexOutdated
 from .seed_index import CsrSeedIndex
 
-__all__ = ["save_index", "load_index", "IndexCache"]
+__all__ = ["save_index", "load_index", "load_archived_bank", "IndexCache"]
 
 
 def _flip_one_byte(path: Path) -> None:
@@ -81,49 +80,25 @@ def _flip_one_byte(path: Path) -> None:
     except OSError:  # pragma: no cover - cache dir raced away
         pass
 
-#: Current archive format version (the v3 single-file mmap layout).
-FORMAT_VERSION = 3
+#: Current archive format version.
+FORMAT_VERSION = 4
 
-#: Legacy compressed-npz format (still loadable, writable on request).
-V2_FORMAT_VERSION = 2
+#: The previous version: same container, outdated index arrays.
+_PREVIOUS_VERSION = 3
 
-#: v3 file magic (8 bytes).
+#: File magic (8 bytes), shared by v3 and v4: the header's version tells
+#: them apart, so an outdated archive is named as such, not as junk.
 _MAGIC = b"SCORIS3\x00"
 
-#: npz/zip magic, used to sniff legacy archives.
-_ZIP_MAGIC = b"PK"
-
-#: Alignment of every array segment in a v3 file (cache-line friendly,
-#: and a multiple of every dtype's itemsize).
+#: Alignment of every array segment (cache-line friendly, and a multiple
+#: of every dtype's itemsize).
 _ALIGN = 64
 
+#: The bank's arrays, stored first in every archive version.
+_BANK_FIELDS = ("seq", "starts", "lengths")
+
 #: Array fields persisted (and covered by checksums), in layout order.
-_ARRAY_FIELDS = (
-    "seq",
-    "starts",
-    "lengths",
-    "positions",
-    "sorted_codes",
-    "unique_codes",
-    "code_starts",
-    "code_counts",
-    "codes_at",
-)
-
-
-def _index_arrays(index: CsrSeedIndex) -> dict[str, np.ndarray]:
-    bank = index.bank
-    return {
-        "seq": bank.seq,
-        "starts": bank.starts,
-        "lengths": bank.lengths,
-        "positions": index.positions,
-        "sorted_codes": index.sorted_codes,
-        "unique_codes": index.unique_codes,
-        "code_starts": index.code_starts,
-        "code_counts": index.code_counts,
-        "codes_at": index.codes_at,
-    }
+_ARRAY_FIELDS = _BANK_FIELDS + CsrSeedIndex.ARRAY_FIELDS
 
 
 def _index_meta(index: CsrSeedIndex) -> dict:
@@ -135,60 +110,28 @@ def _index_meta(index: CsrSeedIndex) -> dict:
     }
 
 
-def _content_crc(arrays: dict[str, np.ndarray]) -> int:
-    """CRC-32 over the raw bytes of every persisted array, field order."""
-    crc = 0
-    for name in _ARRAY_FIELDS:
-        crc = zlib.crc32(np.ascontiguousarray(arrays[name]).tobytes(), crc)
-    return crc
-
-
 # --------------------------------------------------------------------- #
-# Writers
+# Writer
 # --------------------------------------------------------------------- #
 
 
-def save_index(path, index: CsrSeedIndex, format: str = "v3") -> None:
-    """Serialise *index* (with its bank) to ``path``.
-
-    ``format="v3"`` (default) writes the mmap-able single-file layout;
-    ``format="v2"`` writes the legacy compressed ``.npz``.
-    """
-    if format == "v3":
-        _save_v3(path, index)
-    elif format == "v2":
-        _save_v2(path, index)
-    else:
-        raise ValueError(f"unknown index archive format {format!r}")
+def save_index(path, index: CsrSeedIndex) -> None:
+    """Serialise *index* (with its bank) to ``path`` as a v4 archive."""
+    bank = index.bank
+    arrays = {"seq": bank.seq, "starts": bank.starts, "lengths": bank.lengths}
+    arrays.update((name, getattr(index, name)) for name in index.ARRAY_FIELDS)
+    _write_archive(path, FORMAT_VERSION, _index_meta(index), arrays)
 
 
-def _save_v2(path, index: CsrSeedIndex) -> None:
-    arrays = _index_arrays(index)
-    meta = {
-        "version": V2_FORMAT_VERSION,
-        **_index_meta(index),
-        "crc": _content_crc(arrays),
-    }
-    with open(path, "wb") as fh:  # np.savez would append ".npz" to a bare path
-        np.savez_compressed(
-            fh,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            **arrays,
-        )
-
-
-def _save_v3(path, index: CsrSeedIndex) -> None:
-    arrays = {
-        name: np.ascontiguousarray(arr)
-        for name, arr in _index_arrays(index).items()
-    }
+def _write_archive(path, version: int, meta: dict, arrays: dict) -> None:
+    """Write ``arrays`` (in dict order) under a header of ``version``."""
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
     # Array offsets are relative to the 64-aligned data section that
     # follows the header, so the header's own length never feeds back
     # into the offsets it describes (single-pass serialisation).
     table = []
     offset = 0
-    for name in _ARRAY_FIELDS:
-        arr = arrays[name]
+    for name, arr in arrays.items():
         offset = -(-offset // _ALIGN) * _ALIGN
         table.append(
             {
@@ -197,21 +140,21 @@ def _save_v3(path, index: CsrSeedIndex) -> None:
                 "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": int(arr.nbytes),
-                "crc": zlib.crc32(arr.tobytes()),
+                "crc": zlib.crc32(arr),
             }
         )
         offset += arr.nbytes
     header = json.dumps(
-        {"version": FORMAT_VERSION, "meta": _index_meta(index), "arrays": table}
+        {"version": version, "meta": meta, "arrays": table}
     ).encode("utf-8")
     data_start = -(-(len(_MAGIC) + 8 + len(header)) // _ALIGN) * _ALIGN
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", len(header), zlib.crc32(header)))
         fh.write(header)
-        for entry, name in zip(table, _ARRAY_FIELDS):
+        for entry, arr in zip(table, arrays.values()):
             fh.seek(data_start + entry["offset"])
-            fh.write(arrays[name].tobytes())
+            fh.write(arr.data)
 
 
 # --------------------------------------------------------------------- #
@@ -219,10 +162,7 @@ def _save_v3(path, index: CsrSeedIndex) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _rebuild(meta: dict, arrays: dict[str, np.ndarray]) -> CsrSeedIndex:
-    """Reassemble a bank + index from persisted pieces (no re-sorting)."""
-    from ..encoding.spaced import SpacedSeedMask
-
+def _rebuild_bank(meta: dict, arrays: dict[str, np.ndarray]) -> Bank:
     starts = arrays["starts"]
     bank = Bank.__new__(Bank)
     bank.names = list(meta["names"])
@@ -230,43 +170,45 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray]) -> CsrSeedIndex:
     bank.starts = starts
     bank._ends = starts + arrays["lengths"]
     bank.seq = arrays["seq"]
-    mask_pattern = meta.get("mask")
-    return CsrSeedIndex.from_arrays(
-        bank=bank,
-        w=int(meta["w"]),
-        span=int(meta.get("span", meta["w"])),
-        mask=SpacedSeedMask(mask_pattern) if mask_pattern else None,
-        positions=arrays["positions"],
-        sorted_codes=arrays["sorted_codes"],
-        unique_codes=arrays["unique_codes"],
-        code_starts=arrays["code_starts"],
-        code_counts=arrays["code_counts"],
-        codes_at=arrays["codes_at"],
-    )
+    return bank
 
 
 def load_index(path, verify: bool = False) -> CsrSeedIndex:
-    """Load an index saved with :func:`save_index` (v3 or legacy v2).
+    """Load an index saved with :func:`save_index`.
 
-    v3 archives are memory-mapped: the call is O(1) and the returned
+    The archive is memory-mapped: the call is O(1) and the returned
     arrays are read-only views whose pages the OS shares across every
     process mapping the same file.  The header checksum is always
     verified; ``verify=True`` additionally checks every array's CRC-32
-    (one sequential read).  v2 archives decompress fully and are always
-    content-verified.  Raises :class:`~repro.runtime.errors.IndexCorrupt`
-    (a :class:`ValueError` subclass) on structural damage, an unsupported
-    version, or a checksum mismatch.
+    (one sequential read).  Raises
+    :class:`~repro.runtime.errors.IndexCorrupt` (a :class:`ValueError`
+    subclass) on structural damage, an unsupported version, or a
+    checksum mismatch, and its subclass
+    :class:`~repro.runtime.errors.IndexOutdated` on an archive of the
+    previous format.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-    if magic == _MAGIC:
-        return _load_v3(path, verify=verify)
-    if magic[:2] == _ZIP_MAGIC:
-        return _load_v2(path)
-    raise IndexCorrupt(
-        f"index archive {path!s} has an unrecognised signature "
-        f"({magic[:8]!r}); not a v2 or v3 scoris index archive"
+    from ..encoding.spaced import SpacedSeedMask
+
+    meta, arrays = _load_archive(path, verify, _ARRAY_FIELDS, outdated_ok=False)
+    mask_pattern = meta.get("mask")
+    return CsrSeedIndex.from_arrays(
+        bank=_rebuild_bank(meta, arrays),
+        w=int(meta["w"]),
+        span=int(meta.get("span", meta["w"])),
+        mask=SpacedSeedMask(mask_pattern) if mask_pattern else None,
+        **{name: arrays[name] for name in CsrSeedIndex.ARRAY_FIELDS},
     )
+
+
+def load_archived_bank(path, verify: bool = False) -> Bank:
+    """The bank stored in an archive of the current or previous format.
+
+    The bank's arrays are laid out alike in both, so an outdated archive
+    (:class:`~repro.runtime.errors.IndexOutdated`) can be re-indexed
+    from what it stores.
+    """
+    meta, arrays = _load_archive(path, verify, _BANK_FIELDS, outdated_ok=True)
+    return _rebuild_bank(meta, arrays)
 
 
 def _close_quietly(mm: mmap.mmap) -> None:
@@ -278,18 +220,31 @@ def _close_quietly(mm: mmap.mmap) -> None:
         pass
 
 
-def _load_v3(path, verify: bool) -> CsrSeedIndex:
+def _load_archive(
+    path, verify: bool, fields: tuple[str, ...], outdated_ok: bool
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header meta and read-only mmap views of ``fields``."""
     try:
         fd = os.open(os.fspath(path), os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
-            mm = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
+            mm = mmap.mmap(fd, size, access=mmap.ACCESS_READ) if size else None
         finally:
             os.close(fd)  # the mapping keeps its own reference
+    except FileNotFoundError:
+        raise
     except (OSError, ValueError) as exc:
         raise IndexCorrupt(
             f"index archive {path!s} is unreadable: {exc}"
         ) from exc
+    if mm is None or mm[: len(_MAGIC)] != _MAGIC:
+        magic = b"" if mm is None else mm[:8]
+        if mm is not None:
+            _close_quietly(mm)
+        raise IndexCorrupt(
+            f"index archive {path!s} has an unrecognised signature "
+            f"({magic!r}); not a scoris index archive"
+        )
     try:
         base = len(_MAGIC)
         if size < base + 8:
@@ -310,20 +265,26 @@ def _load_v3(path, verify: bool) -> CsrSeedIndex:
             raise IndexCorrupt(
                 f"index archive {path!s}: unreadable header ({exc})"
             ) from None
-        if header.get("version") != FORMAT_VERSION:
+        version = header.get("version")
+        if version == _PREVIOUS_VERSION and not outdated_ok:
+            raise IndexOutdated(
+                f"index archive {path!s} has the outdated format "
+                f"v{version} (current v{FORMAT_VERSION}); rebuild it"
+            )
+        if version not in (FORMAT_VERSION, _PREVIOUS_VERSION):
             raise IndexCorrupt(
-                f"unsupported index archive version {header.get('version')!r}"
+                f"unsupported index archive version {version!r}"
                 f" (expected {FORMAT_VERSION})"
             )
         entries = {e["name"]: e for e in header.get("arrays", [])}
-        missing = [n for n in _ARRAY_FIELDS if n not in entries]
+        missing = [n for n in fields if n not in entries]
         if missing:
             raise IndexCorrupt(
                 f"index archive {path!s}: missing array {missing[0]!r}"
             )
         data_start = -(-header_end // _ALIGN) * _ALIGN
         arrays: dict[str, np.ndarray] = {}
-        for name in _ARRAY_FIELDS:
+        for name in fields:
             e = entries[name]
             lo = data_start + int(e["offset"])
             hi = lo + int(e["nbytes"])
@@ -355,57 +316,16 @@ def _load_v3(path, verify: bool) -> CsrSeedIndex:
             f"index archive {path!s} has a malformed header: {exc}"
         ) from exc
     # The arrays' buffer exports keep `mm` alive; no copy is ever made.
-    return _rebuild(header["meta"], arrays)
-
-
-def _load_v2(path) -> CsrSeedIndex:
-    try:
-        with np.load(path) as z:
-            try:
-                meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-            except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise IndexCorrupt(
-                    f"index archive {path!s}: unreadable meta block ({exc})"
-                ) from None
-            if meta.get("version") != V2_FORMAT_VERSION:
-                raise IndexCorrupt(
-                    f"unsupported index archive version {meta.get('version')!r}"
-                    f" (expected {V2_FORMAT_VERSION})"
-                )
-            try:
-                arrays = {name: z[name] for name in _ARRAY_FIELDS}
-            except KeyError as exc:
-                raise IndexCorrupt(
-                    f"index archive {path!s}: missing array {exc}"
-                ) from None
-            stored_crc = meta.get("crc")
-            if stored_crc is None or _content_crc(arrays) != int(stored_crc):
-                raise IndexCorrupt(
-                    f"index archive {path!s} failed its content checksum "
-                    "(truncated or corrupted data)"
-                )
-    except FileNotFoundError:
-        raise
-    except IndexCorrupt:
-        raise
-    except (zipfile.BadZipFile, zlib.error, OSError, EOFError, ValueError) as exc:
-        # np.load / zipfile raise a zoo of exceptions on damaged archives;
-        # fold them into the structured taxonomy.
-        raise IndexCorrupt(f"index archive {path!s} is unreadable: {exc}") from exc
-
-    seq = arrays["seq"].copy()
-    seq.flags.writeable = False
-    arrays = {**arrays, "seq": seq}
-    return _rebuild(meta, arrays)
+    return header["meta"], arrays
 
 
 # --------------------------------------------------------------------- #
-# Content-hash keyed cache of v3 archives
+# Content-hash keyed cache of archives
 # --------------------------------------------------------------------- #
 
 
 class IndexCache:
-    """A directory of v3 index archives keyed by bank + parameter content.
+    """A directory of index archives keyed by bank + parameter content.
 
     ``get(bank, w, filter_kind)`` returns the cached index when the exact
     (bank contents, seed width, filter) combination was built before --
@@ -450,7 +370,9 @@ class IndexCache:
     def key(self, bank: Bank, w: int, filter_kind: str | None) -> str:
         """Content hash of one (bank, parameters) combination."""
         h = hashlib.sha256()
-        h.update(f"scoris-index/v3|w={w}|filter={filter_kind}|".encode())
+        h.update(
+            f"scoris-index/v{FORMAT_VERSION}|w={w}|filter={filter_kind}|".encode()
+        )
         h.update(bank.seq.tobytes())
         h.update(np.ascontiguousarray(bank.starts).tobytes())
         h.update("\x00".join(bank.names).encode("utf-8", "surrogateescape"))
@@ -484,7 +406,7 @@ class IndexCache:
         index = CsrSeedIndex(bank, w, make_filter_mask(bank, filter_kind))
         tmp = path.with_suffix(".tmp")
         with self._lock():
-            _save_v3(tmp, index)
+            save_index(tmp, index)
             os.replace(tmp, path)  # atomic publish: never a torn file
             self._evict(keep=path)
         return index

@@ -39,34 +39,72 @@ from ..encoding.subset import SubsetSeedMask, subset_seed_codes
 from ..io.bank import Bank
 
 __all__ = [
-    "valid_window_mask", "sort_positions_by_code", "LinkedSeedIndex",
-    "CsrSeedIndex", "CommonCodes",
+    "valid_window_mask", "position_dtype", "sort_postings",
+    "LinkedSeedIndex", "CsrSeedIndex", "CommonCodes",
 ]
 
 
-def sort_positions_by_code(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``pos`` ordered by ``(codes[pos], pos)``: the code-major posting order.
+#: Headroom kept below 2**31 by :func:`position_dtype`, so a position
+#: plus any window offset or padding a kernel adds to it stays in int32.
+POSITION_MARGIN: int = 1 << 16
 
-    ``pos`` must hold unique positions, in any order; the segment-store
-    merge passes them code-major per source.  For an ascending ``pos`` the
-    result is ``pos[np.argsort(codes[pos], kind="stable")]``.  The keys
-    ``code << pbits | pos`` are unique, so a plain in-place integer sort of
-    them gives the ``(code, pos)`` order whatever the input order;
-    ``np.lexsort`` takes over when code and position need more than 63
-    bits.
+
+def position_dtype(n: int) -> np.dtype:
+    """Dtype of positions (and posting offsets) into an ``n``-slot bank.
+
+    int32 while ``n`` plus :data:`POSITION_MARGIN` is below ``2**31``
+    (the paper's 4-byte ``INDEX`` entries), int64 beyond.
     """
-    pos = np.asarray(pos, dtype=np.int64)
-    if pos.shape[0] < 2:
-        return pos.copy()
-    keys = codes[pos].astype(np.int64, copy=False)
-    pbits = int(pos.max()).bit_length()
-    if int(keys.max()).bit_length() + pbits > 63:
-        return pos[np.lexsort((pos, keys))]
-    keys <<= pbits
-    keys |= pos
-    keys.sort()
-    keys &= (1 << pbits) - 1
-    return keys
+    return np.dtype(np.int32 if n + POSITION_MARGIN < 1 << 31 else np.int64)
+
+
+def sort_postings(
+    codes: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR postings of the windows ``ok`` of a bank with seed ``codes``.
+
+    Returns ``(positions, unique_codes, code_starts)``: the positions
+    where ``ok`` is set, ordered by ``(codes[pos], pos)`` in the bank's
+    :func:`position_dtype`; the distinct codes ascending, in the dtype of
+    ``codes``; and the ``n_distinct + 1`` offsets of each code's run in
+    ``positions``.
+
+    The positions start out ascending and become the low bits of the
+    keys ``code << pbits | pos``.  Those are unique, so one in-place
+    integer sort gives the ``(code, pos)`` order; the positions are
+    masked out of the sorted keys straight into their narrow dtype, and
+    the keys shifted back are the sorted codes whose runs give the
+    offsets.  When code and position need more than 63 bits, a stable
+    argsort of the codes gives the same order.
+    """
+    pdt = position_dtype(codes.shape[0])
+    keys = np.flatnonzero(ok)  # ascending positions: the sort-key buffer
+    m = keys.shape[0]
+    if m == 0:
+        return np.empty(0, pdt), np.empty(0, codes.dtype), np.zeros(1, pdt)
+    pbits = int(keys[-1]).bit_length()
+    high = codes[keys]
+    if int(high.max()).bit_length() + pbits > 63:
+        order = np.argsort(high, kind="stable")
+        positions = keys[order].astype(pdt)
+        keys = high[order].astype(np.int64)
+    else:
+        high = np.left_shift(high, pbits, dtype=np.int64)
+        keys |= high
+        del high
+        keys.sort()
+        positions = np.empty(m, pdt)
+        np.bitwise_and(keys, (1 << pbits) - 1, out=positions, casting="unsafe")
+        keys >>= pbits
+    head = np.empty(m, dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    unique_codes = keys[head].astype(codes.dtype)
+    del keys  # the largest scratch array goes before the offsets come
+    code_starts = np.empty(unique_codes.shape[0] + 1, pdt)
+    code_starts[:-1] = np.flatnonzero(head)
+    code_starts[-1] = m
+    return positions, unique_codes, code_starts
 
 
 def valid_window_mask(
@@ -94,27 +132,8 @@ def valid_window_mask(
         ``stride`` (so subsampling restarts at each sequence start, as the
         paper's per-sequence word enumeration does).
     """
-    codes = seed_codes(bank.seq, w)
-    ok = codes < invalid_code(w)
-    if low_complexity_mask is not None:
-        lcm = np.asarray(low_complexity_mask, dtype=bool)
-        if lcm.shape != bank.seq.shape:
-            raise ValueError("low_complexity_mask shape does not match bank")
-        # A window is discarded if any of its w characters is masked.
-        bad = lcm.astype(np.int32)
-        csum = np.concatenate(([0], np.cumsum(bad)))
-        n = bank.seq.shape[0]
-        window_bad = np.zeros(n, dtype=bool)
-        valid_len = n - w + 1
-        if valid_len > 0:
-            window_bad[:valid_len] = (csum[w : w + valid_len] - csum[:valid_len]) > 0
-        ok &= ~window_bad
-    if stride > 1:
-        keep = np.zeros(bank.seq.shape[0], dtype=bool)
-        for i in range(bank.n_sequences):
-            s, e = bank.bounds(i)
-            keep[s:e:stride] = True
-        ok &= keep
+    ok = seed_codes(bank.seq, w) < invalid_code(w)
+    ok &= _extra_window_mask(bank, w, low_complexity_mask, stride)
     return ok
 
 
@@ -128,19 +147,20 @@ def _extra_window_mask(
     characters themselves is already known from the seed codes)."""
     if low_complexity_mask is None and stride <= 1:
         return True
-    ok = np.ones(bank.seq.shape[0], dtype=bool)
+    n = bank.seq.shape[0]
+    ok = np.ones(n, dtype=bool)
     if low_complexity_mask is not None:
         lcm = np.asarray(low_complexity_mask, dtype=bool)
         if lcm.shape != bank.seq.shape:
             raise ValueError("low_complexity_mask shape does not match bank")
-        bad = lcm.astype(np.int32)
-        csum = np.concatenate(([0], np.cumsum(bad)))
-        n = bank.seq.shape[0]
+        # A window is discarded if any of its w characters is masked.
+        csum = np.zeros(n + 1, dtype=position_dtype(n))
+        np.cumsum(lcm, out=csum[1:])
         valid_len = n - w + 1
         if valid_len > 0:
-            ok[:valid_len] &= (csum[w : w + valid_len] - csum[:valid_len]) == 0
+            ok[:valid_len] &= csum[w : w + valid_len] == csum[:valid_len]
     if stride > 1:
-        keep = np.zeros(bank.seq.shape[0], dtype=bool)
+        keep = np.zeros(n, dtype=bool)
         for i in range(bank.n_sequences):
             s, e = bank.bounds(i)
             keep[s:e:stride] = True
@@ -251,21 +271,29 @@ class CommonCodes:
     @property
     def n_pairs(self) -> int:
         """Total number of hit pairs (sum over codes of count1*count2)."""
-        return int((self.count1 * self.count2).sum())
+        return int((self.count1.astype(np.int64) * self.count2).sum())
 
 
 class CsrSeedIndex:
     """Compressed (sorted-by-code) seed index used by the vectorised engine.
 
-    Attributes
-    ----------
+    It holds four arrays besides its bank, each int32 where it fits
+    (:func:`position_dtype`, :func:`~repro.encoding.code_dtype`) -- about
+    16 bytes per nucleotide with the lazy :attr:`indexed_mask`, against
+    the paper's 4-byte ``INDEX`` (section 3.1):
+
     positions:
-        ``int64`` global positions of every indexed window, sorted by
-        (seed code, position).
-    sorted_codes:
-        Seed code of each entry of :attr:`positions` (non-decreasing).
-    unique_codes / code_starts / code_counts:
-        Per-distinct-code extents into :attr:`positions`.
+        Global positions of every indexed window, sorted by (seed code,
+        position).
+    unique_codes:
+        The distinct seed codes, ascending.
+    code_starts:
+        ``n_distinct + 1`` offsets: the occurrences of ``unique_codes[k]``
+        are ``positions[code_starts[k] : code_starts[k + 1]]``.
+    cutoff_codes:
+        The seed code of *every* bank position, raised to
+        :attr:`sentinel` where no window is indexed: the ordered-seed
+        cutoff's codes (see :mod:`repro.align.ungapped`).
     """
 
     __slots__ = (
@@ -274,14 +302,14 @@ class CsrSeedIndex:
         "span",
         "mask",
         "positions",
-        "sorted_codes",
         "unique_codes",
         "code_starts",
-        "code_counts",
-        "codes_at",
+        "cutoff_codes",
         "_indexed_mask",
-        "_cutoff_codes",
     )
+
+    #: The arrays an index holds besides its bank (archive order).
+    ARRAY_FIELDS = ("positions", "unique_codes", "code_starts", "cutoff_codes")
 
     def __init__(
         self,
@@ -300,38 +328,28 @@ class CsrSeedIndex:
         """
         self.bank = bank
         self.mask = mask
-        if mask is not None:
+        if mask is None:
+            self.w = self.span = int(w)
+            codes = seed_codes(bank.seq, self.w)
+        else:
             self.w = int(mask.weight)
             self.span = mask.span
             if isinstance(mask, SubsetSeedMask):
                 codes = subset_seed_codes(bank.seq, mask)
             else:
                 codes = spaced_seed_codes(bank.seq, mask)
-            ok = valid_window_mask(
-                bank, mask.span, low_complexity_mask, stride
-            )
-            ok &= codes < mask.invalid_code()
-        else:
-            self.w = int(w)
-            self.span = int(w)
-            codes = seed_codes(bank.seq, w)
-            # Window validity falls out of the code computation (invalid
-            # windows carry the sentinel); only the filter mask and stride
-            # need extra passes.
-            ok = codes < invalid_code(self.w)
-            ok &= _extra_window_mask(bank, self.w, low_complexity_mask, stride)
-        #: Seed code of *every* bank position (invalid sentinel where there
-        #: is no valid window).  The ungapped extension kernel uses this for
-        #: the ordered-seed cutoff test, so it must cover all positions, not
-        #: only indexed ones.
-        self.codes_at = codes
-        self.positions = sort_positions_by_code(codes, np.nonzero(ok)[0])
-        self.sorted_codes = codes[self.positions]
-        self.unique_codes, self.code_starts, self.code_counts = _unique_runs(
-            self.sorted_codes
+        # Windows with an invalid character already carry the sentinel;
+        # raising the filtered and stride-skipped ones too turns the seed
+        # codes into the cutoff codes, in place.
+        sentinel = self.sentinel
+        extra = _extra_window_mask(bank, self.span, low_complexity_mask, stride)
+        if extra is not True:
+            codes[~extra] = sentinel
+        self.cutoff_codes = codes
+        self.positions, self.unique_codes, self.code_starts = sort_postings(
+            codes, codes < sentinel
         )
         self._indexed_mask = None
-        self._cutoff_codes = None
 
     @classmethod
     def from_arrays(
@@ -341,18 +359,17 @@ class CsrSeedIndex:
         span: int,
         mask: SpacedSeedMask | SubsetSeedMask | None,
         positions: np.ndarray,
-        sorted_codes: np.ndarray,
         unique_codes: np.ndarray,
         code_starts: np.ndarray,
-        code_counts: np.ndarray,
-        codes_at: np.ndarray,
+        cutoff_codes: np.ndarray,
     ) -> "CsrSeedIndex":
         """Reassemble an index from already-built arrays (no sorting).
 
-        This is the deserialisation path (:mod:`repro.index.persist`): the
-        arrays are trusted to satisfy the CSR invariants the constructor
-        would otherwise establish.  Arrays may be read-only views (e.g.
-        onto an ``mmap``\\ ed archive); nothing here writes to them.
+        This is the deserialisation path (:mod:`repro.index.persist`) and
+        the segment-store merge: the arrays are trusted to satisfy the
+        CSR invariants the constructor would otherwise establish.  Arrays
+        may be read-only views (e.g. onto an ``mmap``\\ ed archive);
+        nothing here writes to them.
         """
         index = cls.__new__(cls)
         index.bank = bank
@@ -360,14 +377,18 @@ class CsrSeedIndex:
         index.span = int(span)
         index.mask = mask
         index.positions = positions
-        index.sorted_codes = sorted_codes
         index.unique_codes = unique_codes
         index.code_starts = code_starts
-        index.code_counts = code_counts
-        index.codes_at = codes_at
+        index.cutoff_codes = cutoff_codes
         index._indexed_mask = None
-        index._cutoff_codes = None
         return index
+
+    @property
+    def sentinel(self) -> int:
+        """The invalid code, above every seed code this index can hold."""
+        if self.mask is not None:
+            return self.mask.invalid_code()
+        return invalid_code(self.w)
 
     @property
     def indexed_mask(self) -> np.ndarray:
@@ -376,29 +397,18 @@ class CsrSeedIndex:
         This is the *enumerability* predicate of the ordered-seed cutoff
         (see :mod:`repro.align.ungapped`): a window excluded by validity,
         the low-complexity filter, or an asymmetric stride can never
-        anchor a step-2 pair.
+        anchor a step-2 pair.  Derived from :attr:`cutoff_codes` on first
+        use (1 byte per position).
         """
         if self._indexed_mask is None:
-            mask = np.zeros(self.bank.seq.shape[0], dtype=bool)
-            mask[self.positions] = True
-            self._indexed_mask = mask
+            self._indexed_mask = self.cutoff_codes < self.sentinel
         return self._indexed_mask
 
     @property
-    def cutoff_codes(self) -> np.ndarray:
-        """Seed codes with non-enumerable windows raised to the sentinel.
-
-        Passed as ``codes1`` to the extension kernels so the cutoff only
-        defers to seeds this index can actually produce.
-        """
-        if self._cutoff_codes is None:
-            bad = (
-                self.mask.invalid_code()
-                if self.mask is not None
-                else invalid_code(self.w)
-            )
-            self._cutoff_codes = np.where(self.indexed_mask, self.codes_at, bad)
-        return self._cutoff_codes
+    def code_counts(self) -> np.ndarray:
+        """Occurrences of each distinct code (a fresh diff of
+        :attr:`code_starts`; step 2 takes counts of common codes only)."""
+        return np.diff(self.code_starts)
 
     @property
     def n_indexed(self) -> int:
@@ -407,11 +417,10 @@ class CsrSeedIndex:
 
     def positions_of(self, code: int) -> np.ndarray:
         """Occurrence positions of one seed code, ascending (maybe empty)."""
-        k = np.searchsorted(self.unique_codes, code)
+        k = int(np.searchsorted(self.unique_codes, code))
         if k == len(self.unique_codes) or self.unique_codes[k] != code:
-            return np.empty(0, dtype=np.int64)
-        s = self.code_starts[k]
-        return self.positions[s : s + self.code_counts[k]]
+            return np.empty(0, dtype=self.positions.dtype)
+        return self.positions[self.code_starts[k] : self.code_starts[k + 1]]
 
     def common_codes(self, other: "CsrSeedIndex") -> CommonCodes:
         """Codes present in both indexes, ascending, with extents in each.
@@ -426,19 +435,23 @@ class CsrSeedIndex:
                 f"({self.w}/{self.mask} vs {other.w}/{other.mask})"
             )
         # Both code lists are sorted and unique, so a binary search of each
-        # code of index 1 into index 2 is the merge join; the -1 past the
-        # end (no code) catches codes above index 2's last.
+        # code of index 1 into index 2 is the merge join; a code above
+        # index 2's last is clipped onto that last, which differs.
         u1, u2 = self.unique_codes, other.unique_codes
+        if u2.shape[0] == 0:
+            u1 = u1[:0]
         j = np.searchsorted(u2, u1)
-        i1 = np.nonzero(np.append(u2, -1)[j] == u1)[0]
+        np.minimum(j, u2.shape[0] - 1, out=j)
+        i1 = np.flatnonzero(u2[j] == u1)
         i2 = j[i1]
-        codes = u1[i1]
+        s1, s2 = self.code_starts, other.code_starts
+        start1, start2 = s1[i1], s2[i2]
         return CommonCodes(
-            codes=codes,
-            start1=self.code_starts[i1],
-            count1=self.code_counts[i1],
-            start2=other.code_starts[i2],
-            count2=other.code_counts[i2],
+            codes=u1[i1],
+            start1=start1,
+            count1=s1[i1 + 1] - start1,
+            start2=start2,
+            count2=s2[i2 + 1] - start2,
         )
 
     def nbytes(self, int_bytes: int = 4, char_bytes: int = 1) -> int:
@@ -469,17 +482,3 @@ class CsrSeedIndex:
         registry.observe_array(
             f"step1.occurrences_per_code.{label}", self.code_counts
         )
-
-
-def _unique_runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unique values, run starts, run lengths) of a sorted array."""
-    n = sorted_values.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0].astype(np.int64)
-    counts = np.diff(np.concatenate((starts, [n]))).astype(np.int64)
-    return sorted_values[starts].copy(), starts, counts

@@ -5,7 +5,7 @@ resident daemon keeps one warm.  Neither lets the bank *change*.  This
 module adds the missing shape -- the standard log-structured-merge
 layout, specialised to the paper's ordered seed index:
 
-* **Immutable segments** -- each a v3 mmap archive
+* **Immutable segments** -- each a v4 mmap archive
   (:mod:`repro.index.persist`) holding a sub-bank and its CSR seed
   index.  Segments are never rewritten; mutation never touches them.
 * **A mutable delta** -- sequences added since the last flush, held in
@@ -27,10 +27,9 @@ Seed codes, window validity, and the low-complexity filter are all
 indexed, and :func:`~repro.filters.dust_mask` masks each sequence
 independently), so a sequence's postings are invariant across bank
 layouts up to one constant position shift.  :meth:`SegmentStore.merged`
-therefore remaps each segment's postings by its sequences' offsets in
-the merged bank, drops tombstoned owners, concatenates segment-major
-(which is merged-position-ascending within any seed code), and runs one
-stable code sort -- producing arrays **byte-identical** to a cold
+therefore places each segment's cutoff codes at its kept sequences'
+offsets in the merged bank (tombstoned owners are left out) and runs the
+one posting sort over them -- producing arrays **byte-identical** to a cold
 ``CsrSeedIndex`` over the merged bank, which is exactly the ordered
 cutoff's enumeration order.  A hypothesis property test asserts the
 byte-identity; the serving layer's byte-equivalence tests inherit it.
@@ -60,11 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..encoding import encode, seed_codes
+from ..encoding import code_dtype, encode, invalid_code
 from ..filters import make_filter_mask
 from ..io.bank import Bank
 from ..runtime import faults
-from ..runtime.errors import IndexCorrupt
+from ..runtime.errors import IndexCorrupt, IndexOutdated
 from .manifest import (
     Manifest,
     SegmentEntry,
@@ -72,8 +71,8 @@ from .manifest import (
     manifest_path,
     publish_manifest,
 )
-from .persist import load_index, save_index
-from .seed_index import CsrSeedIndex, _unique_runs, sort_positions_by_code
+from .persist import load_archived_bank, load_index, save_index
+from .seed_index import CsrSeedIndex, sort_postings
 
 __all__ = ["SegmentStore", "StoreFailed", "WAL_VERSION"]
 
@@ -257,6 +256,15 @@ class SegmentStore:
                     f"segment {entry.file} referenced by manifest "
                     f"generation {manifest.generation} is missing"
                 ) from None
+            except IndexOutdated:
+                # A segment of the previous archive format: re-index its
+                # stored bank; the next compaction rewrites it.
+                bank = load_archived_bank(seg_path)
+                index = CsrSeedIndex(
+                    bank,
+                    manifest.w,
+                    make_filter_mask(bank, manifest.filter_kind or "none"),
+                )
             segments.append(_Segment(entry=entry, index=index))
         delta: dict[str, str] = {}
         tombstones = set(manifest.tombstones)
@@ -689,9 +697,10 @@ class SegmentStore:
 
         Byte-identical to ``CsrSeedIndex(Bank(logical records), w,
         filter)`` -- the ordered-cutoff preservation property -- but
-        built by remapping and merging the segments' already-sorted
-        postings instead of re-sorting the whole bank.  Cached until the
-        next mutation.  Raises ``ValueError`` on an empty store.
+        built from the segments' cutoff codes, remapped, instead of
+        recomputing seed codes and filter masks over the whole bank.
+        Cached until the next mutation.  Raises ``ValueError`` on an
+        empty store.
         """
         self._check_usable()
         if self._merged_cache is not None:
@@ -723,7 +732,13 @@ class SegmentStore:
                 (delta_index, np.ones(delta_bank.n_sequences, dtype=bool))
             )
 
-        parts_pos: list[np.ndarray] = []
+        # A window's code is a per-sequence-local property, so the merged
+        # bank's cutoff codes are the sources' own, shifted to where each
+        # kept sequence lands; tombstoned sequences leave the sentinel.
+        sentinel = invalid_code(self.w)
+        cutoff_codes = np.full(
+            merged_bank.seq.shape[0], sentinel, dtype=code_dtype(sentinel)
+        )
         merged_seq_idx = 0
         for index, kept in sources:
             bank = index.bank
@@ -738,31 +753,22 @@ class SegmentStore:
                 np.searchsorted(bank.starts, index.positions, side="right") - 1
             )
             keep_mask = kept[owner]
-            parts_pos.append(
-                index.positions[keep_mask] + shift[owner[keep_mask]]
-            )
-
-        all_pos = (
-            np.concatenate(parts_pos) if parts_pos else np.empty(0, dtype=np.int64)
+            src = index.positions[keep_mask]
+            cutoff_codes[src + shift[owner[keep_mask]]] = index.cutoff_codes[src]
+        # The postings are then exactly those a fresh CsrSeedIndex over
+        # the merged bank sorts.
+        positions, unique_codes, code_starts = sort_postings(
+            cutoff_codes, cutoff_codes < sentinel
         )
-        # all_pos is code-major per source, not ascending.  The helper
-        # orders by (code, merged position) whatever the input order, which
-        # is the order a fresh CsrSeedIndex over the merged bank holds.
-        codes_at = seed_codes(merged_bank.seq, self.w)
-        positions = sort_positions_by_code(codes_at, all_pos)
-        sorted_codes = codes_at[positions]
-        unique_codes, code_starts, code_counts = _unique_runs(sorted_codes)
         index = CsrSeedIndex.from_arrays(
             bank=merged_bank,
             w=self.w,
             span=self.w,
             mask=None,
             positions=positions,
-            sorted_codes=sorted_codes,
             unique_codes=unique_codes,
             code_starts=code_starts,
-            code_counts=code_counts,
-            codes_at=codes_at,
+            cutoff_codes=cutoff_codes,
         )
         self._merged_cache = (merged_bank, index)
         return self._merged_cache

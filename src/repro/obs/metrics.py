@@ -153,19 +153,29 @@ class Histogram:
             for v in values:
                 self.record(v)
             return
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if v.size == 0:
+        v = np.asarray(values).ravel()
+        n = int(v.size)
+        if n == 0:
             return
-        pos = v[v > 0.0]
-        self.count += int(v.size)
-        self.n_nonpositive += int(v.size - pos.size)
-        if pos.size == 0:
+        weight = None
+        if v.dtype.kind in "iub":
+            # Integer arrays (per-code occurrence counts) hold few distinct
+            # values: bucket those, not a float copy of every element.
+            v, weight = np.unique(v, return_counts=True)
+        v = v.astype(np.float64, copy=False)
+        keep = v > 0.0
+        pos = v[keep]
+        if weight is not None:
+            weight = weight[keep]
+        n_pos = pos.size if weight is None else int(weight.sum())
+        self.count += n
+        self.n_nonpositive += n - n_pos
+        if n_pos == 0:
             return
-        self.total += float(pos.sum())
+        self.total += float(pos.sum() if weight is None else pos @ weight)
         _, exps = np.frexp(pos)
-        keys, cnts = np.unique(exps, return_counts=True)
-        for k, c in zip(keys, cnts):
-            k = int(k)
+        keys, inverse = np.unique(exps, return_inverse=True)
+        for k, c in zip(keys.tolist(), np.bincount(inverse, weight).tolist()):
             self.counts[k] = self.counts.get(k, 0) + int(c)
         lo = float(pos.min())
         hi = float(pos.max())

@@ -23,6 +23,7 @@ from . import faults
 from .errors import (
     CheckpointCorrupt,
     IndexCorrupt,
+    IndexOutdated,
     InputError,
     OrisRuntimeError,
     PoolUnhealthy,
@@ -43,6 +44,7 @@ __all__ = [
     "PoolUnhealthy",
     "CheckpointCorrupt",
     "IndexCorrupt",
+    "IndexOutdated",
     "InputError",
     "ResourceExhausted",
     "RunInterrupted",

@@ -33,6 +33,9 @@ Hierarchy
     A persisted index archive failed its format-version or content
     checksum verification.  Also a :class:`ValueError` so pre-existing
     callers that caught ``ValueError`` keep working.
+``IndexOutdated``
+    An :class:`IndexCorrupt` for an intact archive of the previous
+    format: its bank is readable, its index must be rebuilt.
 ``InputError``
     Bank ingestion rejected the input (malformed FASTA, no valid
     records, an unreadable file).  Carries the structured
@@ -75,6 +78,7 @@ __all__ = [
     "PoolUnhealthy",
     "CheckpointCorrupt",
     "IndexCorrupt",
+    "IndexOutdated",
     "InputError",
     "ResourceExhausted",
     "RunInterrupted",
@@ -141,6 +145,12 @@ class IndexCorrupt(OrisRuntimeError, ValueError):
     Inherits :class:`ValueError` for backward compatibility with callers
     that treated any load failure as a value error.
     """
+
+
+class IndexOutdated(IndexCorrupt):
+    """An index archive of the previous format (intact, but not loadable
+    as an index; :func:`repro.index.persist.load_archived_bank` still
+    reads its bank)."""
 
 
 class InputError(OrisRuntimeError, ValueError):

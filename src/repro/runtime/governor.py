@@ -9,9 +9,9 @@ unresumable SIGKILL, the governor
 
 * estimates the comparison's in-memory footprint **before** any index is
   built (:func:`estimate_comparison_bytes`), using the measured per-nt
-  cost of this reproduction's CSR layout (a superset of the paper's 5N
-  C-layout figure -- NumPy's int64 arrays are wider than the prototype's
-  32-bit ints);
+  peak of building this reproduction's CSR layout (int32 arrays like the
+  paper's 5N C layout, plus per-position cutoff codes and the build's
+  int64 sort keys);
 * plans the run against a ``--memory-budget`` ceiling
   (:func:`plan_comparison`): when the monolithic footprint fits, nothing
   changes; when it does not, the subject bank degrades to tiled
@@ -56,11 +56,16 @@ __all__ = [
     "sample_rss",
 ]
 
-#: Measured per-nucleotide footprint of one bank's CSR seed index in this
-#: reproduction: 1 byte encoded ``SEQ`` + int64 ``codes_at`` (8) +
-#: ``positions`` (8) + ``sorted_codes`` (8) + ``cutoff_codes`` (8) +
-#: 1 byte indexed-mask, rounded for per-code side tables.  The paper's
-#: C prototype needs 5 bytes/nt; NumPy's 64-bit ints cost us ~7x that.
+#: Per-nucleotide peak of building one bank's CSR seed index and packed
+#: image, filter mask included, with a tenth for headroom.  What stays
+#: held is ~18 bytes/nt: 1 byte encoded ``SEQ``, int32 ``positions`` and
+#: ``cutoff_codes`` (4 + 4), int32 ``unique_codes`` and ``code_starts``
+#: (up to 4 + 4: one entry per distinct code), the 1-byte indexed mask
+#: and the 3/8-byte packed image.  The build's transients top that: the
+#: DUST scratch of a sequence run, then the int64 sort keys beside the
+#: int32 codes.  ``test_index_estimate_covers_measured_build`` measures
+#: the peak under tracemalloc on a bank of all-distinct codes
+#: (~33 bytes/nt); the paper's C prototype needs 5 bytes/nt.
 INDEX_BYTES_PER_NT: int = 36
 
 #: Flat allowance for interpreter, NumPy, code and working set.

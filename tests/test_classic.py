@@ -175,7 +175,7 @@ class TestCrossValidation:
             for a in i1.positions[cc.start1[k] : cc.start1[k] + cc.count1[k]]:
                 for b in i2.positions[cc.start2[k] : cc.start2[k] + cc.count2[k]]:
                     r = extend_hit_ref(
-                        b1.seq, b2.seq, i1.codes_at, int(a), int(b), w, sc
+                        b1.seq, b2.seq, i1.cutoff_codes, int(a), int(b), w, sc
                     )
                     if r is not None:
                         assert r[4] <= sw

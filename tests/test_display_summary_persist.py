@@ -116,28 +116,45 @@ class TestSummaries:
         assert query_coverage(recs)["q"] == 100
 
 
+def _array_span(path, name: str) -> tuple[int, int]:
+    """File offsets ``[lo, hi)`` of one array of an index archive."""
+    import json
+    import struct
+
+    blob = path.read_bytes()
+    header_len, _crc = struct.unpack_from("<II", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    data_start = -(-(16 + header_len) // 64) * 64
+    entry = next(e for e in header["arrays"] if e["name"] == name)
+    lo = data_start + entry["offset"]
+    return lo, lo + entry["nbytes"]
+
+
 class TestIndexPersistence:
-    @pytest.mark.parametrize("fmt", ["v3", "v2"])
-    def test_round_trip(self, tmp_path, rng, fmt):
+    @pytest.mark.parametrize("w", [9, 16])  # int32 and int64 codes
+    def test_round_trip(self, tmp_path, rng, w):
         bank = Bank.from_strings(
             [("a", random_dna(rng, 400)), ("b", random_dna(rng, 300))]
         )
-        idx = CsrSeedIndex(bank, 9)
+        idx = CsrSeedIndex(bank, w)
         path = tmp_path / "bank.idx"
-        save_index(path, idx, format=fmt)
+        save_index(path, idx)
         loaded = load_index(path, verify=True)
-        assert loaded.w == 9
+        assert loaded.w == w
         assert loaded.bank.names == bank.names
         assert np.array_equal(loaded.bank.seq, bank.seq)
-        assert np.array_equal(loaded.positions, idx.positions)
-        assert np.array_equal(loaded.unique_codes, idx.unique_codes)
+        for name in CsrSeedIndex.ARRAY_FIELDS:
+            got, want = getattr(loaded, name), getattr(idx, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert np.array_equal(loaded.indexed_mask, idx.indexed_mask)
 
     def test_loaded_index_is_usable(self, tmp_path, rng):
         core = random_dna(rng, 200)
         b1 = Bank.from_strings([("q", core)])
         b2 = Bank.from_strings([("s", core)])
         i2 = CsrSeedIndex(b2, 11)
-        path = tmp_path / "i2.npz"
+        path = tmp_path / "i2.scoris3"
         save_index(path, i2)
         i2b = load_index(path)
         i1 = CsrSeedIndex(b1, 11)
@@ -148,32 +165,49 @@ class TestIndexPersistence:
         assert i2b.cutoff_codes.shape == b2.seq.shape
 
     def test_version_check(self, tmp_path, rng):
-        import json
+        from repro.index.persist import _write_archive
 
         bank = Bank.from_strings([("a", random_dna(rng, 100))])
         idx = CsrSeedIndex(bank, 6)
-        path = tmp_path / "x.npz"
-        save_index(path, idx, format="v2")
-        # corrupt the version
-        data = dict(np.load(path))
-        meta = json.loads(bytes(data["meta"]).decode())
-        meta["version"] = 999
-        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **data)
+        path = tmp_path / "x.scoris3"
+        arrays = {"seq": bank.seq, "starts": bank.starts, "lengths": bank.lengths}
+        arrays.update((n, getattr(idx, n)) for n in idx.ARRAY_FIELDS)
+        meta = {"w": 6, "span": 6, "mask": None, "names": bank.names}
+        _write_archive(path, 999, meta, arrays)
         with pytest.raises(ValueError, match="version"):
             load_index(path)
 
+    def test_outdated_archive_keeps_its_bank(self, tmp_path, rng):
+        """A v3 archive is named outdated, not loaded as an index, and
+        its bank still reads for a rebuild."""
+        from repro.index.persist import load_archived_bank
+        from repro.runtime.errors import IndexOutdated
+
+        from tests.v3_archive import write_v3_archive
+
+        bank = Bank.from_strings(
+            [("a", random_dna(rng, 300)), ("b", random_dna(rng, 200))]
+        )
+        path = tmp_path / "old.scoris3"
+        write_v3_archive(path, CsrSeedIndex(bank, 9))
+        with pytest.raises(IndexOutdated, match="v3"):
+            load_index(path)
+        old = load_archived_bank(path, verify=True)
+        assert old.names == bank.names
+        assert np.array_equal(old.seq, bank.seq)
+        assert np.array_equal(old.starts, bank.starts)
+
 
 class TestIndexArchiveVerification:
-    """load_index must reject damaged v2 archives, never deserialise garbage."""
+    """load_index must reject damaged archives, never deserialise garbage."""
 
     def _saved(self, tmp_path, rng):
         bank = Bank.from_strings(
             [("a", random_dna(rng, 400)), ("b", random_dna(rng, 250))]
         )
         idx = CsrSeedIndex(bank, 8)
-        path = tmp_path / "bank.idx.npz"
-        save_index(path, idx, format="v2")
+        path = tmp_path / "bank.scoris3"
+        save_index(path, idx)
         return path
 
     def test_truncated_archive(self, tmp_path, rng):
@@ -189,38 +223,43 @@ class TestIndexArchiveVerification:
         from repro.runtime.errors import IndexCorrupt
 
         path = self._saved(tmp_path, rng)
-        blob = bytearray(path.read_bytes())
-        # Flip bytes across the middle third: whichever member they land
-        # in, either the zip layer or the content CRC must catch it.
-        for frac in (3, 7):
-            blob[len(blob) * frac // 16] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IndexCorrupt):
-            load_index(path)
+        clean = path.read_bytes()
+        # One flipped byte inside any stored array fails its checksum.
+        for name in ("seq",) + CsrSeedIndex.ARRAY_FIELDS:
+            lo, hi = _array_span(path, name)
+            blob = bytearray(clean)
+            blob[(lo + hi) // 2] ^= 0xFF
+            path.write_bytes(bytes(blob))
+            with pytest.raises(IndexCorrupt, match="checksum"):
+                load_index(path, verify=True)
 
     def test_checksum_mismatch_after_array_tamper(self, tmp_path, rng):
-        import json
-
         from repro.runtime.errors import IndexCorrupt
 
         path = self._saved(tmp_path, rng)
-        data = dict(np.load(path))
-        pos = data["positions"].copy()
-        pos[0] += 1  # one flipped position, re-zipped cleanly
-        data["positions"] = pos
-        meta = json.loads(bytes(data["meta"]).decode())
-        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **data)
+        loaded = load_index(path)
+        pos = loaded.positions.copy()
+        pos[0] += 1  # one shifted position, written back in place
+        del loaded
+        lo, hi = _array_span(path, "positions")
+        blob = bytearray(path.read_bytes())
+        blob[lo:hi] = pos.tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(IndexCorrupt, match="checksum"):
-            load_index(path)
+            load_index(path, verify=True)
 
     def test_missing_array_member(self, tmp_path, rng):
+        from repro.index.persist import _write_archive
         from repro.runtime.errors import IndexCorrupt
 
-        path = self._saved(tmp_path, rng)
-        data = dict(np.load(path))
-        del data["positions"]
-        np.savez(path, **data)
+        bank = Bank.from_strings([("a", random_dna(rng, 100))])
+        idx = CsrSeedIndex(bank, 6)
+        arrays = {"seq": bank.seq, "starts": bank.starts, "lengths": bank.lengths}
+        arrays.update((n, getattr(idx, n)) for n in idx.ARRAY_FIELDS)
+        del arrays["positions"]
+        path = tmp_path / "x.scoris3"
+        meta = {"w": 6, "span": 6, "mask": None, "names": bank.names}
+        _write_archive(path, 4, meta, arrays)
         with pytest.raises(IndexCorrupt, match="missing"):
             load_index(path)
 
@@ -232,11 +271,12 @@ class TestIndexArchiveVerification:
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_index(tmp_path / "nope.npz")
+            load_index(tmp_path / "nope.scoris3")
 
 
 class TestV3Archive:
-    """The mmap-able v3 layout: zero-copy load + checksummed damage rejection."""
+    """The mmap-able single-file container (introduced by v3, holding the
+    v4 arrays): zero-copy load + checksummed damage rejection."""
 
     def _saved(self, tmp_path, rng, w=8):
         bank = Bank.from_strings(
@@ -244,7 +284,7 @@ class TestV3Archive:
         )
         idx = CsrSeedIndex(bank, w)
         path = tmp_path / "bank.scoris3"
-        save_index(path, idx)  # v3 is the default format
+        save_index(path, idx)
         return path, idx
 
     def test_loaded_arrays_are_readonly_views(self, tmp_path, rng):
@@ -293,12 +333,9 @@ class TestV3Archive:
         path.write_bytes(b"not an index archive at all")
         with pytest.raises(IndexCorrupt, match="signature"):
             load_index(path)
-
-    def test_unknown_format_name_rejected(self, tmp_path, rng):
-        bank = Bank.from_strings([("a", random_dna(rng, 100))])
-        idx = CsrSeedIndex(bank, 6)
-        with pytest.raises(ValueError, match="format"):
-            save_index(tmp_path / "x", idx, format="v99")
+        path.write_bytes(b"")
+        with pytest.raises(IndexCorrupt, match="signature"):
+            load_index(path)
 
 
 class TestIndexCache:
@@ -342,6 +379,34 @@ class TestIndexCache:
         assert cache.misses == 2 and cache.hits == 0
         assert np.array_equal(rebuilt.positions, CsrSeedIndex(bank, 9).positions)
         load_index(path, verify=True)  # the healed file is valid again
+
+    def test_v3_archive_is_a_miss(self, tmp_path, rng):
+        """An archive left by the v3 cache is never loaded: the key's
+        format prefix changed, so the lookup builds and stores anew."""
+        import hashlib
+
+        from repro.index import IndexCache
+
+        from tests.v3_archive import write_v3_archive
+
+        cache = IndexCache(tmp_path / "cache")
+        bank = self._bank(rng)
+        h = hashlib.sha256()  # the v3 cache's key of (bank, 9, None)
+        h.update(b"scoris-index/v3|w=9|filter=None|")
+        h.update(bank.seq.tobytes())
+        h.update(np.ascontiguousarray(bank.starts).tobytes())
+        h.update("\x00".join(bank.names).encode("utf-8", "surrogateescape"))
+        old = cache.path_for(h.hexdigest())
+        write_v3_archive(old, CsrSeedIndex(bank, 9))
+        index = cache.get(bank, 9)
+        assert (cache.misses, cache.hits) == (1, 0)
+        assert cache.path_for(cache.key(bank, 9, None)) != old
+        for name in CsrSeedIndex.ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(index, name), getattr(CsrSeedIndex(bank, 9), name)
+            )
+        cache.get(bank, 9)
+        assert cache.hits == 1
 
     def test_record_metrics(self, tmp_path, rng):
         from repro.index import IndexCache

@@ -90,8 +90,15 @@ class TestSeedCodesArray:
     def test_invalid_code_larger_than_all_valid(self):
         assert invalid_code(11) == 4**11
 
+    def test_dtype_int32_up_to_w15(self):
+        assert seed_codes(encode("ACGTACGT"), 4).dtype == np.int32
+        assert seed_codes(encode("ACGT" * 5), 15).dtype == np.int32
+
     def test_dtype_int64(self):
-        assert seed_codes(encode("ACGTACGT"), 4).dtype == np.int64
+        """Codes from w = 16 need more than 31 bits."""
+        arr = seed_codes(encode("T" * 20), 16)
+        assert arr.dtype == np.int64
+        assert arr[0] == code_of_word("T" * 16)
 
     @given(st.text(alphabet="ACGTN", min_size=6, max_size=60))
     def test_valid_iff_window_clean(self, s):

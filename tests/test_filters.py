@@ -87,7 +87,7 @@ class TestDustOracle:
             codes[rng.random(n) < 0.05] = 4  # scattered invalid bases
             triplets = _triplet_codes(codes)
             got = _recent_occurrence_counts(triplets, lookback)
-            assert got.dtype == np.int64
+            assert got.dtype == np.min_scalar_type(lookback)
             np.testing.assert_array_equal(
                 got, _brute_recent_counts(triplets, lookback), err_msg=f"n={n}"
             )
@@ -111,6 +111,24 @@ class TestDustOracle:
             lo, hi = b.bounds(i)
             want[lo:hi] = dust_mask(np.array(b.seq[lo:hi]), window=window)
         assert want.any()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 5.0, 12.5, 20.0, 33.3])
+    @pytest.mark.parametrize("window", [8, 64])
+    def test_integer_threshold_test_equals_scores(self, threshold, window):
+        """The mask's cross-multiplied integer test marks the window
+        ends whose float score exceeds the threshold."""
+        rng = np.random.default_rng(window)
+        s = list(random_dna(rng, 900))
+        s[100:180] = "A" * 80
+        s[400:470] = "CAG" * 23 + "C"
+        s[600:640] = "ACGTTGCA" * 5
+        codes = encode("".join(s))
+        scores = dust_scores(codes, window=window)
+        want = np.zeros(codes.shape[0], dtype=bool)
+        for j in np.flatnonzero(scores > threshold):
+            want[max(j - window + 1, 0) : j + 3] = True
+        got = dust_mask(codes, window=window, threshold=threshold)
         np.testing.assert_array_equal(got, want)
 
     def test_bench_h10_mask_pinned(self):

@@ -70,6 +70,36 @@ class TestEstimation:
         assert estimate_index_bytes(0) == 0
         assert estimate_index_bytes(-5) == 0
 
+    def test_index_estimate_covers_measured_build(self):
+        """The per-nt estimate is at least the traced peak of building a
+        bank's filter mask, seed index and packed image, on a bank whose
+        codes are nearly all distinct (the largest per-code tables)."""
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.data.synthetic import random_dna
+        from repro.encoding.packed import PackedBank
+        from repro.filters import make_filter_mask
+        from repro.index import CsrSeedIndex
+
+        rng = np.random.default_rng(20080407)
+        bank = Bank.from_strings(
+            [(f"s{i}", random_dna(rng, 25_000)) for i in range(8)]
+        )
+        tracemalloc.start()
+        try:
+            index = CsrSeedIndex(bank, 11, make_filter_mask(bank, "dust"))
+            index.indexed_mask
+            packed = PackedBank(bank.seq)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.unique_codes.shape[0] > 0.9 * index.n_indexed
+        assert packed.words.size > 0
+        n = bank.seq.shape[0]
+        assert estimate_index_bytes(n) >= peak + bank.seq.nbytes
+
     def test_comparison_estimate_includes_baseline(self):
         est = estimate_comparison_bytes(100, 200)
         assert est == BASELINE_BYTES + 300 * INDEX_BYTES_PER_NT

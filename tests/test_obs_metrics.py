@@ -159,6 +159,21 @@ class TestHistogramInvariants:
         left.merge(right)
         assert left == serial
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(values=st.lists(_INT, max_size=200))
+    def test_integer_arrays_bucket_like_scalars(self, values):
+        """The integer fast path (distinct values, weighted by their
+        counts) records exactly what element-wise recording does."""
+        import numpy as np
+
+        serial = Histogram()
+        for v in values:
+            serial.record(v)
+        for dtype in (np.int32, np.int64):
+            bulk = Histogram()
+            bulk.record_array(np.array(values, dtype=dtype))
+            assert bulk == serial
+
     def test_bucket_bounds_contain_value(self):
         for v in (0.001, 0.5, 1, 1.5, 2, 3, 1024, 10**9):
             lo, hi = Histogram.bucket_bounds(Histogram.bucket_of(v))

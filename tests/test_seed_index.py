@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import random_dna
-from repro.encoding import code_of_word, seed_codes
+from repro.encoding import code_dtype, code_of_word, invalid_code, seed_codes
 from repro.encoding.spaced import SpacedSeedMask, spaced_seed_codes
 from repro.encoding.subset import SubsetSeedMask, subset_seed_codes
 from repro.filters import dust_mask
 from repro.index import CsrSeedIndex, LinkedSeedIndex, valid_window_mask
-from repro.index.seed_index import sort_positions_by_code
+from repro.index.seed_index import POSITION_MARGIN, position_dtype, sort_postings
 from repro.io.bank import Bank
 
 
@@ -23,13 +23,22 @@ def _stable_order(codes: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 class TestSortPositionsByCode:
-    """The packed-key sort orders postings exactly as a stable argsort."""
+    """The packed-key sort orders postings exactly as a stable argsort,
+    and its code runs are the distinct codes with their offsets."""
 
     def _check(self, codes, pos):
         pos = np.asarray(pos, dtype=np.int64)
-        got = sort_positions_by_code(codes, pos)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, _stable_order(codes, pos))
+        ok = np.zeros(codes.shape[0], dtype=bool)
+        ok[pos] = True
+        got, unique, starts = sort_postings(codes, ok)
+        assert got.dtype == position_dtype(codes.shape[0])
+        assert unique.dtype == codes.dtype
+        assert starts.dtype == got.dtype
+        want = _stable_order(codes, np.sort(pos))  # (code, pos) order
+        np.testing.assert_array_equal(got, want)
+        want_unique, want_counts = np.unique(codes[want], return_counts=True)
+        np.testing.assert_array_equal(unique, want_unique)
+        np.testing.assert_array_equal(starts, np.r_[0, np.cumsum(want_counts)])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -60,17 +69,14 @@ class TestSortPositionsByCode:
         self._check(np.zeros(1000, dtype=np.int64), np.arange(0, 1000, 3))
 
     def test_any_input_order(self):
-        """Unique positions in any order come out ordered by (code, pos),
-        as the segment-store merge needs for its code-major input."""
+        """Codes in any order along the bank come out ordered by (code,
+        pos), ties by position, whichever positions the mask keeps."""
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 16, 500)
         pos = np.arange(0, 500, 2)
-        expected = _stable_order(codes, pos)
         self._check(codes, pos)
-        np.testing.assert_array_equal(
-            sort_positions_by_code(codes, rng.permutation(pos)), expected
-        )
-        np.testing.assert_array_equal(sort_positions_by_code(codes, expected), expected)
+        self._check(codes[::-1].copy(), pos)
+        self._check(codes, rng.choice(500, 77, replace=False))
 
     def test_keys_over_63_bits_fall_back(self):
         rng = np.random.default_rng(7)
@@ -78,8 +84,11 @@ class TestSortPositionsByCode:
         self._check(codes, np.arange(64))
 
     def test_index_arrays_pinned(self):
-        """All six index arrays, dtypes included, hash as before the
-        packed sort: archives and cache keys stay valid."""
+        """The index holds the same values as before its arrays narrowed:
+        positions, each posting's code, the distinct codes with their
+        starts and counts, and the cutoff codes (pinned at the int64
+        layout, whose cutoff was ``where(indexed_mask, codes_at,
+        sentinel)``)."""
         rng = np.random.default_rng(20080407)
         seqs = []
         for i in range(6):
@@ -88,16 +97,74 @@ class TestSortPositionsByCode:
             seqs.append((f"s{i}", s))
         bank = Bank.from_strings(seqs)
         index = CsrSeedIndex(bank, 11, dust_mask(bank))
+        assert index.positions.dtype == np.int32
+        assert index.unique_codes.dtype == np.int32
+        assert index.cutoff_codes.dtype == np.int32
+        counts = index.code_counts
         h = hashlib.sha256()
         for a in (
-            index.positions, index.sorted_codes, index.unique_codes,
-            index.code_starts, index.code_counts, index.codes_at,
+            index.positions, np.repeat(index.unique_codes, counts),
+            index.unique_codes, index.code_starts[:-1], counts,
         ):
-            h.update(a.dtype.str.encode())
-            h.update(a.tobytes())
+            h.update(a.astype(np.int64).tobytes())
         assert index.n_indexed == 17276
         assert h.hexdigest() == (
-            "2cd92c492767450136e5aa5dbebbf8781472d36af373c7527be0600b1296b632"
+            "53687624a8fd671102bbb00128914fd3a38a03756b6693b59a71ab07d81e6631"
+        )
+        cutoff = hashlib.sha256(index.cutoff_codes.astype(np.int64).tobytes())
+        assert cutoff.hexdigest() == (
+            "596784057939c48afb81168208a47121c9c3013c4c4472f6a69e682302aa8242"
+        )
+
+
+@pytest.mark.parametrize("name", ["H10", "BCT"])
+def test_bench_bank_index_within_16_bytes_per_nt(name):
+    """The index arrays of the benchmark's chromosome and bacteria banks
+    (seed 20080407, DUST, W = 11), cutoff codes and indexed mask
+    included, SEQ excluded, fit 16 bytes per nucleotide."""
+    from repro.data import load_bank
+
+    bank = load_bank(name, seed=20080407)
+    index = CsrSeedIndex(bank, 11, dust_mask(bank))
+    held = sum(getattr(index, f).nbytes for f in CsrSeedIndex.ARRAY_FIELDS)
+    held += index.indexed_mask.nbytes
+    assert held <= 16 * bank.seq.shape[0]
+
+
+class TestDtypeChoice:
+    """The narrow dtypes and their int64 fallbacks, chosen without
+    allocating an array of the size that needs them."""
+
+    def test_positions_int32_below_the_margin(self):
+        assert position_dtype(0) == np.int32
+        assert position_dtype((1 << 31) - POSITION_MARGIN - 1) == np.int32
+
+    def test_positions_int64_near_2_31(self):
+        assert position_dtype((1 << 31) - POSITION_MARGIN) == np.int64
+        assert position_dtype(3 << 30) == np.int64
+
+    def test_codes_int32_up_to_w15(self):
+        assert code_dtype(invalid_code(15)) == np.int32
+        assert seed_codes(np.zeros(20, dtype=np.int8), 15).dtype == np.int32
+
+    def test_codes_int64_from_w16(self):
+        assert code_dtype(invalid_code(16)) == np.int64
+        assert seed_codes(np.zeros(20, dtype=np.int8), 16).dtype == np.int64
+
+    def test_wide_spaced_mask_falls_back(self):
+        wide = SpacedSeedMask("1" * 15 + "0" + "1")  # weight 16
+        assert code_dtype(SpacedSeedMask("1101011").invalid_code()) == np.int32
+        assert code_dtype(wide.invalid_code()) == np.int64
+        subset = SubsetSeedMask("#" * 14 + "@#")  # 4**15 * 2 codes
+        assert code_dtype(subset.invalid_code()) == np.int64
+
+    def test_wide_index_holds_int64_codes(self):
+        b = Bank.from_strings([("a", random_dna(np.random.default_rng(1), 300))])
+        idx = CsrSeedIndex(b, 16)
+        assert idx.unique_codes.dtype == idx.cutoff_codes.dtype == np.int64
+        assert idx.positions.dtype == np.int32
+        np.testing.assert_array_equal(
+            idx.cutoff_codes, seed_codes(b.seq, 16)
         )
 
 
@@ -165,10 +232,17 @@ class TestCsrIndex:
         idx = CsrSeedIndex(b, 4)
         assert idx.n_indexed == 5
 
-    def test_codes_at_covers_all_positions(self):
+    def test_cutoff_codes_cover_all_positions(self):
         b = Bank.from_strings([("a", "ACGTACGT")])
-        idx = CsrSeedIndex(b, 4)
-        assert idx.codes_at.shape == b.seq.shape
+        lcm = np.zeros(b.seq.shape[0], dtype=bool)
+        lcm[b.bounds(0)[0] + 7] = True  # masks the last window
+        idx = CsrSeedIndex(b, 4, lcm)
+        assert idx.cutoff_codes.shape == b.seq.shape
+        np.testing.assert_array_equal(
+            idx.cutoff_codes,
+            np.where(idx.indexed_mask, seed_codes(b.seq, 4), idx.sentinel),
+        )
+        assert idx.indexed_mask.sum() == idx.n_indexed == 4
 
 
 class TestLinkedVsCsr:

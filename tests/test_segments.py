@@ -68,14 +68,7 @@ def assert_merged_exact(store: SegmentStore) -> None:
     want_bank, want_index = fresh_index(store)
     assert merged_bank.names == want_bank.names
     assert np.array_equal(merged_bank.seq, want_bank.seq)
-    for field in (
-        "positions",
-        "sorted_codes",
-        "unique_codes",
-        "code_starts",
-        "code_counts",
-        "codes_at",
-    ):
+    for field in CsrSeedIndex.ARRAY_FIELDS:
         got = getattr(merged_index, field)
         want = getattr(want_index, field)
         assert got.dtype == want.dtype, field
@@ -160,6 +153,30 @@ class TestStoreLifecycle:
         )
         assert reopened.names() == names
         assert_merged_exact(reopened)
+        reopened.close()
+
+    def test_v3_segment_is_reindexed(self, tmp_path):
+        """A segment written in the previous archive format is re-indexed
+        from its stored bank on open: the merged index still equals a
+        cold build, and a compaction rewrites it in the current format."""
+        from repro.index.persist import load_index
+
+        from tests.v3_archive import write_v3_archive
+
+        store = make_store(tmp_path)
+        store.flush()
+        names = store.names()
+        seg = tmp_path / "store" / store.manifest.segments[0].file
+        store.close()
+        old = seg.with_name("old.v3")  # beside, then over: seg is mapped
+        write_v3_archive(old, load_index(seg))
+        old.replace(seg)
+        reopened = SegmentStore.open(tmp_path / "store", expect_w=W)
+        assert reopened.names() == names
+        assert_merged_exact(reopened)
+        reopened.compact()
+        seg = tmp_path / "store" / reopened.manifest.segments[0].file
+        assert load_index(seg).n_indexed == reopened.merged()[1].n_indexed
         reopened.close()
 
     def test_create_twice_refused(self, tmp_path):

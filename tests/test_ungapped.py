@@ -71,7 +71,7 @@ class TestPaperExample:
         for p1, p2, c in hits:
             if p2 - p1 != 0:
                 continue
-            r = extend_hit_ref(b1.seq, b2.seq, i1.codes_at, p1, p2, 8, sc)
+            r = extend_hit_ref(b1.seq, b2.seq, i1.cutoff_codes, p1, p2, 8, sc)
             if r is not None:
                 survivors.append((p1, c))
         assert len(survivors) == 1
@@ -86,7 +86,7 @@ class TestPaperExample:
         for p1, p2, _c in hits:
             if p2 - p1 != 0:
                 continue  # the duplicated HSP lives on diagonal 0
-            r = extend_hit_ref(b1.seq, b2.seq, i1.codes_at, p1, p2, 8, sc)
+            r = extend_hit_ref(b1.seq, b2.seq, i1.cutoff_codes, p1, p2, 8, sc)
             if r is not None:
                 kept.append(r)
         assert len(kept) == 1
@@ -185,7 +185,7 @@ class TestUniqueness:
         sc = ScoringScheme()
         boxes = []
         for p1, p2, _c in hits:
-            r = extend_hit_ref(b1.seq, b2.seq, i1.codes_at, p1, p2, w, sc)
+            r = extend_hit_ref(b1.seq, b2.seq, i1.cutoff_codes, p1, p2, w, sc)
             if r is not None:
                 boxes.append(r)
         assert len(boxes) == len(set(boxes)), "duplicate HSP generated"
@@ -202,7 +202,7 @@ class TestUniqueness:
         sc = ScoringScheme()
         boxes = []
         for p1, p2, _c in hits:
-            r = extend_hit_ref(b1.seq, b2.seq, i1.codes_at, p1, p2, w, sc)
+            r = extend_hit_ref(b1.seq, b2.seq, i1.cutoff_codes, p1, p2, w, sc)
             if r is not None:
                 boxes.append(r)
         diags = {b[2] - b[0] for b in boxes}
@@ -227,13 +227,13 @@ class TestBatchMatchesScalar:
         sc = ScoringScheme()
         expected = []
         for p1, p2, _c in hits:
-            r = extend_hit_ref(b1.seq, b2.seq, i1.codes_at, p1, p2, w, sc)
+            r = extend_hit_ref(b1.seq, b2.seq, i1.cutoff_codes, p1, p2, w, sc)
             if r is not None:
                 expected.append(r)
         p1v = np.array([h[0] for h in hits])
         p2v = np.array([h[1] for h in hits])
         cv = np.array([h[2] for h in hits])
-        res = batch_extend(b1.seq, b2.seq, i1.codes_at, p1v, p2v, cv, w, sc)
+        res = batch_extend(b1.seq, b2.seq, i1.cutoff_codes, p1v, p2v, cv, w, sc)
         got = [
             (
                 int(res.start1[i]),
@@ -270,9 +270,9 @@ class TestBatchMatchesScalar:
         p1v = np.array([h[0] for h in hits])
         p2v = np.array([h[1] for h in hits])
         cv = np.array([h[2] for h in hits])
-        on = batch_extend(b1.seq, b2.seq, i1.codes_at, p1v, p2v, cv, w, sc)
+        on = batch_extend(b1.seq, b2.seq, i1.cutoff_codes, p1v, p2v, cv, w, sc)
         off = batch_extend(
-            b1.seq, b2.seq, i1.codes_at, p1v, p2v, cv, w, sc, ordered_cutoff=False
+            b1.seq, b2.seq, i1.cutoff_codes, p1v, p2v, cv, w, sc, ordered_cutoff=False
         )
         assert off.kept.all()  # nothing cut without the rule
         assert on.kept.sum() < off.kept.sum()

@@ -106,6 +106,45 @@ class TestPackedBank:
             valid, packed.gather_valid(starts) & np.uint64(0xFF)
         )
 
+    @staticmethod
+    def _uint64_images(seq: np.ndarray, pad: int):
+        """The images as first built: a uint64 per position, shifted
+        into place and OR-reduced per word."""
+        n = seq.shape[0]
+        total = n + 2 * pad
+        ok = seq < INVALID
+        n32 = -(-total // 32) + 2
+        codes = np.zeros(n32 * 32, dtype=np.uint64)
+        codes[pad : pad + n] = np.where(ok, seq, 0).astype(np.uint64)
+        shifts2 = np.arange(32, dtype=np.uint64) * np.uint64(2)
+        words = np.bitwise_or.reduce(
+            codes.reshape(-1, 32) << shifts2[None, :], axis=1
+        )
+        n64 = -(-total // 64) + 2
+        vbits = np.zeros(n64 * 64, dtype=np.uint64)
+        vbits[pad : pad + n] = ok
+        shifts1 = np.arange(64, dtype=np.uint64)
+        valid = np.bitwise_or.reduce(
+            vbits.reshape(-1, 64) << shifts1[None, :], axis=1
+        )
+        return words, valid
+
+    @pytest.mark.parametrize("pad", [PAD, 0, 5])
+    def test_byte_packing_equals_uint64_images(self, pad):
+        """Lengths 0..300 with N runs: both images byte-identical to the
+        per-position uint64 construction, padding overhang included."""
+        rng = np.random.default_rng(pad)
+        for n in range(301):
+            seq = rng.integers(0, 4, size=n).astype(np.int8)
+            for _ in range(int(rng.integers(0, 4))):
+                lo = int(rng.integers(0, n + 1))
+                seq[lo : lo + int(rng.integers(1, 40))] = INVALID
+            packed = PackedBank(seq, pad=pad)
+            words, valid = self._uint64_images(seq, pad)
+            assert packed.words.dtype == packed.valid.dtype == np.uint64
+            assert packed.words.tobytes() == words.tobytes(), n
+            assert packed.valid.tobytes() == valid.tobytes(), n
+
     def test_pad_is_invalid(self):
         packed = PackedBank(np.zeros(10, dtype=np.int8))
         before = packed.gather_valid(np.array([-PAD]))
