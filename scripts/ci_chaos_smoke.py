@@ -1,15 +1,18 @@
 #!/usr/bin/env python
 """CI chaos test: batch compare and the query daemon under fault injection.
 
-Every fault comes from one registry (``repro.runtime.faults``).  Range
-tasks are keyed ``task={id}/try={attempt};``, so a ``match`` token can
-target one task's first attempt.
+Every fault comes from one registry (``repro.runtime.faults``).  Step-2
+range tasks are keyed ``task={id}/try={attempt};`` and step-3 lane
+slices ``slice={id}/try={attempt};`` (no key of one phase matches a
+token of the other), so a ``match`` token can target one task's or one
+slice's first attempt.
 
 **Batch phase** -- ``scoris-n --workers 2 --metrics`` (the
 ``compare_resilient`` path) with ``SCORIS_FAULTS`` arming
-``worker.crash`` on task 0's first attempt and ``task.error`` on task
-1's first attempt.  The m8 must be byte-identical to a serial run, and
-the metrics must show ``scheduler.crashes >= 1`` and
+``worker.crash`` on step-2 task 0's first attempt, ``task.error`` on
+task 1's first attempt, and ``worker.crash`` on step-3 slice 0's first
+attempt.  The m8 must be byte-identical to a serial run, and the
+metrics must show ``scheduler.crashes >= 2`` (one per phase) and
 ``scheduler.retries >= 1``.
 
 **Daemon phase** -- the daemon is started with two armed fault points
@@ -72,7 +75,10 @@ N_SOAK = 500
 N_THREADS = 8
 TIMEOUT = 600.0
 FAULT_SPEC = "worker.crash:0.05:1234,serve.poison_query:1.0:0:POISONQ"
-BATCH_FAULT_SPEC = "worker.crash:1:0:task=0/try=0;,task.error:1:0:task=1/try=0;"
+BATCH_FAULT_SPEC = (
+    "worker.crash:1:0:task=0/try=0;,task.error:1:0:task=1/try=0;,"
+    "worker.crash:1:0:slice=0/try=0;"
+)
 POISON_NAME = "POISONQ_seeded"
 
 _REPORT: list[str] = []
@@ -174,9 +180,10 @@ def scenario_batch(directory: Path, bank_path: Path, queries, poison) -> None:
     counters = json.loads(metrics_path.read_text())["metrics"]["counters"]
     crashes = counters.get("scheduler.crashes", 0)
     retries = counters.get("scheduler.retries", 0)
-    if crashes < 1 or retries < 1:
-        fail(f"batch faults did not fire: scheduler.crashes={crashes}, "
-             f"scheduler.retries={retries} (want >= 1 each)")
+    if crashes < 2 or retries < 1:
+        fail(f"batch faults did not fire: scheduler.crashes={crashes} "
+             f"(want >= 2: one in step 2, one in step 3), "
+             f"scheduler.retries={retries} (want >= 1)")
     note(f"batch OK: --workers 2 under {BATCH_FAULT_SPEC} byte-identical "
          f"to serial ({serial.read_text().count(chr(10))} records), "
          f"{crashes} crash(es), {retries} retr(y/ies)")

@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="ORIS only: worker processes for step 2 (default 1 = serial); "
-        "N > 1 runs the fault-tolerant scheduler (paper section 4 "
+        help="ORIS only: worker processes for steps 2 and 3 (default 1 "
+        "= serial); N > 1 runs the fault-tolerant scheduler (paper section 4 "
         "parallelism with retries, timeouts and crash recovery)",
     )
     parser.add_argument(
@@ -738,6 +738,7 @@ def _obs_spec(args):
 def _execute(args) -> int:
     from .runtime.governor import (
         estimate_checkpoint_bytes,
+        format_size,
         parse_size,
         plan_comparison,
         preflight_disk,
@@ -897,6 +898,16 @@ def _execute(args) -> int:
     if index_cache is not None:
         index_cache.record_metrics(result.metrics)
     sample_rss(result.metrics)
+    peak = int(result.metrics.value("resources.rss_peak_bytes") or 0)
+    if plan is not None and not plan.degraded and peak > budget:
+        # The plan fitted the estimate, but the run did not keep it.
+        result.metrics.inc("governor.budget_exceeded")
+        print(
+            f"scoris-n: governor: warning: measured peak RSS "
+            f"{format_size(peak)} exceeds --memory-budget "
+            f"{format_size(budget)}",
+            file=sys.stderr,
+        )
     text = format_m8(result.records)
     if args.output == "-":
         sys.stdout.write(text)
@@ -1377,7 +1388,8 @@ def _print_stats(args, result, plan, ingest_reports, use_runtime) -> None:
         print(f"# governor: {plan.describe()}", file=sys.stderr)
     print(
         f"# resources: rss_peak={format_size(c.rss_peak_bytes)} "
-        f"tiles={c.n_tiles} memory_degradations={c.n_memory_degradations}",
+        f"tiles={c.n_tiles} memory_degradations={c.n_memory_degradations} "
+        f"budget_exceeded={m.value('governor.budget_exceeded')}",
         file=sys.stderr,
     )
 

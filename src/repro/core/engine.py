@@ -504,6 +504,7 @@ def finish_comparison(
     exclude_self: bool = False,
     minus_strand: bool = False,
     subject_lengths: np.ndarray | None = None,
+    gapped_kernel=None,
 ) -> ComparisonResult:
     """Steps 3-4 on a step-2 HSP table, for every engine and entry point.
 
@@ -515,8 +516,10 @@ def finish_comparison(
     and ``subject_lengths``, which overrides the per-sequence subject
     length used for e-values (fleet shards serving windows of longer
     sequences; see :func:`repro.align.records.alignments_to_m8`).
-    Counts and step times land in ``registry``, which the returned
-    result carries.
+    ``gapped_kernel`` runs the ``single`` schedule's step-3 batch (see
+    :func:`~repro.core.gapped_stage.run_gapped_stage`); ``None`` runs it
+    in this process.  Counts and step times land in ``registry``, which
+    the returned result carries.
     """
     strand = "minus" if minus_strand else "plus"
 
@@ -531,6 +534,7 @@ def finish_comparison(
             min_align_score=min_align_score,
             scheduling=scheduling,
             registry=registry,
+            kernel=gapped_kernel,
         )
         s.set(n_alignments=len(alignments))
     registry.inc("step3.alignments", len(alignments))

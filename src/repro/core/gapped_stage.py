@@ -14,7 +14,10 @@ Two schedules share one extension kernel: ``"single"`` (production)
 extends every HSP in one lane-parallel batch and then drops alignments
 contained in a higher-scoring one; ``"serial"`` is the paper's literal
 skip-or-extend loop, kept as the test oracle.  See
-:mod:`repro.core.containment` for the skip test.
+:mod:`repro.core.containment` for the skip test.  The ``single`` batch
+may run through a caller's ``kernel`` (the resilient runtime deals it
+into lane slices on its worker pool); everything after the kernel stays
+here, so the output and the counts do not depend on where it ran.
 """
 
 from __future__ import annotations
@@ -40,8 +43,13 @@ def run_gapped_stage(
     min_align_score: int | None = None,
     scheduling: str = "single",
     registry: MetricsRegistry | None = None,
+    kernel=None,
 ) -> list[GappedAlignment]:
     """Build gapped alignments from a diagonal-sorted HSP table.
+
+    ``kernel`` runs the ``single`` schedule's batch in place of
+    :func:`~repro.align.gapped.batch_gapped_extend`, with its signature
+    and result; ``None`` runs it here.
 
     ``registry`` optionally collects the stage's counts: extension
     batches (``step3.waves``), extensions and their kernel lane rows
@@ -59,11 +67,11 @@ def run_gapped_stage(
         return []
     seq1, seq2 = bank1.seq, bank2.seq
 
-    def extend(chosen: np.ndarray) -> None:
+    def extend(chosen: np.ndarray, kernel=None) -> None:
         registry.inc("step3.waves")
         _extend_wave(
             seq1, seq2, s1, e1, s2, diag, chosen, catalog, registry,
-            scoring, band_radius, min_align_score,
+            scoring, band_radius, min_align_score, kernel,
         )
 
     if scheduling == "serial":
@@ -81,7 +89,7 @@ def run_gapped_stage(
         # to "serial", this spends extra extensions on HSPs the serial loop
         # would have skipped (their results are then deduplicated or
         # filtered here), but runs the DP at full lane parallelism.
-        extend(np.arange(n, dtype=np.int64))
+        extend(np.arange(n, dtype=np.int64), kernel)
         return _filter_contained(catalog.alignments, band_radius, registry)
 
     raise ValueError(f"unknown gapped scheduling {scheduling!r}")
@@ -132,6 +140,7 @@ def _extend_wave(
     scoring: ScoringScheme,
     band_radius: int,
     min_align_score: int | None,
+    kernel=None,
 ) -> None:
     """Gapped-extend the chosen HSPs (one batch) and store alignments.
 
@@ -146,7 +155,7 @@ def _extend_wave(
     mid2 = s2[chosen] + (mid1 - s1[chosen])
     k = chosen.size
     dirs = np.concatenate((np.full(k, -1, np.int64), np.full(k, 1, np.int64)))
-    both = batch_gapped_extend(
+    both = (kernel or batch_gapped_extend)(
         seq1,
         seq2,
         np.concatenate((mid1, mid1)),

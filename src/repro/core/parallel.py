@@ -7,15 +7,20 @@ parallel since seed order prevents identical HSPs to be generated.  The
 two inner loops can also be highly parallelized as the ungapped extensions
 refer to independent computations."
 
-This module holds the unit of work of that decomposition: the ascending
-list of common seed codes is split into contiguous, pair-cost-balanced
-ranges (:func:`plan_ranges`); :func:`run_range` runs the engine's step-2
-loop (:func:`repro.core.engine.extend_hit_pairs`) over one range; the
-parent merges the per-range HSP chunks (:func:`merge_range_results`) and
-runs steps 3-4 as usual.  Correctness needs no inter-worker
+This module holds the units of work of that decomposition.  Step 2: the
+ascending list of common seed codes is split into contiguous,
+pair-cost-balanced ranges (:func:`plan_ranges`); :func:`run_range` runs
+the engine's step-2 loop (:func:`repro.core.engine.extend_hit_pairs`)
+over one range; the parent merges the per-range HSP chunks
+(:func:`merge_range_results`).  Correctness needs no inter-worker
 communication precisely because of the paper's argument -- the
 ordered-seed cutoff makes every HSP the product of exactly one seed,
-hence of exactly one range.
+hence of exactly one range.  Step 3: the one gapped batch of the
+``single`` schedule is dealt into lane slices (:func:`slice_lanes`);
+:func:`run_gapped_range` runs the gapped kernel over one slice, and the
+parent scatters the slices back into lane order
+(:func:`gather_lane_slices`) before its catalog, filter and sort.  Each
+lane's DP depends only on its own anchor, so the slices are independent.
 
 Workers receive a :class:`RangePayload`: a *compact*, picklable bundle of
 exactly the arrays one range task needs (encoded banks, CSR positions,
@@ -33,12 +38,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
+from ..align.gapped import BatchGappedResult, batch_gapped_extend
 from ..align.hsp import HSPTable
+from ..align.scoring import ScoringScheme
 from ..index.seed_index import CommonCodes, CsrSeedIndex
 from ..obs import MetricsRegistry, ObsSpec, init_worker_obs, maybe_profile, span
 from .engine import extend_hit_pairs
@@ -46,14 +53,18 @@ from .pairs import pair_costs, split_balanced_ranges
 from .params import OrisParams
 
 __all__ = [
+    "GappedPayload",
     "RangePayload",
     "RangeResult",
     "ShmRangePayload",
     "build_range_payload",
     "publish_range_payload",
     "run_range",
+    "run_gapped_range",
     "resolve_start_method",
     "plan_ranges",
+    "slice_lanes",
+    "gather_lane_slices",
 ]
 
 # --------------------------------------------------------------------- #
@@ -334,6 +345,107 @@ def _run_range_inner(payload: RangePayload, lo: int, hi: int) -> RangeResult:
     )
     s1, e1, s2, sc = table.columns()
     return RangeResult(start1=s1, end1=e1, start2=s2, score=sc, metrics=registry)
+
+
+# --------------------------------------------------------------------- #
+# Step 3: slices of the one gapped batch
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class GappedPayload:
+    """Everything a step-3 lane-slice task needs, compact and picklable.
+
+    The banks come from the step-2 payload: its arena when that lives in
+    shared memory (the workers already map it, so only the block refs
+    travel), its ``seq1``/``seq2`` otherwise.  The lane anchors are in
+    slice order (see :func:`slice_lanes`), so a slice is one contiguous
+    ``[lo, hi)`` of them.
+    """
+
+    banks: ShmRangePayload | tuple[np.ndarray, np.ndarray]
+    p1: np.ndarray
+    p2: np.ndarray
+    dirs: np.ndarray
+    scoring: ScoringScheme
+    band_radius: int
+    obs: ObsSpec | None = field(default=None, repr=False)
+
+    def sequences(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two encoded banks (arena views are attached once per process)."""
+        if isinstance(self.banks, ShmRangePayload):
+            views = self.banks.spec.attach()
+            return views["seq1"], views["seq2"]
+        return self.banks
+
+
+def slice_lanes(
+    n_lanes: int, n_slices: int
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Deal a two-sided gapped batch's lanes round-robin into slices.
+
+    Lanes ``i`` and ``i + n_lanes // 2`` are one HSP's left and right
+    extension (the layout of the step-3 batch); both go to slice
+    ``i % n_slices``.  HSPs come in diagonal order, so every slice
+    samples the whole table, and a slice dropped after its retries drops
+    whole HSPs, never one side of one.  Returns the lane order (slice
+    after slice) and each non-empty slice's ``[lo, hi)`` in it.
+    """
+    half = max(n_lanes // 2, 1)
+    owner = np.arange(n_lanes) % half % n_slices
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=n_slices))
+    starts = np.concatenate(([0], ends[:-1]))
+    return order, [(int(a), int(b)) for a, b in zip(starts, ends) if b > a]
+
+
+def run_gapped_range(
+    payload: GappedPayload, lo: int, hi: int
+) -> BatchGappedResult:
+    """Run the gapped kernel over lanes ``[lo, hi)`` of *payload* (pure)."""
+    init_worker_obs(payload.obs)
+    obs = payload.obs
+    seq1, seq2 = payload.sequences()
+    with maybe_profile(
+        obs.profile_mode if obs else "none",
+        obs.profile_dir if obs else None,
+        f"slice-{lo}-{hi}",
+    ):
+        with span("step3.slice", lo=lo, hi=hi):
+            return batch_gapped_extend(
+                seq1,
+                seq2,
+                payload.p1[lo:hi],
+                payload.p2[lo:hi],
+                payload.dirs[lo:hi],
+                payload.scoring,
+                payload.band_radius,
+            )
+
+
+#: The per-lane columns of a :class:`BatchGappedResult`.
+_LANE_FIELDS = tuple(f.name for f in fields(BatchGappedResult) if f.name != "steps")
+
+
+def gather_lane_slices(
+    results: dict[int, BatchGappedResult],
+    order: np.ndarray,
+    bounds: list[tuple[int, int]],
+) -> BatchGappedResult:
+    """Scatter slice results (keyed by slice id) back into lane order.
+
+    ``steps`` is the slices' sum.  Lanes of a slice missing from
+    *results* (dropped after its retries) read all zero: an empty
+    extension on both sides, which step 3 discards as degenerate.
+    """
+    columns = {f: np.zeros(order.shape[0], dtype=np.int64) for f in _LANE_FIELDS}
+    steps = 0
+    for sid, res in results.items():
+        lanes = order[bounds[sid][0]:bounds[sid][1]]
+        for f in _LANE_FIELDS:
+            columns[f][lanes] = getattr(res, f)
+        steps += res.steps
+    return BatchGappedResult(**columns, steps=steps)
 
 
 # --------------------------------------------------------------------- #

@@ -50,6 +50,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 import numpy as np
 
+from ..encoding.spaced import SpacedSeedMask
+from ..encoding.subset import SubsetSeedMask
 from ..io.bank import Bank
 from ..runtime import faults
 from ..runtime.errors import IndexCorrupt, IndexOutdated
@@ -101,13 +103,44 @@ _BANK_FIELDS = ("seq", "starts", "lengths")
 _ARRAY_FIELDS = _BANK_FIELDS + CsrSeedIndex.ARRAY_FIELDS
 
 
+#: Seed-mask kinds an archive can name, by their ``mask_kind`` meta value.
+_MASK_KINDS = {"spaced": SpacedSeedMask, "subset": SubsetSeedMask}
+
+
 def _index_meta(index: CsrSeedIndex) -> dict:
+    mask = index.mask
     return {
         "w": index.w,
         "span": index.span,
-        "mask": index.mask.pattern if index.mask is not None else None,
+        "mask": mask.pattern if mask is not None else None,
+        "mask_kind": next(
+            (k for k, cls in _MASK_KINDS.items() if isinstance(mask, cls)), None
+        ),
         "names": index.bank.names,
     }
+
+
+def _rebuild_mask(path, meta: dict):
+    """The stored seed mask, rebuilt as its own kind.
+
+    An archive without ``mask_kind`` (written before it was stored) gets
+    whichever kind parses its pattern.  A pattern no kind parses, or an
+    unknown kind, is damage: :class:`IndexCorrupt`.
+    """
+    pattern = meta.get("mask")
+    if not pattern:
+        return None
+    kind = meta.get("mask_kind")
+    kinds = [kind] if kind is not None else list(_MASK_KINDS)
+    for k in kinds:
+        try:
+            return _MASK_KINDS[k](pattern)
+        except (KeyError, TypeError, ValueError):
+            continue
+    raise IndexCorrupt(
+        f"index archive {path!s} holds an invalid seed mask "
+        f"{pattern!r} (kind {kind!r})"
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -187,15 +220,12 @@ def load_index(path, verify: bool = False) -> CsrSeedIndex:
     :class:`~repro.runtime.errors.IndexOutdated` on an archive of the
     previous format.
     """
-    from ..encoding.spaced import SpacedSeedMask
-
     meta, arrays = _load_archive(path, verify, _ARRAY_FIELDS, outdated_ok=False)
-    mask_pattern = meta.get("mask")
     return CsrSeedIndex.from_arrays(
         bank=_rebuild_bank(meta, arrays),
         w=int(meta["w"]),
         span=int(meta.get("span", meta["w"])),
-        mask=SpacedSeedMask(mask_pattern) if mask_pattern else None,
+        mask=_rebuild_mask(path, meta),
         **{name: arrays[name] for name in CsrSeedIndex.ARRAY_FIELDS},
     )
 

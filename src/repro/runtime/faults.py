@@ -17,6 +17,10 @@ Spec syntax (comma-separated)::
     serve.poison_query:1:0:POISONQ    # only keys containing "POISONQ"
     task.error:1:0:task=3/try=0;      # task 3's first attempt only
     task.error:1:0:task=3/            # every attempt of task 3
+    worker.crash:1:0:slice=0/try=0;   # step-3 slice 0's first attempt
+
+A point may be armed more than once (say, with two ``match`` tokens): it
+fires when one of its specs does, consulted in spec order.
 
 Firing is *deterministic*: for a given (spec, call ordinal) the decision
 is a pure function -- ``crc32(f"{seed}:{n}")`` mapped to [0, 1) and
@@ -25,11 +29,13 @@ replayed exactly by re-arming the same spec string.  Each process keeps
 its own ordinal counters; forked/spawned workers re-arm lazily from the
 inherited environment, so a spec armed in the daemon reaches its pool.
 
-Range-task points are keyed by :func:`task_key`, ``task={id}/try={n};``
--- the task id and its attempt number (0 for the first execution).  The
-key holds no ``:`` or ``,`` (the spec separators) and no task's key is a
-substring of another's, so a ``match`` token selects one task, or one
-attempt of one task, without any cross-process bookkeeping.
+Task points are keyed by phase.  A step-2 range task is keyed by
+:func:`task_key`, ``task={id}/try={n};`` -- the task id and its attempt
+number (0 for the first execution); a step-3 lane slice by
+:func:`gapped_key`, ``slice={id}/try={n};``.  No key holds ``:`` or
+``,`` (the spec separators) and no key is a substring of another's,
+across both phases, so a ``match`` token selects one task or slice, or
+one attempt of it, without any cross-process bookkeeping.
 
 Known points (hook sites in parentheses).  The ``worker.*`` points fire
 in scheduler worker processes only.  ``task.error`` and
@@ -71,6 +77,7 @@ __all__ = [
     "disarm",
     "fired_counts",
     "inject",
+    "gapped_key",
     "should_fire",
     "task_key",
 ]
@@ -111,6 +118,11 @@ def task_key(task_id: int, attempt: int) -> str:
     return f"task={task_id}/try={attempt};"
 
 
+def gapped_key(slice_id: int, attempt: int) -> str:
+    """The fault key of one step-3 lane-slice execution (see the module doc)."""
+    return f"slice={slice_id}/try={attempt};"
+
+
 @dataclass
 class _ArmedPoint:
     point: str
@@ -123,10 +135,10 @@ class _ArmedPoint:
 
 @dataclass
 class _Registry:
-    """Per-process armed state, keyed by fault point."""
+    """Per-process armed state: each fault point's armed specs, in order."""
 
     spec_text: str
-    points: dict[str, _ArmedPoint] = field(default_factory=dict)
+    points: dict[str, list[_ArmedPoint]] = field(default_factory=dict)
 
 
 # ``None`` means "maybe not armed yet": the env is consulted lazily on
@@ -162,8 +174,8 @@ def _parse(text: str) -> _Registry:
             raise FaultSpecError(
                 f"fault probability must be in [0, 1], got {probability}"
             )
-        registry.points[point] = _ArmedPoint(
-            point=point, probability=probability, seed=seed, match=match
+        registry.points.setdefault(point, []).append(
+            _ArmedPoint(point=point, probability=probability, seed=seed, match=match)
         )
     return registry
 
@@ -203,7 +215,9 @@ def armed() -> bool:
 
 def fired_counts() -> dict[str, int]:
     """Per-point fire counts for this process (test observability)."""
-    return {name: p.fired for name, p in _load().points.items()}
+    return {
+        name: sum(p.fired for p in specs) for name, specs in _load().points.items()
+    }
 
 
 def _decide(point: _ArmedPoint) -> bool:
@@ -221,24 +235,23 @@ def _decide(point: _ArmedPoint) -> bool:
 def should_fire(point: str, key: str | None = None) -> bool:
     """Decide whether fault *point* fires at this call site.
 
-    ``key`` names the unit of work (a query name, a cache path); when the
-    armed spec carries a ``match`` token, the point only fires for keys
-    containing it.  Unarmed points cost one dict miss.
+    ``key`` names the unit of work (a query name, a cache path); an armed
+    spec with a ``match`` token only fires for keys containing it, and
+    the point fires when one of its specs does.  Unarmed points cost one
+    dict miss.
     """
     registry = _load()
     if not registry.points:
         return False
-    armed_point = registry.points.get(point)
-    if armed_point is None:
-        return False
-    if armed_point.match is not None and (
-        key is None or armed_point.match not in key
-    ):
-        return False
-    if not _decide(armed_point):
-        return False
-    armed_point.fired += 1
-    return True
+    for armed_point in registry.points.get(point, ()):
+        if armed_point.match is not None and (
+            key is None or armed_point.match not in key
+        ):
+            continue
+        if _decide(armed_point):
+            armed_point.fired += 1
+            return True
+    return False
 
 
 def inject(point: str) -> None:

@@ -1,14 +1,18 @@
-"""Fault-tolerant scheduler for step-2 range tasks.
+"""Fault-tolerant scheduler for the worker phases: step-2 range tasks
+and step-3 lane slices.
 
 The paper's ordered-seed cutoff makes every HSP the product of exactly
 one seed, hence of exactly one contiguous seed-code range.  Range tasks
 are therefore *idempotent, restartable units of work*: running one twice
-produces the same HSPs, and no other task can produce them.  This module
-exploits that property to make long bank-vs-bank comparisons survivable:
+produces the same HSPs, and no other task can produce them.  Step-3
+lane slices are as pure: each lane's gapped DP depends only on its own
+anchor.  This module exploits that property to make long bank-vs-bank
+comparisons survivable:
 
 * the common-code list is split into many small range tasks
   (up to ``tasks_per_worker`` x ``n_workers``, pair-cost balanced via
-  :func:`~repro.core.parallel.plan_ranges`);
+  :func:`~repro.core.parallel.plan_ranges`), and the step-3 batch into
+  one lane slice per worker (:func:`~repro.core.parallel.slice_lanes`);
 * tasks run on worker *processes* the scheduler leases from a
   :class:`WorkerPool` and supervises directly, each over its own duplex
   pipe (no shared queue: a worker
@@ -23,18 +27,20 @@ exploits that property to make long bank-vs-bank comparisons survivable:
   whole run);
 * too many worker failures mark the pool unhealthy and the scheduler
   degrades to in-parent serial execution of whatever remains;
-* every completed task can be journalled to a
+* every completed range task can be journalled to a
   :class:`~repro.runtime.checkpoint.CheckpointJournal`, so a killed run
-  resumes from the last completed range;
+  resumes from the last completed range (lane slices are not journalled:
+  step 3 is a pure function of the journalled step-2 table, so a resumed
+  run recomputes it exactly);
 * every task execution -- in a worker, in the serial loop, in
-  quarantine -- passes one fault hook (:func:`_run_task`), keyed by task
-  and attempt (see :mod:`repro.runtime.faults`).
+  quarantine -- passes one fault hook (:func:`_run_task`), keyed by phase,
+  task and attempt (see :mod:`repro.runtime.faults`).
 
-:func:`run_step2` is the one step-2 fan-out (publish the payload, run
-the tasks, tear down, merge); :func:`compare_resilient` and the serve
-batch engine both call it.  :func:`compare_resilient` wraps the whole
-pipeline: steps 1, 3 and 4 in the parent (identical to the plain
-engine), step 2 through :func:`run_step2`.
+:func:`run_step2` is the step-2 fan-out (publish the payload, run the
+tasks, tear down, merge) of the serve batch engine.
+:func:`compare_resilient` wraps the whole pipeline: steps 1 and 4 in the
+parent (identical to the plain engine), steps 2 and 3 on one pool and
+one shared-memory arena, which live until step 3 is done.
 """
 
 from __future__ import annotations
@@ -52,18 +58,23 @@ from multiprocessing.connection import wait as _conn_wait
 from dataclasses import dataclass
 
 from ..align.evalue import karlin_params
+from ..align.gapped import BatchGappedResult
 from ..align.hsp import HSPTable
 from ..core.engine import ComparisonResult, OrisEngine, finish_comparison
 from ..core.parallel import (
+    GappedPayload,
     RangePayload,
     RangeResult,
     ShmRangePayload,
     build_range_payload,
+    gather_lane_slices,
     merge_range_results,
     plan_ranges,
     publish_range_payload,
     resolve_start_method,
+    run_gapped_range,
     run_range,
+    slice_lanes,
 )
 from ..core.params import OrisParams
 from ..io.bank import Bank
@@ -144,8 +155,9 @@ class RuntimeConfig:
     Attributes
     ----------
     n_workers:
-        Worker processes for step 2 (1 = in-parent serial execution,
-        which still supports checkpoint/resume).
+        Worker processes for steps 2 and 3 (1 = in-parent serial
+        execution, which still supports checkpoint/resume).  Step 3 runs
+        as one lane slice per worker.
     tasks_per_worker:
         Granularity multiplier: the code list is split into (at most)
         ``n_workers * tasks_per_worker`` range tasks.  More tasks mean
@@ -185,7 +197,7 @@ class RuntimeConfig:
 
     Faults come from the :mod:`repro.runtime.faults` registry
     (``SCORIS_FAULTS``): ``task.error`` and the ``worker.*`` points fire
-    at the scheduler's task hook, keyed by task id and attempt.
+    at the scheduler's task hook, keyed by phase, task id and attempt.
     """
 
     n_workers: int = 2
@@ -222,8 +234,14 @@ class RuntimeConfig:
         return 2 * self.n_workers + 2
 
 
-def _payload_blocks(payload: RangePayload | ShmRangePayload) -> set[str]:
+#: What a worker runs: a step-2 range payload or a step-3 slice payload.
+Payload = RangePayload | ShmRangePayload | GappedPayload
+
+
+def _payload_blocks(payload: Payload) -> set[str]:
     """Shared-memory block names a worker payload maps (empty when none)."""
+    if isinstance(payload, GappedPayload):
+        payload = payload.banks  # step 3 reads the step-2 arena's banks
     if isinstance(payload, ShmRangePayload):
         return set(getattr(payload.spec, "blocks", ()))
     return set()
@@ -236,32 +254,38 @@ _WORKER_FAULTS = ("worker.crash", "worker.oom", "worker.hang")
 
 
 def _run_task(
-    payload: RangePayload | ShmRangePayload,
+    payload: Payload,
     task_id: int,
     attempt: int,
     lo: int,
     hi: int,
     in_worker: bool = False,
-) -> RangeResult:
-    """Run one range task through the scheduler's single fault hook.
+) -> RangeResult | BatchGappedResult:
+    """Run one task through the scheduler's single fault hook.
 
     Every execution passes here: the worker loop (``in_worker=True``),
-    the in-parent serial loop, and quarantine.  ``attempt`` counts the
-    task's earlier failures, so a ``match`` token on
-    :func:`~repro.runtime.faults.task_key` can target one attempt.
+    the in-parent serial loop, and quarantine.  The payload type picks
+    the phase: a :class:`GappedPayload` runs a step-3 lane slice, keyed
+    by :func:`~repro.runtime.faults.gapped_key`; anything else a step-2
+    range, keyed by :func:`~repro.runtime.faults.task_key`.  ``attempt``
+    counts the task's earlier failures, so a ``match`` token can target
+    one attempt.
     """
+    gapped = isinstance(payload, GappedPayload)
     if faults.armed():
-        key = faults.task_key(task_id, attempt)
+        key = (faults.gapped_key if gapped else faults.task_key)(task_id, attempt)
         if in_worker:
             for point in _WORKER_FAULTS:
                 if faults.should_fire(point, key):
                     faults.inject(point)
         if faults.should_fire("task.error", key):
             raise RuntimeError(f"fault injection: task.error on {key}")
+    if gapped:
+        return run_gapped_range(payload, lo, hi)
     return run_range(payload, lo, hi)
 
 
-def _scheduler_worker(payload: RangePayload | ShmRangePayload, conn) -> None:
+def _scheduler_worker(payload: Payload, conn) -> None:
     """Worker loop: recv (task_id, attempt, lo, hi), run it, send the outcome.
 
     Sends ``(task_id, "ok", result)`` or ``(task_id, "error", repr)``
@@ -311,7 +335,7 @@ class _Worker:
 
     __slots__ = ("proc", "conn", "task_id", "deadline", "assigned_at")
 
-    def __init__(self, ctx, payload: RangePayload | ShmRangePayload):
+    def __init__(self, ctx, payload: Payload):
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_scheduler_worker,
@@ -328,7 +352,7 @@ class _Worker:
     def idle(self) -> bool:
         return self.task_id is None
 
-    def set_payload(self, payload: RangePayload | ShmRangePayload) -> None:
+    def set_payload(self, payload: Payload) -> None:
         """Ship a (new) payload to a long-lived pool worker."""
         try:
             self.conn.send(("payload", payload))
@@ -374,7 +398,8 @@ class _Worker:
 
 
 class WorkerPool:
-    """The step-2 worker processes: the only place workers are created.
+    """The worker processes of steps 2 and 3: the only place workers are
+    created.
 
     :class:`TaskScheduler` leases its workers here and reclaims the
     survivors afterwards.  A batch run (:func:`compare_resilient`) makes
@@ -429,11 +454,11 @@ class WorkerPool:
     def __len__(self) -> int:
         return len(self._workers)
 
-    def spawn(self, payload: RangePayload | ShmRangePayload) -> _Worker:
+    def spawn(self, payload: Payload) -> _Worker:
         """Start one fresh worker with *payload*."""
         return _Worker(self.ctx, payload)
 
-    def respawn(self, payload: RangePayload | ShmRangePayload) -> _Worker:
+    def respawn(self, payload: Payload) -> _Worker:
         """Replace one dead worker, with backoff when deaths cluster.
 
         Consecutive respawns (each within ``RESPAWN_QUIET_S`` of the
@@ -460,7 +485,7 @@ class WorkerPool:
         return self.spawn(payload)
 
     def lease(
-        self, payload: RangePayload | ShmRangePayload, n: int
+        self, payload: Payload, n: int
     ) -> list[_Worker]:
         """Hand out *n* live workers primed with *payload*.
 
@@ -541,11 +566,18 @@ class WorkerPool:
 
 
 class TaskScheduler:
-    """Supervises range tasks across workers leased from a :class:`WorkerPool`."""
+    """Supervises tasks across workers leased from a :class:`WorkerPool`.
+
+    The payload type sets the phase: step-2 range tasks time into the
+    ``scheduler.queue_wait_seconds``/``scheduler.task_seconds``
+    histograms, step-3 lane slices into ``step3.slice_wait_seconds`` and
+    ``step3.slice_seconds``.  Retry, crash and quarantine counts share
+    the ``scheduler.*`` counters.
+    """
 
     def __init__(
         self,
-        payload: RangePayload | ShmRangePayload,
+        payload: Payload,
         ranges: list[tuple[int, int]],
         config: RuntimeConfig,
         pool: WorkerPool,
@@ -567,6 +599,12 @@ class TaskScheduler:
         self.pool = pool
         self._failures: dict[int, int] = {}
         self._seq = itertools.count()
+        self._gapped = isinstance(payload, GappedPayload)
+        self._wait_hist, self._time_hist = (
+            ("step3.slice_wait_seconds", "step3.slice_seconds")
+            if self._gapped
+            else ("scheduler.queue_wait_seconds", "scheduler.task_seconds")
+        )
 
     def _interrupt(self) -> None:
         """Raise :class:`RunInterrupted` describing the drained state."""
@@ -574,20 +612,26 @@ class TaskScheduler:
         name = (
             _signal.Signals(signum).name if signum is not None else "request"
         )
+        pending = len(self.tasks) - len(self.completed) - len(self.skipped)
+        done = (
+            "step 2 complete, step 3 interrupted"
+            if self._gapped
+            else f"{len(self.completed)} task(s) completed and journalled, "
+            f"{pending} pending"
+        )
         raise RunInterrupted(
-            f"run interrupted by {name}: {len(self.completed)} task(s) "
-            f"completed and journalled, "
-            f"{len(self.tasks) - len(self.completed) - len(self.skipped)} "
-            "pending; resume with --resume",
+            f"run interrupted by {name}: {done}; resume with --resume",
             signum=signum,
-            n_completed=len(self.completed),
+            n_completed=0 if self._gapped else len(self.completed),
         )
 
     # ------------------------------------------------------------------ #
     # Bookkeeping
     # ------------------------------------------------------------------ #
 
-    def _complete(self, task_id: int, result: RangeResult) -> None:
+    def _complete(
+        self, task_id: int, result: RangeResult | BatchGappedResult
+    ) -> None:
         if task_id in self.completed or task_id in self.skipped:
             return  # duplicate delivery after a requeue race: idempotent
         self.completed[task_id] = result
@@ -610,8 +654,13 @@ class TaskScheduler:
 
     def _poison(self, task_id: int, exc: Exception | str) -> None:
         lo, hi = self.tasks[task_id]
+        what = (
+            f"step-3 slice {task_id} (lanes [{lo}, {hi}))"
+            if self._gapped
+            else f"range task {task_id} (codes [{lo}, {hi}))"
+        )
         message = (
-            f"range task {task_id} (codes [{lo}, {hi})) failed its retries "
+            f"{what} failed its retries "
             f"and the in-parent quarantine attempt: {exc}"
         )
         if self.config.strict:
@@ -753,9 +802,7 @@ class TaskScheduler:
                     heapq.heappop(ready)
                     if tid in self.completed or tid in self.skipped:
                         continue
-                    self.registry.observe(
-                        "scheduler.queue_wait_seconds", now - enqueued
-                    )
+                    self.registry.observe(self._wait_hist, now - enqueued)
                     lo, hi = self.tasks[tid]
                     w.assign(
                         tid, self._failures.get(tid, 0), lo, hi,
@@ -789,8 +836,7 @@ class TaskScheduler:
                     if status == "ok":
                         if started is not None:
                             self.registry.observe(
-                                "scheduler.task_seconds",
-                                time.monotonic() - started,
+                                self._time_hist, time.monotonic() - started
                             )
                         self._complete(tid, val)
                         outstanding.discard(tid)
@@ -853,8 +899,73 @@ class TaskScheduler:
 
 
 # --------------------------------------------------------------------- #
-# The step-2 fan-out and the end-to-end resilient comparison
+# The fan-outs and the end-to-end resilient comparison
 # --------------------------------------------------------------------- #
+
+
+@contextmanager
+def _published(
+    payload: RangePayload,
+    config: RuntimeConfig,
+    pool: WorkerPool,
+    registry: MetricsRegistry,
+    needed: bool,
+    base_spec=None,
+):
+    """The payload workers get, published once into shared memory.
+
+    Zero-copy fan-out: when workers will run (``needed`` and a usable
+    pool), the payload arrays are copied once into a shared-memory arena
+    and workers (every retry and replacement included) attach views;
+    ``base_spec`` names an already-published subject arena whose arrays
+    are not copied again (the serving daemon's).  Degradation, not
+    failure, when ``/dev/shm`` cannot hold the arena: workers get the
+    pickled payload.  On exit, raising or not, the arena is closed and
+    this process's mapping of it dropped (the quarantine path may have
+    attached it).
+    """
+    arena = None
+    worker_payload: RangePayload | ShmRangePayload = payload
+    if config.use_shm and pool.usable and needed:
+        try:
+            arena, worker_payload = publish_range_payload(
+                payload, registry, base_spec=base_spec
+            )
+        except ResourceExhausted as exc:
+            warnings.warn(
+                f"{exc}; using the pickled worker payload instead",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+    try:
+        yield worker_payload
+    finally:
+        if arena is not None:
+            block = arena.spec.block
+            arena.close()
+            detach_block(block)
+
+
+def _run_ranges(
+    worker_payload: RangePayload | ShmRangePayload,
+    ranges: list[tuple[int, int]],
+    config: RuntimeConfig,
+    pool: WorkerPool,
+    registry: MetricsRegistry,
+    journal: CheckpointJournal | None,
+    completed: dict[int, RangeResult] | None,
+    stop: ShutdownRequest | None,
+) -> HSPTable:
+    """Schedule the range tasks and merge them; *journal* is closed after."""
+    try:
+        results = TaskScheduler(
+            worker_payload, ranges, config, pool, journal,
+            completed, stop=stop, registry=registry,
+        ).run()
+    finally:
+        if journal is not None:
+            journal.close()  # every line is fsynced at append time
+    return merge_range_results(results, registry)
 
 
 def run_step2(
@@ -871,47 +982,59 @@ def run_step2(
 ) -> HSPTable:
     """Run step 2 over *ranges*: publish, schedule, tear down, merge.
 
-    Zero-copy fan-out: when workers will run, the payload arrays are
-    published once into a shared-memory arena and workers (every retry
-    and replacement included) attach views; ``base_spec`` names an
-    already-published subject arena whose arrays are not copied again
-    (the serving daemon's).  Degradation, not failure, when ``/dev/shm``
-    cannot hold the arena: workers get the pickled payload.
-
-    Scheduler metrics, ``shm.bytes_published`` and every task's metrics
-    go to *registry*.  The arena
-    is closed and this process's mapping of it dropped (the quarantine
-    path may have attached it) even when the run raises -- e.g.
-    :class:`~repro.runtime.errors.RunInterrupted` -- and *journal*, if
-    any, is closed (every line is fsynced at append time).
+    The serve batch engine's fan-out (see :func:`_published` for the
+    arena and ``base_spec``).  Scheduler metrics, ``shm.bytes_published``
+    and every task's metrics go to *registry*.  The arena is gone and
+    *journal*, if any, closed on return, even when the run raises --
+    e.g. :class:`~repro.runtime.errors.RunInterrupted`.
     """
-    arena = None
-    worker_payload: RangePayload | ShmRangePayload = payload
-    if config.use_shm and pool.usable and len(ranges) > len(completed or ()):
-        try:
-            arena, worker_payload = publish_range_payload(
-                payload, registry, base_spec=base_spec
-            )
-        except ResourceExhausted as exc:
-            warnings.warn(
-                f"{exc}; using the pickled worker payload instead",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    try:
-        scheduler = TaskScheduler(
-            worker_payload, ranges, config, pool, journal,
-            completed, stop=stop, registry=registry,
+    with _published(
+        payload, config, pool, registry,
+        len(ranges) > len(completed or ()), base_spec,
+    ) as worker_payload:
+        return _run_ranges(
+            worker_payload, ranges, config, pool, registry,
+            journal, completed, stop,
         )
-        results = scheduler.run()
-    finally:
-        if arena is not None:
-            block = arena.spec.block
-            arena.close()
-            detach_block(block)
-        if journal is not None:
-            journal.close()
-    return merge_range_results(results, registry)
+
+
+def _gapped_kernel(
+    worker_payload: RangePayload | ShmRangePayload,
+    config: RuntimeConfig,
+    pool: WorkerPool,
+    registry: MetricsRegistry,
+    stop: ShutdownRequest | None,
+):
+    """Step 3's kernel for :func:`compare_resilient`: the one gapped
+    batch as lane slices, one per worker, on the step-2 pool.
+
+    The slices read the banks from the step-2 arena when there is one.
+    Their results are scattered back into lane order, so the caller's
+    catalog, filter and counts see the batch the in-parent kernel would
+    have returned.
+    """
+    shm = isinstance(worker_payload, ShmRangePayload)
+
+    def kernel(seq1, seq2, p1, p2, dirs, scoring, band_radius):
+        order, bounds = slice_lanes(
+            p1.shape[0], config.n_workers if pool.usable else 1
+        )
+        payload = GappedPayload(
+            banks=worker_payload if shm else (seq1, seq2),
+            p1=p1[order],
+            p2=p2[order],
+            dirs=dirs[order],
+            scoring=scoring,
+            band_radius=band_radius,
+            obs=worker_payload.obs,
+        )
+        with span("step3.extend", n_slices=len(bounds)):
+            results = TaskScheduler(
+                payload, bounds, config, pool, stop=stop, registry=registry
+            ).run()
+        return gather_lane_slices(results, order, bounds)
+
+    return kernel
 
 
 def _run_fingerprint(payload: RangePayload, n_tasks: int) -> dict:
@@ -942,12 +1065,18 @@ def compare_resilient(
     obs: ObsSpec | None = None,
     index_cache=None,
 ) -> ComparisonResult:
-    """ORIS comparison with fault-tolerant, checkpointed parallel step 2.
+    """ORIS comparison with fault-tolerant parallel steps 2 and 3.
 
     Identical output to :class:`~repro.core.engine.OrisEngine` on healthy
     runs (asserted by the test suite); on unhealthy runs it retries,
-    requeues, degrades, and resumes instead of aborting.  Steps 1, 3 and
-    4 run in the parent.
+    requeues, degrades, and resumes instead of aborting.  Steps 2 and 3
+    run in workers of one pool: step 2 as checkpointed range tasks, step
+    3's gapped batch as one lane slice per worker, both reading the
+    banks from one shared-memory arena.  Steps 1 and 4, and step 3's
+    catalog, containment filter and counts, run in the parent.  The pool
+    and the arena live from step 2 through step 3 -- a worker respawned
+    mid-step-3 still attaches the arena -- and both are gone when this
+    returns or raises.
 
     ``stop`` is an optional :class:`ShutdownRequest`; when it trips
     (typically from a SIGTERM/SIGINT handler installed with
@@ -1003,21 +1132,28 @@ def compare_resilient(
         else:
             journal.create(fingerprint)
     pool = WorkerPool(config.n_workers, config.start_method)
-    try:
-        with span("step2.extend", n_tasks=len(ranges)):
-            table = run_step2(
-                payload, ranges, config, pool, registry,
-                journal=journal, completed=completed, stop=stop,
+    with _published(
+        payload, config, pool, registry, bool(ranges)
+    ) as worker_payload:
+        try:
+            with span("step2.extend", n_tasks=len(ranges)):
+                table = _run_ranges(
+                    worker_payload, ranges, config, pool, registry,
+                    journal, completed, stop,
+                )
+            registry.set_gauge(
+                "time.step2_ungapped_seconds",
+                time.perf_counter() - t0,
+                mode="sum",
             )
-    finally:
-        pool.stop()
-    registry.set_gauge(
-        "time.step2_ungapped_seconds", time.perf_counter() - t0, mode="sum"
-    )
-
-    return finish_comparison(
-        bank1, bank2, table, params, registry,
-        scheduling=params.gapped_scheduling,
-        min_align_score=params.min_align_score,
-        exclude_self=params.exclude_self,
-    )
+            return finish_comparison(
+                bank1, bank2, table, params, registry,
+                scheduling=params.gapped_scheduling,
+                min_align_score=params.min_align_score,
+                exclude_self=params.exclude_self,
+                gapped_kernel=_gapped_kernel(
+                    worker_payload, config, pool, registry, stop
+                ),
+            )
+        finally:
+            pool.stop()

@@ -333,6 +333,38 @@ class TestGovernor:
         assert rc == 0
         err = capsys.readouterr().err
         assert "# governor: mode=monolithic" in err
+        assert "budget_exceeded=0" in err
+        assert "governor: warning" not in err
+
+    def test_breached_budget_is_loud(self, fasta_pair, tmp_path, capsys):
+        import json
+
+        import numpy as np
+
+        from repro.runtime.governor import (
+            estimate_comparison_bytes,
+            rss_peak_bytes,
+        )
+
+        ref = tmp_path / "ref.m8"
+        assert run([*fasta_pair, "-o", str(ref)]) == 0
+        # The smallest budget the plan keeps monolithic for this pair
+        # (250 nt a side); it sits below a CPython + NumPy run's peak.
+        budget = estimate_comparison_bytes(250, 250)
+        short = budget + (8 << 20) - rss_peak_bytes()
+        if short > 0:  # make sure this process's peak really is above it
+            np.ones(short // 8 + 1, dtype=np.int64)
+        out, metrics = tmp_path / "out.m8", tmp_path / "m.json"
+        rc = run([*fasta_pair, "--memory-budget", str(budget), "--stats",
+                  "--metrics", str(metrics), "-o", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "# governor: mode=monolithic" in err
+        assert err.count("scoris-n: governor: warning:") == 1
+        assert "budget_exceeded=1" in err
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["metrics"]["counters"]["governor.budget_exceeded"] == 1
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_tight_budget_degrades_to_tiled(self, big_subject_pair, tmp_path,
                                             capsys):

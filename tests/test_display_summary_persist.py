@@ -149,6 +149,48 @@ class TestIndexPersistence:
             assert np.array_equal(got, want), name
         assert np.array_equal(loaded.indexed_mask, idx.indexed_mask)
 
+    @pytest.mark.parametrize(
+        "mask", ["spaced:1101011", "subset:#@-@#", "subset:##@#"]
+    )
+    def test_seed_mask_round_trip(self, tmp_path, rng, mask):
+        from repro.encoding.spaced import SpacedSeedMask
+        from repro.encoding.subset import SubsetSeedMask
+
+        kind, pattern = mask.split(":")
+        cls = {"spaced": SpacedSeedMask, "subset": SubsetSeedMask}[kind]
+        bank = Bank.from_strings(
+            [("a", random_dna(rng, 400)), ("b", random_dna(rng, 300))]
+        )
+        idx = CsrSeedIndex(bank, 0, mask=cls(pattern))
+        path = tmp_path / "masked.idx"
+        save_index(path, idx)
+        loaded = load_index(path, verify=True)
+        assert type(loaded.mask) is cls and loaded.mask.pattern == pattern
+        assert loaded.span == idx.span
+        for name in CsrSeedIndex.ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(idx, name)), name
+        assert np.array_equal(loaded.cutoff_codes, idx.cutoff_codes)
+
+    @pytest.mark.parametrize(
+        "mask, kind",
+        [("#x#", None), ("#@#", "spaced"), ("101", "subset"), ("101", "gapped")],
+    )
+    def test_invalid_seed_mask_is_corrupt(self, tmp_path, rng, mask, kind):
+        from repro.index.persist import _write_archive
+        from repro.runtime.errors import IndexCorrupt
+
+        bank = Bank.from_strings([("a", random_dna(rng, 100))])
+        idx = CsrSeedIndex(bank, 6)
+        arrays = {"seq": bank.seq, "starts": bank.starts, "lengths": bank.lengths}
+        arrays.update((n, getattr(idx, n)) for n in idx.ARRAY_FIELDS)
+        meta = {"w": 6, "span": 6, "mask": mask, "names": bank.names}
+        if kind is not None:
+            meta["mask_kind"] = kind
+        path = tmp_path / "x.scoris3"
+        _write_archive(path, 4, meta, arrays)
+        with pytest.raises(IndexCorrupt, match="seed mask"):
+            load_index(path)
+
     def test_loaded_index_is_usable(self, tmp_path, rng):
         core = random_dna(rng, 200)
         b1 = Bank.from_strings([("q", core)])

@@ -100,7 +100,8 @@ class TestFiring:
 
 
 class TestTaskKeys:
-    """Range-task keys: one ``match`` token selects one task or attempt."""
+    """Task keys of both phases: one ``match`` token selects one task or
+    slice, or one attempt of it."""
 
     def test_keys_hold_no_spec_separators(self):
         for task in (0, 1, 10, 11, 123):
@@ -122,6 +123,42 @@ class TestTaskKeys:
         assert faults.should_fire("task.error", faults.task_key(1, 3))
         assert not faults.should_fire("task.error", faults.task_key(11, 0))
         assert not faults.should_fire("task.error", faults.task_key(21, 0))
+
+    def test_phase_keys_are_disjoint(self):
+        # Step-2 tokens (task=N/, task_key) never hit a step-3 slice key,
+        # step-3 tokens (slice=N/, gapped_key) never a step-2 task key.
+        ids = (0, 1, 2, 10, 11, 123)
+        attempts = (0, 1, 10)
+        step2 = [faults.task_key(t, a) for t in ids for a in attempts]
+        step3 = [faults.gapped_key(t, a) for t in ids for a in attempts]
+        tokens2 = step2 + [f"task={t}/" for t in ids]
+        tokens3 = step3 + [f"slice={t}/" for t in ids]
+        for key in step3:
+            assert ":" not in key and "," not in key
+            assert not any(token in key for token in tokens2), key
+        for key in step2:
+            assert not any(token in key for token in tokens3), key
+        # Within a phase, a key is matched only by its own full token.
+        for keys in (step2, step3):
+            for key in keys:
+                assert [k for k in keys if key in k] == [key]
+
+    def test_point_armed_twice_fires_for_either_match(self):
+        faults.arm(
+            f"worker.crash:1:0:{faults.task_key(0, 0)},"
+            f"worker.crash:1:0:{faults.gapped_key(0, 0)}"
+        )
+        assert faults.should_fire("worker.crash", faults.task_key(0, 0))
+        assert faults.should_fire("worker.crash", faults.gapped_key(0, 0))
+        assert not faults.should_fire("worker.crash", faults.task_key(1, 0))
+        assert not faults.should_fire("worker.crash", faults.gapped_key(0, 1))
+        assert faults.fired_counts() == {"worker.crash": 2}
+
+    def test_slice_token_targets_step3_only(self):
+        faults.arm(f"task.error:1:0:{faults.gapped_key(0, 0)}")
+        assert not faults.should_fire("task.error", faults.task_key(0, 0))
+        assert not faults.should_fire("task.error", faults.gapped_key(0, 1))
+        assert faults.should_fire("task.error", faults.gapped_key(0, 0))
 
 
 class TestEnvArming:

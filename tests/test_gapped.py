@@ -270,3 +270,122 @@ class TestBatchMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PARENT_PEAK_BYTES
+
+
+LANE_FIELDS = (
+    "score",
+    "consumed1",
+    "consumed2",
+    "matches",
+    "mismatches",
+    "gap_columns",
+    "gap_openings",
+    "min_dd",
+    "max_dd",
+)
+
+
+def with_ns(rng, seq: str) -> str:
+    """*seq* with a few positions turned into N."""
+    chars = list(seq)
+    for i in rng.integers(0, len(chars), size=max(len(chars) // 40, 1)):
+        chars[int(i)] = "N"
+    return "".join(chars)
+
+
+class TestLaneSlices:
+    """Each lane's DP depends only on its own anchor, so the step-3 batch
+    can run as independent slices (the resilient runtime's workers)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_seqs=st.integers(2, 4),
+        n_parts=st.integers(1, 5),
+        match=st.integers(1, 3),
+        mismatch=st.integers(1, 4),
+        gap=st.integers(1, 6),
+        xdrop=st.integers(1, 40),
+        band=st.integers(0, 20),
+    )
+    def test_partitions_equal_the_full_batch(
+        self, seed, n_seqs, n_parts, match, mismatch, gap, xdrop, band
+    ):
+        from repro.core.parallel import gather_lane_slices, slice_lanes
+
+        rng = np.random.default_rng(seed)
+        cores = [random_dna(rng, int(rng.integers(20, 80))) for _ in range(n_seqs)]
+        b1 = Bank.from_strings(
+            [(f"a{t}", with_ns(rng, random_dna(rng, 8) + c)) for t, c in enumerate(cores)]
+        )
+        b2 = Bank.from_strings(
+            [(f"b{t}", with_ns(rng, random_dna(rng, 5) + mutate(rng, c, 0.08, 0.04)))
+             for t, c in enumerate(cores)]
+        )
+        n1, n2 = len(b1.seq), len(b2.seq)
+        anchors = [(0, 0, -1), (n1, n2, +1), (1, 1, +1), (n1 - 1, n2 - 1, -1)]
+        for t in range(60):
+            c = int(rng.integers(n_seqs))
+            q1 = int(b1.starts[c]) + int(rng.integers(0, int(b1.lengths[c]) + 1))
+            q2 = int(b2.starts[c]) + int(rng.integers(0, int(b2.lengths[c]) + 1))
+            anchors.append((q1, q2, 1 if rng.integers(2) else -1))
+        p1, p2, dirs = (np.array(col, dtype=np.int64) for col in zip(*anchors))
+        sc = ScoringScheme(
+            match=match, mismatch=mismatch, gap_open=gap, xdrop_gapped=xdrop
+        )
+
+        def run(idx):
+            return batch_gapped_extend(
+                b1.seq, b2.seq, p1[idx], p2[idx], dirs[idx], sc, band_radius=band
+            )
+
+        full = run(np.arange(p1.size))
+        labels = rng.integers(0, n_parts, size=p1.size)
+        steps = 0
+        for part in range(n_parts):
+            idx = np.flatnonzero(labels == part)
+            res = run(idx)
+            for f in LANE_FIELDS:
+                assert np.array_equal(getattr(res, f), getattr(full, f)[idx]), f
+            steps += res.steps
+        assert steps == full.steps
+
+        # The runtime's round-robin slices, scattered back, are the batch.
+        order, bounds = slice_lanes(p1.size, n_parts)
+        gathered = gather_lane_slices(
+            {s: run(order[lo:hi]) for s, (lo, hi) in enumerate(bounds)},
+            order,
+            bounds,
+        )
+        for f in LANE_FIELDS:
+            assert np.array_equal(getattr(gathered, f), getattr(full, f)), f
+        assert gathered.steps == full.steps
+
+    def test_slices_keep_both_sides_of_an_hsp(self):
+        from repro.core.parallel import slice_lanes
+
+        order, bounds = slice_lanes(14, 3)
+        assert sorted(order.tolist()) == list(range(14))
+        for lo, hi in bounds:
+            lanes = order[lo:hi]
+            assert set(lanes[lanes < 7]) == {i - 7 for i in lanes[lanes >= 7]}
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_resilient_runs_equal_the_engine(self, est_pair, n_workers):
+        from repro.core import OrisEngine, OrisParams
+        from repro.runtime.scheduler import RuntimeConfig, compare_resilient
+
+        serial = OrisEngine(OrisParams()).compare(*est_pair)
+        res = compare_resilient(
+            *est_pair, OrisParams(), RuntimeConfig(n_workers=n_workers)
+        )
+        assert [r.to_line() for r in res.records] == [
+            r.to_line() for r in serial.records
+        ]
+        for name in (
+            "step3.extensions",
+            "step3.lane_rows",
+            "step3.duplicate_alignments",
+            "step3.alignments",
+        ):
+            assert res.metrics.value(name) == serial.metrics.value(name), name

@@ -9,7 +9,9 @@ previously completed ranges.
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core import OrisEngine, OrisParams
 from repro.core.parallel import build_range_payload, plan_ranges
 from repro.runtime import CheckpointCorrupt, TaskPoisoned, faults
 from repro.runtime.scheduler import RuntimeConfig, WorkerPool, compare_resilient
+from repro.runtime.shm import arena_prefix, shm_dir
 
 N_WORKERS = 2
 TASKS_PER_WORKER = 3
@@ -239,6 +242,94 @@ class TestRegistryFaultsAcrossStartMethods:
         assert lines(res) == serial_lines
         assert res.counters.n_retries >= 1
         assert res.counters.n_crashes == 0
+
+
+STEP3_COUNTERS = (
+    "step3.extensions",
+    "step3.lane_rows",
+    "step3.duplicate_alignments",
+)
+
+
+@pytest.fixture(scope="module")
+def serial_result(est_pair):
+    return OrisEngine(OrisParams()).compare(*est_pair)
+
+
+@pytest.fixture
+def env_faults(monkeypatch):
+    """Arm a spec through ``SCORIS_FAULTS``, which fork- and
+    spawn-started workers both read; disarmed afterwards."""
+
+    def _arm(spec: str) -> None:
+        monkeypatch.setenv(faults.ENV_VAR, spec)
+        faults.reset()
+
+    yield _arm
+    faults.disarm()
+
+
+def shm_blocks() -> set[str]:
+    d = shm_dir()
+    return {p.name for p in Path(d).glob(f"{arena_prefix()}_*")} if d else set()
+
+
+@pytest.mark.filterwarnings("ignore:fork start method unavailable")
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+class TestStep3Slices:
+    """Step 3 runs as lane slices on the step-2 workers, under the same
+    supervision: retries, quarantine and strict mode, keyed by
+    ``faults.gapped_key`` so no step-2 token reaches it."""
+
+    def config(self, method, **kw):
+        return RuntimeConfig(
+            n_workers=N_WORKERS,
+            tasks_per_worker=TASKS_PER_WORKER,
+            start_method=method,
+            **kw,
+        )
+
+    def test_slice_crash_is_retried_exactly(
+        self, est_pair, serial_result, env_faults, method
+    ):
+        env_faults(f"worker.crash:1:0:{faults.gapped_key(0, 0)}")
+        res = compare_resilient(*est_pair, OrisParams(), self.config(method))
+        assert lines(res) == lines(serial_result)
+        assert res.counters.n_crashes == 1
+        assert res.counters.n_retries >= 1
+        for name in STEP3_COUNTERS:
+            assert res.metrics.value(name) == serial_result.metrics.value(name)
+        assert res.metrics.histogram("step3.slice_seconds").count == N_WORKERS
+
+    def test_slice_failing_every_attempt_is_quarantined(
+        self, est_pair, env_faults, method
+    ):
+        # Retries and the in-parent quarantine attempt all fail: the
+        # slice's HSPs are dropped with a warning, the run completes.
+        env_faults("task.error:1:0:slice=0/")
+        with pytest.warns(RuntimeWarning, match="step-3 slice 0"):
+            res = compare_resilient(
+                *est_pair,
+                OrisParams(),
+                self.config(method, max_retries=1, backoff_base=0.01),
+            )
+        assert res.counters.n_quarantined == 1
+        assert res.counters.n_skipped_tasks == 1
+        assert res.counters.n_crashes == 0
+
+    def test_strict_poisoned_slice_tears_down(
+        self, est_pair, env_faults, method
+    ):
+        before, children = shm_blocks(), set(mp.active_children())
+        env_faults("task.error:1:0:slice=1/")
+        with pytest.raises(TaskPoisoned, match="step-3 slice 1"):
+            compare_resilient(
+                *est_pair,
+                OrisParams(),
+                self.config(method, max_retries=1, backoff_base=0.01, strict=True),
+            )
+        assert set(mp.active_children()) <= children  # workers stopped
+        assert shm_blocks() <= before  # arena unlinked
 
 
 class TestWorkerPool:
