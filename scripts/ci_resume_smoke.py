@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test: kill a checkpointed parallel comparison mid-run, resume
-it, and require byte-identical output — once with SIGKILL, once with
-SIGTERM.
+it, and require byte-identical output — with SIGKILL mid-step-2, with
+SIGTERM mid-step-2, and with SIGKILL mid-step-3.
 
 This exercises the full resilience story end to end, across real process
 boundaries (no fault injection, no mocks):
@@ -16,6 +16,11 @@ boundaries (no fault injection, no mocks):
      * **SIGTERM** to the parent — the polite shutdown every scheduler
        sends first.  The run must drain in-flight tasks, flush the
        journal, and exit with the documented code 130.
+     * **SIGKILL mid-step-3** — ``SCORIS_FAULTS`` hangs step-3 lane
+       slice 0's first attempt (``worker.hang`` on ``slice=0/try=0;``),
+       so the run sits in step 3 with every step-2 task journalled; the
+       group is SIGKILLed there.  Step 3 is never journalled: resume
+       (with no faults armed) recomputes it from the journalled HSPs.
 
   3. re-run with ``--resume`` and assert the output file is byte-identical
      to the uninterrupted serial run;
@@ -30,6 +35,7 @@ Run from the repository root with ``PYTHONPATH=src``.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -50,6 +56,11 @@ SEQ_LEN = 1200
 KILL_AFTER_TASKS = 2  # kill once this many task lines hit the journal
 TIMEOUT = 600.0
 EXIT_INTERRUPTED = 130
+#: Wedges step 3: its first lane slice's first attempt sleeps for an hour.
+HANG_STEP3 = "worker.hang:1:0:slice=0/try=0;"
+#: How long a run with every step-2 task journalled must stay alive (and
+#: write no output) before it counts as held inside step 3.
+STEP3_HOLD_S = 1.0
 
 
 def build_banks(directory: Path) -> tuple[Path, Path]:
@@ -76,9 +87,12 @@ def cli(*args: str) -> list[str]:
     return [sys.executable, "-m", "repro.cli", *map(str, args)]
 
 
-def env() -> dict[str, str]:
+def env(faults: str | None = None) -> dict[str, str]:
     e = dict(os.environ)
     e["PYTHONPATH"] = str(SRC) + os.pathsep + e.get("PYTHONPATH", "")
+    e.pop("SCORIS_FAULTS", None)
+    if faults:
+        e["SCORIS_FAULTS"] = faults
     return e
 
 
@@ -113,6 +127,25 @@ def journal_task_lines(journal: Path) -> int:
     return n - 1  # minus the header line
 
 
+def journal_n_tasks(journal: Path) -> int | None:
+    """The run's step-2 task count, from the journal header."""
+    try:
+        header = json.loads(journal.read_bytes().splitlines()[0])
+    except (OSError, IndexError, ValueError):
+        return None
+    return int(header["fingerprint"]["n_tasks"])
+
+
+def held_in_step3(proc: subprocess.Popen, journal: Path, out: Path) -> bool:
+    """True once every step-2 task is journalled and the run, still
+    alive without output, has stayed so for ``STEP3_HOLD_S``."""
+    n_tasks = journal_n_tasks(journal)
+    if n_tasks is None or journal_task_lines(journal) < n_tasks:
+        return False
+    time.sleep(STEP3_HOLD_S)
+    return proc.poll() is None and not out.exists()
+
+
 def run_scenario(
     label: str,
     sig: signal.Signals,
@@ -122,8 +155,14 @@ def run_scenario(
     ref: Path,
     tmp: Path,
     shm_baseline: set[str],
+    faults: str | None = None,
 ) -> int:
-    """Kill one checkpointed run with *sig*, resume, compare to *ref*."""
+    """Kill one checkpointed run with *sig*, resume, compare to *ref*.
+
+    Without *faults* the kill lands in step 2, once ``KILL_AFTER_TASKS``
+    tasks are journalled; with them (a fault that wedges step 3) it
+    lands once the run is held inside step 3.
+    """
     out = tmp / f"resumed_{label}.m8"
     ckpt = tmp / f"ckpt_{label}"
     journal = ckpt / "journal.jsonl"
@@ -131,14 +170,18 @@ def run_scenario(
     print(f"[smoke:{label}] launching checkpointed parallel run ...", flush=True)
     proc = subprocess.Popen(
         cli(fa1, fa2, "--workers", "2", "--checkpoint", ckpt, "-o", out),
-        env=env(),
+        env=env(faults),
         start_new_session=True,  # own process group: killpg reaps workers
     )
     deadline = time.monotonic() + TIMEOUT
     killed = False
     while time.monotonic() < deadline:
         done = journal_task_lines(journal)
-        if done >= KILL_AFTER_TASKS and proc.poll() is None:
+        if faults:
+            due = held_in_step3(proc, journal, out)
+        else:
+            due = done >= KILL_AFTER_TASKS
+        if due and proc.poll() is None:
             if kill_group:
                 os.killpg(proc.pid, sig)
             else:
@@ -165,6 +208,16 @@ def run_scenario(
             break
         time.sleep(0.01)
     if not killed:
+        if faults:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            print(
+                f"[smoke:{label}] ERROR: the run was never held inside "
+                f"step 3 (exit {proc.returncode})",
+                flush=True,
+            )
+            return 1
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
@@ -239,7 +292,14 @@ def main() -> int:
         )
         if rc != 0:
             return rc
-        print(f"[smoke] OK: both scenarios byte-identical ({n_ref} records)")
+        # SIGKILL to the whole group while step 3 is held open.
+        rc = run_scenario(
+            "sigkill_step3", signal.SIGKILL, True, fa1, fa2, ref, tmp,
+            shm_baseline, faults=HANG_STEP3,
+        )
+        if rc != 0:
+            return rc
+        print(f"[smoke] OK: all three scenarios byte-identical ({n_ref} records)")
         return 0
 
 

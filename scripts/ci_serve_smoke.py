@@ -8,7 +8,8 @@ Scenarios (all against one ``scoris-n serve`` subprocess):
      threads; every response must be byte-identical to a single-shot
      ``scoris-n compare`` of that query against the same bank (run as
      its own subprocess, so the reference can share nothing with the
-     daemon).
+     daemon), and the daemon's ``stats`` must show a batch of at least
+     two queries (step 3's kernel ran over a merged batch).
   2. **Soak** — 1000 further requests from 8 threads.  The daemon must
      answer every one, keep exactly ``--workers`` persistent worker
      processes (no per-batch spawn/leak), and report sane service
@@ -236,8 +237,18 @@ def scenario_concurrent(host, port, queries, references):
     for jid, name, _seq in jobs:
         if results[jid] != references[name]:
             fail(f"served output for {name} (job {jid}) differs from compare")
+    # The answers must have come through the merged step-3 path: some
+    # batch held more than one query, so its gapped kernel ran over
+    # several queries' lanes at once.
+    with OrisClient(host, port, timeout=30.0) as client:
+        sizes = client.stats()["histograms"].get("serve.batch_size", {})
+    largest = sizes.get("max") or 0
+    if largest < 2:
+        fail(f"no batch held 2 or more queries (largest {largest}): the "
+             "merged step-3 path never ran")
     note(f"concurrent OK: {N_CONCURRENT} queries on {N_THREADS} threads, "
-         "all byte-identical to single-shot compare")
+         f"all byte-identical to single-shot compare (largest batch "
+         f"{largest:.0f} queries)")
 
 
 def scenario_soak(host, port, queries, daemon_pid, children_baseline):

@@ -42,7 +42,7 @@ extended both ways and merged without double-counting any column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "batch_gapped_extend",
     "BatchGappedResult",
     "DEFAULT_BAND_RADIUS",
+    "LANE_FIELDS",
 ]
 
 #: Default band half-width (diagonals each side of the anchor diagonal).
@@ -232,6 +233,17 @@ class BatchGappedResult:
     max_dd: np.ndarray
     #: Total lane-row steps executed (work metric for benches).
     steps: int
+
+    def lanes(self, which: slice | np.ndarray) -> "BatchGappedResult":
+        """The results of lanes *which*: views for a slice, copies for an
+        index array.  ``steps`` is 0: a batch's rows do not split by lane."""
+        return BatchGappedResult(
+            **{f: getattr(self, f)[which] for f in LANE_FIELDS}, steps=0
+        )
+
+
+#: The per-lane columns of a :class:`BatchGappedResult`.
+LANE_FIELDS = tuple(f.name for f in fields(BatchGappedResult) if f.name != "steps")
 
 
 def batch_gapped_extend(

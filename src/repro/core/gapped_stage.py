@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..align.gapped import BatchGappedResult, batch_gapped_extend
+from ..align.gapped import batch_gapped_extend
 from ..align.hsp import GappedAlignment, HSPTable
 from ..align.scoring import ScoringScheme
 from ..io.bank import Bank
 from ..obs import MetricsRegistry
 from .containment import AlignmentCatalog
 
-__all__ = ["run_gapped_stage"]
+__all__ = ["gapped_lanes", "run_gapped_stage"]
 
 
 def run_gapped_stage(
@@ -127,6 +127,22 @@ def _filter_contained(
     return [a for a, k in zip(alignments, kept_flags) if k]
 
 
+def gapped_lanes(
+    s1: np.ndarray, e1: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-sided gapped batch of HSPs ``(s1, e1, s2)``: ``(p1, p2, dirs)``.
+
+    Each HSP is extended "from the middle ... on both extremities"
+    (paper section 2.3): every left lane comes first, then every right
+    lane, in HSP order, so lanes ``i`` and ``i + k`` are HSP ``i``'s two
+    sides (the layout :func:`~repro.core.parallel.slice_lanes` deals).
+    """
+    mid1 = (s1 + e1) // 2
+    mid2 = s2 + (mid1 - s1)
+    dirs = np.repeat(np.array([-1, 1], dtype=np.int64), mid1.size)
+    return np.concatenate((mid1, mid1)), np.concatenate((mid2, mid2)), dirs
+
+
 def _extend_wave(
     seq1: np.ndarray,
     seq2: np.ndarray,
@@ -144,28 +160,20 @@ def _extend_wave(
 ) -> None:
     """Gapped-extend the chosen HSPs (one batch) and store alignments.
 
-    Extensions start "from the middle of an HSP ... on both extremities"
-    (paper section 2.3); left and right run as one mixed-direction batch.
+    Left and right run as one mixed-direction batch (:func:`gapped_lanes`).
     ``step3.duplicate_alignments`` counts the alignments the catalog
     dropped as exact duplicates of one an earlier HSP already built.
     """
     registry.inc("step3.extensions", int(chosen.size))
     registry.observe("step3.wave_hsps", int(chosen.size))
-    mid1 = (s1[chosen] + e1[chosen]) // 2
-    mid2 = s2[chosen] + (mid1 - s1[chosen])
     k = chosen.size
-    dirs = np.concatenate((np.full(k, -1, np.int64), np.full(k, 1, np.int64)))
+    p1, p2, dirs = gapped_lanes(s1[chosen], e1[chosen], s2[chosen])
     both = (kernel or batch_gapped_extend)(
-        seq1,
-        seq2,
-        np.concatenate((mid1, mid1)),
-        np.concatenate((mid2, mid2)),
-        dirs,
-        scoring,
-        band_radius,
+        seq1, seq2, p1, p2, dirs, scoring, band_radius
     )
-    left = _slice_gapped(both, 0, k)
-    right = _slice_gapped(both, k, 2 * k)
+    mid1, mid2 = p1[:k], p2[:k]
+    left = both.lanes(slice(0, k))
+    right = both.lanes(slice(k, 2 * k))
     registry.inc("step3.lane_rows", both.steps)
     diag_mid = diag[chosen]
     duplicates = 0
@@ -196,19 +204,3 @@ def _extend_wave(
             )
         )
     registry.inc("step3.duplicate_alignments", duplicates)
-
-
-def _slice_gapped(res: BatchGappedResult, lo: int, hi: int) -> BatchGappedResult:
-    """View one direction's lanes out of a merged two-direction batch."""
-    return BatchGappedResult(
-        score=res.score[lo:hi],
-        consumed1=res.consumed1[lo:hi],
-        consumed2=res.consumed2[lo:hi],
-        matches=res.matches[lo:hi],
-        mismatches=res.mismatches[lo:hi],
-        gap_columns=res.gap_columns[lo:hi],
-        gap_openings=res.gap_openings[lo:hi],
-        min_dd=res.min_dd[lo:hi],
-        max_dd=res.max_dd[lo:hi],
-        steps=0,
-    )

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from ..align.gapped import BatchGappedResult, batch_gapped_extend
+from ..align.gapped import LANE_FIELDS, BatchGappedResult, batch_gapped_extend
 from ..align.hsp import HSPTable
 from ..align.scoring import ScoringScheme
 from ..index.seed_index import CommonCodes, CsrSeedIndex
@@ -423,10 +423,6 @@ def run_gapped_range(
             )
 
 
-#: The per-lane columns of a :class:`BatchGappedResult`.
-_LANE_FIELDS = tuple(f.name for f in fields(BatchGappedResult) if f.name != "steps")
-
-
 def gather_lane_slices(
     results: dict[int, BatchGappedResult],
     order: np.ndarray,
@@ -438,11 +434,11 @@ def gather_lane_slices(
     *results* (dropped after its retries) read all zero: an empty
     extension on both sides, which step 3 discards as degenerate.
     """
-    columns = {f: np.zeros(order.shape[0], dtype=np.int64) for f in _LANE_FIELDS}
+    columns = {f: np.zeros(order.shape[0], dtype=np.int64) for f in LANE_FIELDS}
     steps = 0
     for sid, res in results.items():
         lanes = order[bounds[sid][0]:bounds[sid][1]]
-        for f in _LANE_FIELDS:
+        for f in LANE_FIELDS:
             columns[f][lanes] = getattr(res, f)
         steps += res.steps
     return BatchGappedResult(**columns, steps=steps)

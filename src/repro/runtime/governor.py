@@ -28,11 +28,15 @@ unresumable SIGKILL, the governor
 * samples the process's peak RSS (:func:`rss_peak_bytes`,
   ``VmHWM`` from ``/proc/self/status`` with a ``getrusage`` fallback)
   into the run's ``resources.rss_peak_bytes`` gauge so ``--stats`` reports
-  what the run actually used next to what the governor predicted.
+  what the run actually used next to what the governor predicted;
+* hands the C allocator's free heap back to the OS between a long-lived
+  process's units of work (:func:`release_free_heap`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import re
 import shutil
@@ -54,6 +58,7 @@ __all__ = [
     "preflight_shm_arena",
     "rss_peak_bytes",
     "sample_rss",
+    "release_free_heap",
 ]
 
 #: Per-nucleotide peak of building one bank's CSR seed index and packed
@@ -363,3 +368,29 @@ def sample_rss(registry) -> int:
     peak = rss_peak_bytes()
     registry.set_gauge("resources.rss_peak_bytes", float(peak), mode="max")
     return peak
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def release_free_heap() -> None:
+    """Return the C allocator's free heap pages to the OS.
+
+    glibc keeps freed heap memory for reuse, and its adaptive mmap
+    threshold moves arrays up to the largest one freed so far onto that
+    heap, so a long-lived process's RSS creeps above its live set as
+    batches of different shapes come and go.  The serve daemon calls
+    this after each batch (~0.1 ms).  A no-op without ``malloc_trim``.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)

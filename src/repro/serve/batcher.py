@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 from ..obs import MetricsRegistry
 from ..runtime.errors import classify
+from ..runtime.governor import release_free_heap
 
 __all__ = ["MicroBatcher", "PendingQuery"]
 
@@ -297,6 +298,9 @@ class MicroBatcher:
                     live.append(pending)
             if live:
                 self._execute(live)
+                # The batch's answers are out; hand its freed heap back
+                # so the daemon's RSS tracks its live set.
+                release_free_heap()
             with self._lock:
                 self._running = []
 

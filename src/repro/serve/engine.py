@@ -25,10 +25,13 @@ handled explicitly:
   step-2 pass runs at the *minimum* threshold over the batch (a pure
   keep-filter relaxation -- extensions themselves never see S1), and
   the demultiplexer re-applies each query's own threshold.
-* **e-values and final sorting** (functions of the query bank): steps
-  3-4 run per query, on a fresh single-query bank with the HSP
+* **e-values and final sorting** (functions of the query bank): step
+  3's kernel runs once per batch, over every query's lanes in
+  merged-bank coordinates (:meth:`BatchEngine._step3`; a lane dies on
+  the separator that ends its query, so it never reads another), then
+  steps 3-4 finish per query, on a fresh single-query bank with the HSP
   coordinates rebased -- literally the same code on the same inputs as
-  a single-shot run.
+  a single-shot run, handed its lanes' kernel results.
 
 The ordered-seed cutoff itself is query-local: cutoff codes and the
 bank-2 enumerability mask are per-position properties, extensions
@@ -48,7 +51,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..align.evalue import karlin_params
+from ..align.gapped import BatchGappedResult, batch_gapped_extend
 from ..core.engine import OrisEngine, finish_comparison
+from ..core.gapped_stage import gapped_lanes
 from ..core.parallel import build_range_payload, plan_ranges
 from ..core.params import OrisParams
 from ..align.hsp import HSPTable
@@ -69,6 +74,15 @@ from ..runtime.scheduler import (
 from ..runtime.shm import SharedArena, detach_block
 
 __all__ = ["BatchEngine", "expand_common_per_query"]
+
+#: Most lanes one step-3 kernel call of a batch holds.  The kernel's
+#: band state and move trace take ~2 KB a lane (tracemalloc peak 4.4 MB
+#: at 2 048 lanes, 16 MB at 9 278, EST1 queries against EST7), so a call
+#: stays under ~4 MB however many queries the batch holds.  A query is
+#: never split: one with more lanes gets a call of its own.  The heaviest
+#: EST1 queries against EST7 hold ~3 600 lanes alone, so a merged call
+#: holds no more than the single-query calls already did.
+STEP3_BATCH_LANES = 2048
 
 
 @dataclass(frozen=True)
@@ -476,12 +490,18 @@ class BatchEngine:
 
         try:
             with span("serve.batch", n_queries=len(queries)):
-                table_per_query = self._step2(
+                tables = self._step2(
                     subject, merged, min(thresholds), thresholds
                 )
+                # Each call's queries finish before the next call runs,
+                # so no call's kernel results outlive their queries.
                 out: list[str] = []
-                for qbank, table in zip(qbanks, table_per_query):
-                    out.append(self._finish_query(subject, qbank, table))
+                for lo, hi in _step3_calls(tables):
+                    kernels = self._step3(subject, merged, tables, lo, hi)
+                    out += [
+                        self._finish_query(subject, qbanks[q], tables[q], kernel)
+                        for q, kernel in zip(range(lo, hi), kernels)
+                    ]
         except PoolUnhealthy:
             # The pool burnt its failure budget on this batch.  Swap it
             # wholesale -- the next batch leases a fresh pool -- and let
@@ -539,10 +559,65 @@ class BatchEngine:
             tables.append(table)
         return tables
 
+    def _step3(
+        self,
+        subject: _Subject,
+        merged: Bank,
+        tables: list[HSPTable],
+        lo: int,
+        hi: int,
+    ) -> list:
+        """Step 3's kernel, one call for queries ``[lo, hi)`` of the batch.
+
+        Each query's lanes (:func:`~repro.core.gapped_stage.gapped_lanes`
+        of its HSPs in diagonal order, the order its own step 3 uses)
+        are shifted into merged-bank coordinates, and the call runs every
+        left lane, then every right lane.  Lanes are independent, and a
+        lane dies on the first separator it reads, so each lane's result
+        is the one the query's single-shot call computes.  Returns one
+        ``gapped_kernel`` hook per query that hands it its lanes back
+        (``None`` for a query with no HSP, and for the ``serial``
+        schedule, which keeps its own per-query loop).
+        """
+        p = self.params
+        kernels: list = [None] * (hi - lo)
+        if p.gapped_scheduling != "single" or not any(
+            len(tables[q]) for q in range(lo, hi)
+        ):
+            return kernels
+        t0 = time.perf_counter()
+        with span("step3.gapped", n_queries=hi - lo):
+            shifts = [int(merged.starts[q]) - 1 for q in range(lo, hi)]
+            hsps = []
+            for q, d in zip(range(lo, hi), shifts):
+                s1, e1, s2, _sc, _diag = tables[q].sorted_by_diagonal()
+                hsps.append((s1 + d, e1 + d, s2))
+            s1, e1, s2 = (np.concatenate(column) for column in zip(*hsps))
+            p1, p2, dirs = gapped_lanes(s1, e1, s2)
+            both = batch_gapped_extend(
+                merged.seq, subject.bank.seq, p1, p2, dirs,
+                p.scoring, p.band_radius,
+            )
+            k, a = s1.size, 0
+            for i, (hs1, _he1, _hs2) in enumerate(hsps):
+                b = a + hs1.size
+                if b > a:
+                    own = np.r_[a:b, k + a : k + b]  # its left, then right lanes
+                    kernels[i] = _served_lanes(
+                        p1[own] - shifts[i], p2[own], dirs[own], both.lanes(own)
+                    )
+                a = b
+        self.registry.inc("step3.lane_rows", both.steps)
+        self.registry.set_gauge(
+            "time.step3_gapped_seconds", time.perf_counter() - t0, mode="sum"
+        )
+        return kernels
+
     def _finish_query(
-        self, subject: _Subject, qbank: Bank, table: HSPTable
+        self, subject: _Subject, qbank: Bank, table: HSPTable, kernel=None
     ) -> str:
-        """Steps 3-4 for one query -- the single-shot code on rebased HSPs."""
+        """Steps 3-4 for one query -- the single-shot code on rebased HSPs,
+        with its step-3 kernel results from :meth:`_step3`."""
         p = self.params
         registry = MetricsRegistry()
         result = finish_comparison(
@@ -551,6 +626,47 @@ class BatchEngine:
             min_align_score=p.min_align_score,
             exclude_self=p.exclude_self,
             subject_lengths=subject.evalue_lengths,
+            gapped_kernel=kernel,
         )
         self.registry.merge(registry)
         return format_m8(result.records)
+
+
+def _step3_calls(tables: list[HSPTable]) -> list[tuple[int, int]]:
+    """Pack a batch's queries, in order, into step-3 kernel calls.
+
+    Greedy: a call takes the next query while its lanes (two per HSP)
+    stay within :data:`STEP3_BATCH_LANES`.  A query is never split, so
+    one with more lanes gets a call of its own, and a one-query batch
+    makes exactly the single-shot call.  Returns each call's ``[lo, hi)``.
+    """
+    calls: list[tuple[int, int]] = []
+    lo, held = 0, 0
+    for q, table in enumerate(tables):
+        n_lanes = 2 * len(table)
+        if q > lo and held + n_lanes > STEP3_BATCH_LANES:
+            calls.append((lo, q))
+            lo, held = q, 0
+        held += n_lanes
+    calls.append((lo, len(tables)))
+    return calls
+
+
+def _served_lanes(
+    p1: np.ndarray, p2: np.ndarray, dirs: np.ndarray, result: BatchGappedResult
+):
+    """A ``gapped_kernel`` that returns *result*, the batch kernel's run of
+    lanes ``(p1, p2, dirs)``, after checking it is asked for those lanes."""
+
+    def kernel(seq1, seq2, q1, q2, qdirs, scoring, band_radius):
+        if not (
+            np.array_equal(q1, p1)
+            and np.array_equal(q2, p2)
+            and np.array_equal(qdirs, dirs)
+        ):
+            raise RuntimeError(
+                "step 3 asked for lanes the batch's gapped kernel did not run"
+            )
+        return result
+
+    return kernel

@@ -361,6 +361,26 @@ class TestLaneSlices:
             assert np.array_equal(getattr(gathered, f), getattr(full, f)), f
         assert gathered.steps == full.steps
 
+    def test_lane_view_selects_lanes(self):
+        from repro.align import gapped
+
+        assert gapped.LANE_FIELDS == LANE_FIELDS
+        rng = np.random.default_rng(5)
+        core = random_dna(rng, 60)
+        b1 = Bank.from_strings([("a", core)])
+        b2 = Bank.from_strings([("b", mutate(rng, core, 0.05, 0.02))])
+        p1 = np.array([30, 30, 10, 50], dtype=np.int64)
+        p2 = p1.copy()
+        dirs = np.array([-1, 1, 1, -1], dtype=np.int64)
+        full = batch_gapped_extend(b1.seq, b2.seq, p1, p2, dirs, ScoringScheme())
+        view = full.lanes(slice(1, 3))
+        picked = full.lanes(np.array([3, 0]))
+        assert view.steps == picked.steps == 0
+        for f in LANE_FIELDS:
+            assert np.shares_memory(getattr(view, f), getattr(full, f))
+            assert np.array_equal(getattr(view, f), getattr(full, f)[1:3])
+            assert np.array_equal(getattr(picked, f), getattr(full, f)[[3, 0]])
+
     def test_slices_keep_both_sides_of_an_hsp(self):
         from repro.core.parallel import slice_lanes
 

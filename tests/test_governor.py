@@ -17,6 +17,7 @@ from repro.runtime.governor import (
     parse_size,
     plan_comparison,
     preflight_disk,
+    release_free_heap,
     rss_peak_bytes,
     sample_rss,
 )
@@ -199,6 +200,19 @@ class TestRssSampling:
         registry.set_gauge("resources.rss_peak_bytes", 1 << 50, mode="max")
         sample_rss(registry)
         assert WorkCounters.of(registry).rss_peak_bytes == 1 << 50
+
+    def test_release_free_heap_keeps_live_data(self):
+        import platform
+
+        from repro.runtime.governor import _malloc_trim
+
+        if platform.libc_ver()[0] == "glibc":
+            assert _malloc_trim() is not None
+        live = [bytes([i % 251]) * 100_000 for i in range(64)]
+        junk = [bytearray(100_000) for _ in range(256)]
+        del junk
+        release_free_heap()
+        assert all(b == bytes([i % 251]) * 100_000 for i, b in enumerate(live))
 
     def test_strand_merge_takes_max_not_sum(self):
         from repro.core.engine import ComparisonResult, _merge_results

@@ -13,14 +13,15 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OrisEngine, OrisParams
-from repro.data.synthetic import random_dna
+from repro.data.synthetic import mutate, random_dna
 from repro.io.bank import Bank
 from repro.io.m8 import format_m8
 from repro.obs import MetricsRegistry
@@ -37,7 +38,8 @@ from repro.serve import (
     recv_frame,
     send_frame,
 )
-from repro.serve.engine import expand_common_per_query
+from repro.serve import engine as serve_engine
+from repro.serve.engine import STEP3_BATCH_LANES, expand_common_per_query
 
 
 # --------------------------------------------------------------------- #
@@ -242,6 +244,29 @@ class TestMicroBatcher:
         batcher.submit(post)
         assert post.wait(0.0) and post.status == "draining"
 
+    def test_heap_released_after_each_batch_is_answered(self, monkeypatch):
+        from repro.serve import batcher as batcher_module
+
+        trims = []
+        engine = _FakeEngine()
+        batcher = MicroBatcher(engine, max_delay_ms=0.0)
+
+        def spy():
+            trims.append((len(engine.batches), [p.status for p in pendings]))
+
+        monkeypatch.setattr(batcher_module, "release_free_heap", spy)
+        pendings = [PendingQuery("a", "ACGT")]
+        batcher.start()
+        try:
+            batcher.submit(pendings[0])
+            assert pendings[0].wait(5.0)
+            pendings.append(PendingQuery("b", "ACGT"))
+            batcher.submit(pendings[1])
+            assert pendings[1].wait(5.0)
+        finally:
+            batcher.drain(timeout=5.0)
+        assert trims == [(1, ["ok"]), (2, ["ok", "ok"])]
+
     def test_resolved_callback_fires_for_every_outcome(self):
         seen = []
         batcher = MicroBatcher(
@@ -385,6 +410,172 @@ class TestBatchEngineEquivalence:
             engine.close()
         for (name, seq), got in zip(queries, served):
             assert got == _single_shot(params, name, seq, bank2)
+
+
+def _batch_queries(rng, subjects, kinds, w):
+    """Queries of the given kinds, in order, at most six.
+
+    ``exact`` aligns end to end (its first and last base, and the merged
+    bank's when it opens or closes the batch) inside a subject that goes
+    on, so only the separator stops its lanes; ``split`` is two such
+    queries that continue each other in the subject; ``nrun`` holds a
+    run of N's; ``nohit`` has no HSP; ``short`` is shorter than ``w``;
+    ``dup`` repeats an earlier query under a new name.
+    """
+    seqs: list[str] = []
+    for kind in kinds:
+        src = subjects[int(rng.integers(len(subjects)))]
+        a = int(rng.integers(20, len(src) - 140))
+        if kind == "exact":
+            seqs.append(src[a : a + 100])
+        elif kind == "split":
+            seqs += [src[a : a + 60], src[a + 60 : a + 120]]
+        elif kind == "mutated":
+            seqs.append(mutate(rng, src[a : a + 100], sub_rate=0.05))
+        elif kind == "nrun":
+            n = int(rng.integers(1, 13))
+            frag = src[a : a + 100]
+            seqs.append(frag[:40] + "N" * n + frag[40 + n :])
+        elif kind == "nohit":
+            seqs.append("A" * 50)
+        elif kind == "short":
+            seqs.append(random_dna(rng, int(rng.integers(1, w))))
+        else:  # dup
+            seqs.append(seqs[int(rng.integers(len(seqs)))] if seqs else src[a : a + 80])
+    return [(f"q{i}", x) for i, x in enumerate(seqs[:6])]
+
+
+def _stage_counters(registry):
+    return {
+        name: value
+        for name, value in registry.as_dict()["counters"].items()
+        if name.startswith(("step3.", "step4."))
+    }
+
+
+class TestMergedStep3:
+    """Step 3's kernel runs once per batch over every query's lanes."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(20080612)
+        subjects = [random_dna(rng, 600) for _ in range(4)]
+        bank2 = Bank.from_strings([(f"s{i}", x) for i, x in enumerate(subjects)])
+        kinds = ["exact", "nohit", "split", "mutated", "short", "nrun", "exact"]
+        queries = _batch_queries(rng, subjects, kinds, 11)
+        return bank2, queries
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        w=st.sampled_from([8, 11]),
+        kinds=st.lists(
+            st.sampled_from(
+                ["exact", "split", "mutated", "nrun", "nohit", "short", "dup"]
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(seed=1, w=11, kinds=["exact", "nohit", "short", "exact"])
+    @example(seed=2, w=8, kinds=["split", "dup", "nrun", "split"])
+    def test_batch_equals_single_shot(self, seed, w, kinds):
+        rng = np.random.default_rng(seed)
+        subjects = [random_dna(rng, int(rng.integers(200, 400))) for _ in range(3)]
+        bank2 = Bank.from_strings([(f"s{i}", x) for i, x in enumerate(subjects)])
+        queries = _batch_queries(rng, subjects, kinds, w)
+        params = OrisParams(w=w)
+        engine = BatchEngine(bank2, params, n_workers=1)
+        try:
+            served = engine.run_batch(queries)
+        finally:
+            engine.close()
+        for (name, seq), got in zip(queries, served):
+            assert got == _single_shot(params, name, seq, bank2), name
+
+    def test_counters_equal_the_sum_of_one_query_runs(self, corpus):
+        bank2, queries = corpus
+        params = OrisParams()
+        engine = BatchEngine(bank2, params, n_workers=1)
+        try:
+            engine.run_batch(queries)
+        finally:
+            engine.close()
+        single = Counter()
+        for name, seq in queries:
+            qbank = Bank.from_strings([(name, seq)])
+            result = OrisEngine(params).compare(qbank, bank2)
+            single.update(_stage_counters(result.metrics))
+        batched = _stage_counters(engine.registry)
+        assert batched["step3.lane_rows"] > 0 and batched["step4.records"] > 0
+        assert Counter(batched) == single
+
+    def _spy(self, monkeypatch):
+        """Record the batch kernel's calls; forbid a per-query kernel run."""
+        calls = []
+        real = serve_engine.batch_gapped_extend
+
+        def spy(seq1, seq2, p1, *args):
+            calls.append(np.array(p1))
+            return real(seq1, seq2, p1, *args)
+
+        def per_query(*_args):
+            raise AssertionError("a query ran its own gapped kernel")
+
+        monkeypatch.setattr(serve_engine, "batch_gapped_extend", spy)
+        monkeypatch.setattr(
+            "repro.core.gapped_stage.batch_gapped_extend", per_query
+        )
+        return calls
+
+    def test_one_kernel_call_per_batch_and_no_query_split(
+        self, corpus, monkeypatch
+    ):
+        bank2, queries = corpus
+        params = OrisParams()
+        expected = [_single_shot(params, n, s, bank2) for n, s in queries]
+        starts = Bank.from_strings(queries).starts
+        calls = self._spy(monkeypatch)
+        engine = BatchEngine(bank2, params, n_workers=1)
+        try:
+            assert engine.run_batch(queries) == expected
+            (lanes,) = calls
+            assert lanes.size <= STEP3_BATCH_LANES
+            owner = np.searchsorted(starts, lanes, side="right") - 1
+            per_query = np.bincount(owner, minlength=len(queries))
+            assert (per_query > 0).sum() >= 3
+            for cap in (int(per_query.max()), 1):
+                calls.clear()
+                monkeypatch.setattr(serve_engine, "STEP3_BATCH_LANES", cap)
+                assert engine.run_batch(queries) == expected
+                seen: set[int] = set()
+                for lanes in calls:
+                    owners = set(
+                        (np.searchsorted(starts, lanes, side="right") - 1).tolist()
+                    )
+                    assert not owners & seen  # one query, one call
+                    seen |= owners
+                    assert lanes.size <= cap or len(owners) == 1
+                assert seen == set(np.flatnonzero(per_query).tolist())
+                assert len(calls) > 1
+            assert len(calls) == len(seen)  # cap 1: one call per query
+        finally:
+            engine.close()
+
+    def test_serial_schedule_still_matches(self, corpus, monkeypatch):
+        bank2, queries = corpus
+        params = OrisParams(gapped_scheduling="serial")
+        expected = [_single_shot(params, n, s, bank2) for n, s in queries]
+
+        def merged(*_args):
+            raise AssertionError("the serial schedule ran the batch kernel")
+
+        monkeypatch.setattr(serve_engine, "batch_gapped_extend", merged)
+        engine = BatchEngine(bank2, params, n_workers=1)
+        try:
+            assert engine.run_batch(queries) == expected
+        finally:
+            engine.close()
 
 
 class TestExpandCommonPerQuery:
