@@ -28,6 +28,11 @@ Implementation notes
   the way; matches and mismatches follow algebraically.  The ``-m 8``
   record needs only these aggregates.  The scalar oracle instead carries
   the aggregates along every cell's winning predecessor.
+* The sweep's scores are relative to each lane's best so far, so every
+  value it forms is bounded by constants of the scoring and the band,
+  and its state is int16 wherever that bound allows (the defaults do).
+  Its characters and their scores come from tapes gathered once every
+  ``_TAPE_ROWS`` rows, which each row reads as band-shaped views.
 * Everything is lane-parallel: :func:`batch_gapped_extend` advances many
   extensions at once, one vectorised row step at a time, exactly like the
   ungapped kernel.  A scalar reference implementation
@@ -64,9 +69,6 @@ DEFAULT_BAND_RADIUS: int = 16
 #: Score used for "impossible" cells; small enough to never win, large
 #: enough that repeated additions cannot wrap an int64.
 _NEG = -(1 << 40)
-
-#: Same sentinel for the int32 batch kernel.
-_NEG32 = -(1 << 30)
 
 # Move tags for the `lastmove` annotation.
 _MOVE_NONE = 0
@@ -233,17 +235,45 @@ class BatchGappedResult:
     max_dd: np.ndarray
     #: Total lane-row steps executed (work metric for benches).
     steps: int
+    #: Band rows swept, whatever their lane count (the sweep's fixed cost).
+    rows: int = 0
 
     def lanes(self, which: slice | np.ndarray) -> "BatchGappedResult":
         """The results of lanes *which*: views for a slice, copies for an
-        index array.  ``steps`` is 0: a batch's rows do not split by lane."""
+        index array.  ``steps`` and ``rows`` are 0: a batch's rows do not
+        split by lane."""
         return BatchGappedResult(
             **{f: getattr(self, f)[which] for f in LANE_FIELDS}, steps=0
         )
 
 
 #: The per-lane columns of a :class:`BatchGappedResult`.
-LANE_FIELDS = tuple(f.name for f in fields(BatchGappedResult) if f.name != "steps")
+LANE_FIELDS = tuple(
+    f.name for f in fields(BatchGappedResult) if f.name not in ("steps", "rows")
+)
+
+#: Rows of characters one tape gather serves in :func:`batch_gapped_extend`.
+_TAPE_ROWS = 32
+
+
+def _score_dtype(
+    scoring: ScoringScheme, band_radius: int
+) -> type[np.signedinteger]:
+    """The integer type of :func:`batch_gapped_extend`'s band state.
+
+    Every value the sweep forms lies in ``[-span, span]`` with ``span =
+    max(3 * (xdrop + match) + 2, (xdrop + match + 1) << kbits)``, where
+    ``kbits`` is the bit length of the band width (DESIGN §5 derives
+    it).  The narrowest signed type that holds it is int16 at the default
+    scoring and band.
+    """
+    xm = scoring.xdrop_gapped + scoring.match
+    kbits = (2 * band_radius + 1).bit_length()
+    span = max(3 * xm + 2, (xm + 1) << kbits)
+    for dtype in (np.int16, np.int32):
+        if span <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def batch_gapped_extend(
@@ -263,30 +293,44 @@ def batch_gapped_extend(
     scalar (+1/-1) or a per-lane array, so left and right extensions of a
     wave of HSPs run as one batch.
 
-    Implementation notes (the kernel is memory-bandwidth bound, so the hot
-    loop is written to minimise full-band passes):
+    Implementation notes (each row is a fixed number of passes over the
+    band, so the hot loop is written to make each pass cheap):
 
-    * all band state is int32 and band-major (one contiguous row of lanes
-      per band column), so per-lane values broadcast along rows and band
-      shifts are row slices; column gather indices advance by one in-place
-      add per row;
-    * gathers use ``ndarray.take(..., mode="clip")``: out-of-range indices
-      clamp onto the separator byte guaranteed at both ends of a bank
-      array;
-    * substitution scores and invalid-character handling are folded into a
-      single table gather (invalid pairings score ``-BIGPEN``, far below
-      the x-drop floor, which replaces per-move validity masks);
-    * instead of masking moves out of dead cells, every row starts by
-      clamping cells up to the x-drop floor and ends by dropping the cells
-      at or below it ``BIGPEN`` lower (classic x-drop band pruning, also
-      done by the scalar oracle), which bounds sentinel drift;
+    * band state is band-major (one contiguous row of lanes per band
+      column), so per-lane values broadcast along rows and band shifts
+      are row slices;
+    * scores are relative to each lane's best so far: every live cell
+      lies in ``(-xdrop, match]``, the x-drop floor is the constant
+      ``-xdrop``, and a lane whose best rises has the rise subtracted
+      from its band.  ``big = xdrop + match + 1`` drops any live cell
+      below the floor; it scores a move that consumes an invalid
+      character, it is what a pruned cell loses, and it caps the
+      mismatch and gap penalties (a capped penalty still kills, so no
+      live cell changes).  Values are then bounded by constants, and the
+      state is int16 wherever :func:`_score_dtype` allows;
+    * characters come from tapes: every ``_TAPE_ROWS`` rows one gather
+      reads the seq1 character of each row and the seq2 characters of
+      every band cell of those rows (``take(..., mode="clip")``:
+      out-of-range positions clamp onto the separator byte guaranteed
+      at both ends of a bank array), and derives the mismatch-or-invalid
+      score and one left-move cost per scan shift.  A row reads
+      ``(width, lanes)`` views of them; its diagonal score adds
+      ``match + mismatch`` where the seq2 character equals the lane's
+      seq1 character.  A lane reading an invalid seq1 character has its
+      band killed first, on the rare rows that hold one;
+    * cells are clamped up to the floor after the diagonal and up moves
+      (a left move out of a clamped cell can never beat the floor) and
+      dropped by ``big`` once at or below it at the end of the row
+      (classic x-drop band pruning, also done by the scalar oracle);
+      both compare against preallocated same-shape arrays, which NumPy
+      runs several times faster than a scalar or per-lane operand;
     * left moves are closed with a max-plus prefix scan down the band
       (linear gap costs make a run of left moves a running maximum);
     * the sweep keeps only scores: each row appends its lanes' up and left
       move masks to a :class:`_MoveTrace` (a left move beats an up move,
       as the last write would; every other cell is diagonal, so ties go
       to the diagonal), and the best cell is tracked as (score, row,
-      column);
+      column) in active-lane order;
     * after the sweep, :func:`_trace_back` rebuilds gap columns, gap
       openings and the band extremes from each lane's best cell;
       matches/mismatches are recovered algebraically from (score, gap
@@ -298,14 +342,11 @@ def batch_gapped_extend(
     dirs = np.broadcast_to(np.asarray(direction, dtype=np.int64), (n,)).copy()
     if not np.isin(dirs, (-1, 1)).all():
         raise ValueError("direction must be +1 or -1 (scalar or per lane)")
-    match = np.int32(scoring.match)
-    mismatch = np.int32(scoring.mismatch)
-    gap = np.int32(_linear_gap(scoring))
-    xdrop = np.int32(scoring.xdrop_gapped)
+    match, mismatch = scoring.match, scoring.mismatch
+    gap = _linear_gap(scoring)
+    xdrop = scoring.xdrop_gapped
     R = band_radius
     width = 2 * R + 1
-    NEG = np.int32(_NEG32)
-    BIGPEN = np.int32(1 << 20)
 
     # Outputs (empty-extension defaults).
     out = BatchGappedResult(
@@ -323,148 +364,195 @@ def batch_gapped_extend(
     if n == 0:
         return out
 
-    # Substitution table over character pairs (index = c1 << 3 | c2): the
-    # match/mismatch score, or -BIGPEN when either character is invalid.
-    subt = np.full(64, -BIGPEN, dtype=np.int32)
-    for a in range(4):
-        for b in range(4):
-            subt[(a << 3) | b] = match if a == b else -mismatch
-    # Per-character score of an up/left move consuming that character:
-    # -gap, or -gap - BIGPEN for an invalid character.
-    gappen = np.full(8, -gap, dtype=np.int32)
-    gappen[INVALID:] -= BIGPEN
+    dtype = _score_dtype(scoring, R)
+    big = xdrop + match + 1
+    mis = min(mismatch, big)
+    dead = dtype(-big)
+    gap_score = dtype(-min(gap, big))
+    bonus = dtype(match + mis)
     # Shifts of the in-row left-move scan.  A run of left moves loses
     # `gap` per column, and starts from a live cell at most `match` above
-    # the previous best: once it spans (xdrop + match) / gap columns it
-    # is below the x-drop floor, so the scan's reach (doubling per shift)
-    # need not exceed that, nor the band width.
+    # the best: once it spans (xdrop + match) / gap columns it is below
+    # the x-drop floor, so the scan's reach (doubling per shift) need not
+    # exceed that, nor the band width.
     reach = width
     if gap > 0:
-        reach = min(width, -(-(int(xdrop) + int(match)) // int(gap)))
+        reach = min(width, -(-(xdrop + match) // gap))
     scan_shifts = []
     shift = 1
     while shift < reach:
         scan_shifts.append(shift)
         shift *= 2
 
-    # Best-cell search key layout (see the sweep's best tracking).
+    # Best-cell search key: H << kbits | (kmask - k) orders cells by
+    # score, then by first column.
     kbits = width.bit_length()
     kmask = (1 << kbits) - 1
-    key_fits_int32 = (int(xdrop) + int(match) + 1) << kbits < 1 << 31
-    key_type = np.int32 if key_fits_int32 else np.int64
-    kkey = (kmask - np.arange(width, dtype=key_type))[:, None]
+    kcol = (kmask - np.arange(width)).astype(dtype)[:, None]
 
-    # Active-lane state, band-major: H[k, l] is band column k of lane l,
-    # so per-lane values broadcast along contiguous rows and shifts
-    # along the band are whole-row slices.
-    idx = np.arange(n, dtype=np.int64)
-    adir = dirs.astype(np.int32)
-    H = np.full((width, n), NEG, dtype=np.int32)
+    # Active lanes (ascending ids) and their state: H[k, l] is band
+    # column k of active lane l, relative to the lane's best score.
+    idx = np.arange(n)
+    base1 = np.where(dirs > 0, p1, p1 - 1)
+    base2 = np.where(dirs > 0, p2, p2 - 1)
+    H = np.full((width, n), dead, dtype=dtype)
     H[R] = 0
-    trace = _MoveTrace()
-
-    best_score = np.zeros(n, dtype=np.int32)
+    # Each lane's best score, its row, and the search key of its column
+    # (score 0 at the anchor column R until a row improves on it).
+    best = np.zeros(n, dtype=np.int64)
     best_i = np.full(n, -1, dtype=np.int64)
-    best_k = np.full(n, R, dtype=np.int64)
+    best_key = np.full(n, kmask - R, dtype=dtype)
+    lane_i = best_i.copy()
+    lane_key = best_key.copy()
 
-    # Incremental gather indices: char i of seq1 along the extension lives
-    # at base1 + adir*i; seq2 column j at base2 + adir*j (j = i + k - R).
-    base1 = np.where(adir > 0, p1, p1 - 1)
-    i1 = base1.copy()  # row 0
-    karr = np.arange(width, dtype=np.int64)
-    base2 = np.where(adir > 0, p2, p2 - 1)
-    j2 = base2[None, :] + dirs[None, :] * (karr - R)[:, None]
+    def tapes(i0: int):
+        """Characters and scores of rows ``[i0, i0 + _TAPE_ROWS)``: the
+        seq1 character of each row and lane, its invalid mask and the
+        rows holding one, and per seq2 tape row ``t`` (band column ``k``
+        of row ``i0 + r`` reads row ``r + k``) the mismatch-or-invalid
+        score and the left-move cost of each scan shift."""
 
+        def gather(seq, base, first, rows):
+            chars = np.empty((rows, idx.size), dtype=seq.dtype)
+            pos = base + dirs * first
+            for row in chars:
+                seq.take(pos, out=row, mode="clip")
+                pos += dirs
+            return chars
+
+        c1 = gather(seq1, base1, i0, _TAPE_ROWS)
+        c2 = gather(seq2, base2, i0 - R, _TAPE_ROWS + width - 1)
+        bad = c1 >= INVALID
+        valid = c2 < INVALID
+        neq = valid.astype(dtype)
+        neq *= dtype(big - mis)
+        neq -= dtype(big)
+        cost = valid.astype(dtype)
+        cost *= dtype(big + gap_score)
+        cost -= dtype(big)
+        costs = [cost]
+        for s in scan_shifts[:-1]:
+            joined = np.zeros_like(cost)
+            np.add(cost[s:], cost[:-s], out=joined[s:])
+            cost = joined
+            costs.append(cost)
+        return c1, bad, bad.any(axis=1), c2, neq, costs
+
+    def buffers(lanes: int):
+        """Per-row scratch for *lanes* active lanes (the up moves' last
+        band column stays dead), and the same-shape floor and key-column
+        operands."""
+        shape = (width, lanes)
+        return (
+            np.empty(shape, dtype=dtype),
+            np.full(shape, dead, dtype=dtype),
+            np.empty(shape, dtype=dtype),
+            np.empty(shape, dtype=bool),
+            np.empty((2 * width, lanes), dtype=bool),
+            np.full(shape, -xdrop, dtype=dtype),
+            np.broadcast_to(kcol, shape).copy(),
+        )
+
+    D, U, K, mask, moves, floor, kkey = buffers(n)
+    trace = _MoveTrace()
+    trace.epoch(idx)
     finished = np.zeros(n, dtype=bool)
     n_finished = 0
     steps = 0
-    i = 0
+    i = i0 = tape_end = 0
     while idx.size and i < max_rows:
+        if i == tape_end:
+            c1t, bad, bad_rows, c2t, neqt, costs = tapes(i)
+            i0, tape_end = i, i + _TAPE_ROWS
+        r = i - i0
         steps += idx.size - n_finished
-        floor = best_score[idx] - xdrop
+        if bad_rows[r]:
+            # An invalid seq1 character ends the lane's every path.
+            H[:, bad[r]] = dead
 
-        c1 = seq1.take(i1, mode="clip")
-        c2 = seq2.take(j2, mode="clip")
-
-        # Diagonal candidate: one table gather folds match/mismatch and
-        # invalid-character handling.
-        diag = H + subt.take((c1 << 3) | c2)
+        # Diagonal candidate: the mismatch-or-invalid score, plus
+        # match + mismatch where the characters are equal.
+        np.equal(c2t[r : r + width], c1t[r], out=mask)
+        np.multiply(mask, bonus, out=D)
+        D += H
+        D += neqt[r : r + width]
 
         # Up candidate (previous row, band column k+1); consuming seq1.
-        up = np.empty_like(H)
-        up[-1] = NEG
-        np.add(H[1:], gappen.take(c1), out=up[:-1])
+        np.add(H[1:], gap_score, out=U[:-1])
         if i < R:
             # Columns with jrel = i + k - R < 0 have consumed no seq2 yet:
             # they are dead (the scalar oracle's `if j < 0`).  An up move
             # into them would let a left move out of them start the path
             # with a deletion.
-            up[: R - i] = NEG
+            U[: R - i] = dead
 
-        # Cells at or below the x-drop floor are dead, so H is clamped up
-        # to the floor: a left move out of a clamped cell can never beat
-        # the floor.  Tags are only ever read on live cells, where an up
-        # move won exactly when it beat the diagonal move.
-        moves = np.empty((2 * width, idx.size), dtype=bool)  # up, left
-        np.greater(up, diag, out=moves[:width])
-        H = np.maximum(diag, up, out=diag)
-        np.maximum(H, floor, out=H)
+        # Tags are only ever read on live cells, where an up move won
+        # exactly when it beat the diagonal move.
+        np.greater(U, D, out=moves[:width])
+        np.maximum(D, U, out=D)
+        np.maximum(D, floor, out=D)
 
         # Left moves (consuming seq2), closed in one max-plus prefix scan
-        # down the band: cell k takes the best of the cells k' <= k, less
-        # the entry score of every column in (k', k].
-        cost = gappen.take(c2)
-        run = H.copy()
-        for s in scan_shifts:
-            np.maximum(run[s:], run[:-s] + cost[s:], out=run[s:])
-            if s != scan_shifts[-1]:
-                joined = np.empty_like(cost)
-                np.add(cost[s:], cost[:-s], out=joined[s:])
-                cost = joined
-        np.greater(run, H, out=moves[width:])
-        H = run
-        trace.append(idx, moves)
+        # down the band into H: cell k takes the best of the cells
+        # k' <= k, less the entry cost of every column in (k', k].
+        src = D
+        for s, cost in zip(scan_shifts, costs):
+            np.add(src[:-s], cost[r + s : r + width], out=K[s:])
+            np.maximum(src[s:], K[s:], out=H[s:])
+            if src is D:
+                H[:s] = D[:s]
+                src = H
+        if src is D:
+            H[:] = D
+        np.greater(H, D, out=moves[width:])
+        trace.append(moves)
 
-        # Best tracking.  Every cell lies in [floor, floor + xdrop + match]
-        # (no move gains more than `match` on the previous best), so one
-        # max over (H - floor) << kbits | (kmask - k) gives each lane's
-        # row best and its first best column.
-        key = np.subtract(H, floor, dtype=key_type)
-        key <<= kbits
-        key += kkey
-        top = key.max(axis=0)
-        row_best = (top >> kbits) + floor
-        improved = row_best > best_score[idx]
+        # Best tracking: one max over the key gives each lane's row best
+        # and its first best column.
+        np.multiply(H, dtype(1 << kbits), out=K)
+        K += kkey
+        top = K.max(axis=0)
+        row_best = top >> kbits
+        improved = row_best > 0
         if improved.any():
-            gi = idx[improved]
-            best_score[gi] = row_best[improved]
-            best_i[gi] = i
-            best_k[gi] = kmask - (top[improved] & kmask)
-            floor = best_score[idx] - xdrop
+            rise = np.maximum(row_best, 0)
+            H -= rise
+            best += rise
+            np.copyto(best_i, i, where=improved)
+            np.copyto(best_key, top, where=improved)
 
-        # X-drop cell pruning + lane retirement: a dead cell drops BIGPEN
+        # X-drop cell pruning + lane retirement: a dead cell drops `big`
         # below the floor, so nothing it feeds in the next row can live.
         # Compression (the multi-array gather) is batched until a third of
         # the lanes have finished.
-        H -= (H <= floor) * BIGPEN
-        newly_done = row_best <= floor
+        np.less_equal(H, floor, out=mask)
+        np.multiply(mask, dead, out=D)
+        H += D
+        newly_done = row_best <= -xdrop
         if newly_done.any():
             finished |= newly_done
             n_finished = int(finished.sum())
             if 3 * n_finished >= idx.size:
+                gone = idx[finished]
+                out.score[gone] = best[finished]
+                lane_i[gone] = best_i[finished]
+                lane_key[gone] = best_key[finished]
                 keep = ~finished
-                idx = idx[keep]
-                adir = adir[keep]
-                i1 = i1[keep]
-                j2 = j2[:, keep]
-                H = H[:, keep]
+                idx, dirs = idx[keep], dirs[keep]
+                base1, base2 = base1[keep], base2[keep]
+                best, best_i, best_key = best[keep], best_i[keep], best_key[keep]
+                H = H.compress(keep, axis=1)
+                D, U, K, mask, moves, floor, kkey = buffers(idx.size)
+                trace.epoch(idx)
                 finished = np.zeros(idx.size, dtype=bool)
                 n_finished = 0
-
-        # Advance the incremental gather indices to the next row.
-        i1 = i1 + adir
-        j2 += adir
+                tape_end = i + 1  # the tapes hold the dropped lanes
         i += 1
+    out.score[idx] = best
+    lane_i[idx] = best_i
+    lane_key[idx] = best_key
+    best_i = lane_i
+    best_k = kmask - (lane_key.astype(np.int64) & kmask)
 
     gc, go, min_k, max_k = _trace_back(trace, best_i, best_k, R)
 
@@ -476,15 +564,12 @@ def batch_gapped_extend(
     # which give gc_up = (gc + consumed1 - consumed2) / 2 (exact integers),
     # m + x = consumed1 - gc_up, and then m from the score equation.
     has = best_i >= 0
-    out.score[:] = best_score.astype(np.int64)
     out.consumed1[has] = best_i[has] + 1
     out.consumed2[has] = best_i[has] + best_k[has] - R + 1
     gc = gc[has]
     gc_up = (gc + out.consumed1[has] - out.consumed2[has]) // 2
     aligned = out.consumed1[has] - gc_up  # m + x
-    m = (out.score[has] + int(gap) * gc + int(mismatch) * aligned) // (
-        int(match) + int(mismatch)
-    )
+    m = (out.score[has] + gap * gc + mismatch * aligned) // (match + mismatch)
     out.matches[has] = m
     out.mismatches[has] = aligned - m
     out.gap_columns[has] = gc
@@ -492,6 +577,7 @@ def batch_gapped_extend(
     out.min_dd[has] = min_k[has] - R
     out.max_dd[has] = max_k[has] - R
     out.steps = steps
+    out.rows = i
     return out
 
 
@@ -502,23 +588,29 @@ _TRACE_CHUNK = 1 << 20
 class _MoveTrace:
     """The per-row move masks of a :func:`batch_gapped_extend` sweep.
 
-    Row ``i`` holds the sweep's active-lane index array (sorted, and shared
-    by every row until the next lane compression) and its band-major up
-    and left masks, packed eight lanes per byte.  The packed rows are
-    copied into large preallocated chunks: thousands of small per-row
-    arrays would fragment the heap.
+    Row ``i`` holds its band-major up and left masks over the sweep's
+    active lanes, packed eight lanes per byte.  The active lanes change
+    only at a compression, which starts an *epoch*: ``epochs`` holds each
+    epoch's first row and its sorted active-lane index array.  The packed
+    rows are copied into large preallocated chunks: thousands of small
+    per-row arrays would fragment the heap.
     """
 
-    __slots__ = ("rows", "_chunk", "_used")
+    __slots__ = ("rows", "epochs", "_chunk", "_used")
 
     def __init__(self) -> None:
-        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rows: list[np.ndarray] = []
+        self.epochs: list[tuple[int, np.ndarray]] = []
         self._chunk = np.empty(0, dtype=np.uint8)
         self._used = 0
 
-    def append(self, idx: np.ndarray, moves: np.ndarray) -> None:
-        """Record one row: lanes ``idx`` and the (2 * width, lanes) move
-        masks, up masks first."""
+    def epoch(self, idx: np.ndarray) -> None:
+        """Start an epoch: the next rows cover the active lanes ``idx``."""
+        self.epochs.append((len(self.rows), idx))
+
+    def append(self, moves: np.ndarray) -> None:
+        """Record one row: the (2 * width, lanes) move masks, up masks
+        first."""
         packed = np.packbits(moves, axis=1)
         size = packed.size
         if self._used + size > self._chunk.size:
@@ -527,7 +619,7 @@ class _MoveTrace:
         stored = self._chunk[self._used : self._used + size]
         self._used += size
         stored[:] = packed.reshape(-1)
-        self.rows.append((idx, stored))
+        self.rows.append(stored)
 
 
 def _trace_back(
@@ -553,9 +645,13 @@ def _trace_back(
     lanes = np.flatnonzero(best_i >= 0)
     if lanes.size == 0:
         return gc, go, min_k, max_k
-    # Walkers in decreasing best row: those present at row r are a prefix.
+    # Walkers in decreasing best row: those present at row r are a prefix
+    # of count[r] walkers.
     order = lanes[np.argsort(-best_i[lanes], kind="stable")]
-    neg_row = -best_i[order]
+    deepest = int(best_i[order[0]])
+    count = np.searchsorted(
+        -best_i[order], -np.arange(deepest + 1), side="right"
+    )
     k = best_k[order]
     w_gc = np.zeros(order.size, dtype=np.int64)
     w_go = np.zeros(order.size, dtype=np.int64)
@@ -573,33 +669,39 @@ def _trace_back(
         is_left = (stored.take(byte + width * stride) & b) != 0
         return tag_of.take(is_up + 2 * is_left)
 
-    for r in range(int(-neg_row[0]), -1, -1):
-        count = int(np.searchsorted(neg_row, -r, side="right"))
-        row_idx, stored = trace.rows[r]
+    ends = [first for first, _ in trace.epochs[1:]] + [len(trace.rows)]
+    for (first, row_idx), end in reversed(list(zip(trace.epochs, ends))):
+        top = min(end, deepest + 1) - 1
+        if top < first:
+            continue
+        # Walker byte and bit positions, fixed for the epoch.
         stride = (row_idx.size + 7) >> 3  # bytes per packed mask row
-        pos = np.searchsorted(row_idx, order[:count])
-        at = pos >> 3
-        b = bit.take(pos & 7)
-        kc = k[:count]
-        tag = tags(stored, stride, at, b, kc)
-        is_gap = tag != _MOVE_DIAG
-        w_gc[:count] += is_gap
-        w_go[:count] += is_gap & (tag != last[:count])
-        last[:count] = tag
-        w = np.flatnonzero(tag == _MOVE_LEFT)
-        while w.size:
-            kw = k[w] - 1
-            k[w] = kw
-            w_min[w] = np.minimum(w_min[w], kw)
-            tag = tags(stored, stride, at[w], b[w], kw)
+        pos = np.searchsorted(row_idx, order[: count[first]])
+        at_all = pos >> 3
+        b_all = bit.take(pos & 7)
+        for r in range(top, first - 1, -1):
+            c = int(count[r])
+            stored = trace.rows[r]
+            at, b, kc = at_all[:c], b_all[:c], k[:c]
+            tag = tags(stored, stride, at, b, kc)
             is_gap = tag != _MOVE_DIAG
-            w_gc[w] += is_gap
-            w_go[w] += is_gap & (tag != last[w])
-            last[w] = tag
-            w = w[tag == _MOVE_LEFT]
-        # Every walker now sits on an up or diagonal cell: leave the row.
-        kc += last[:count] == _MOVE_UP
-        np.maximum(w_max[:count], kc, out=w_max[:count])
+            w_gc[:c] += is_gap
+            w_go[:c] += is_gap & (tag != last[:c])
+            last[:c] = tag
+            w = np.flatnonzero(tag == _MOVE_LEFT)
+            while w.size:
+                kw = k[w] - 1
+                k[w] = kw
+                w_min[w] = np.minimum(w_min[w], kw)
+                tag = tags(stored, stride, at[w], b[w], kw)
+                is_gap = tag != _MOVE_DIAG
+                w_gc[w] += is_gap
+                w_go[w] += is_gap & (tag != last[w])
+                last[w] = tag
+                w = w[tag == _MOVE_LEFT]
+            # Every walker now sits on an up or diagonal cell: leave the row.
+            kc += last[:c] == _MOVE_UP
+            np.maximum(w_max[:c], kc, out=w_max[:c])
 
     gc[order] = w_gc
     go[order] = w_go

@@ -1208,6 +1208,12 @@ def _print_serve_stats(registry) -> None:
         pairs = " ".join(f"{k.split('.')[-1]}={v}" for k, v in served.items()
                          if k.startswith("serve.") or k.startswith("index."))
         print(f"# serve counters: {pairs}", file=sys.stderr)
+    if "step3.kernel_rows" in counters:
+        print(
+            f"# step3 kernel: lane_rows={counters.get('step3.lane_rows', 0)} "
+            f"kernel_rows={counters['step3.kernel_rows']}",
+            file=sys.stderr,
+        )
     if "serve.queue_depth" in gauges:
         print(
             f"# serve queue depth (last): {gauges['serve.queue_depth']['value']}",
@@ -1353,6 +1359,7 @@ def _print_stats(args, result, plan, ingest_reports, use_runtime) -> None:
 
     t = result.timings
     c = result.counters
+    m = result.metrics
     print(
         f"# step timings (s): index={t.index:.3f} ungapped={t.ungapped:.3f} "
         f"gapped={t.gapped:.3f} display={t.display:.3f} total={t.total:.3f}",
@@ -1361,6 +1368,11 @@ def _print_stats(args, result, plan, ingest_reports, use_runtime) -> None:
     print(
         f"# work: pairs={c.n_pairs} cut={c.n_cut} hsps={c.n_hsps} "
         f"alignments={c.n_alignments} records={c.n_records}",
+        file=sys.stderr,
+    )
+    print(
+        f"# step3 kernel: lane_rows={c.gapped_steps} "
+        f"kernel_rows={m.value('step3.kernel_rows')}",
         file=sys.stderr,
     )
     if len(result.metrics):
@@ -1377,7 +1389,6 @@ def _print_stats(args, result, plan, ingest_reports, use_runtime) -> None:
             f"resumed={c.n_resumed}",
             file=sys.stderr,
         )
-    m = result.metrics
     if "index.cache_hit" in m or "index.cache_miss" in m:
         print(
             f"# index cache: hits={m.value('index.cache_hit')} "

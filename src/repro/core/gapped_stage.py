@@ -52,8 +52,9 @@ def run_gapped_stage(
     and result; ``None`` runs it here.
 
     ``registry`` optionally collects the stage's counts: extension
-    batches (``step3.waves``), extensions and their kernel lane rows
-    (``step3.extensions``, ``step3.lane_rows``), containment skips
+    batches (``step3.waves``), extensions, their kernel lane rows and
+    the band rows the kernel swept (``step3.extensions``,
+    ``step3.lane_rows``, ``step3.kernel_rows``), containment skips
     (``step3.skipped_contained``), the extensions that rebuilt an
     already-built alignment (``step3.duplicate_alignments``) and a
     batch-size histogram (``step3.wave_hsps``).
@@ -175,6 +176,7 @@ def _extend_wave(
     left = both.lanes(slice(0, k))
     right = both.lanes(slice(k, 2 * k))
     registry.inc("step3.lane_rows", both.steps)
+    registry.inc("step3.kernel_rows", both.rows)
     diag_mid = diag[chosen]
     duplicates = 0
     for i in range(k):

@@ -430,18 +430,19 @@ def gather_lane_slices(
 ) -> BatchGappedResult:
     """Scatter slice results (keyed by slice id) back into lane order.
 
-    ``steps`` is the slices' sum.  Lanes of a slice missing from
-    *results* (dropped after its retries) read all zero: an empty
-    extension on both sides, which step 3 discards as degenerate.
+    ``steps`` and ``rows`` are the slices' sums.  Lanes of a slice
+    missing from *results* (dropped after its retries) read all zero: an
+    empty extension on both sides, which step 3 discards as degenerate.
     """
     columns = {f: np.zeros(order.shape[0], dtype=np.int64) for f in LANE_FIELDS}
-    steps = 0
+    steps = rows = 0
     for sid, res in results.items():
         lanes = order[bounds[sid][0]:bounds[sid][1]]
         for f in LANE_FIELDS:
             columns[f][lanes] = getattr(res, f)
         steps += res.steps
-    return BatchGappedResult(**columns, steps=steps)
+        rows += res.rows
+    return BatchGappedResult(**columns, steps=steps, rows=rows)
 
 
 # --------------------------------------------------------------------- #

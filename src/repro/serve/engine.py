@@ -608,6 +608,7 @@ class BatchEngine:
                     )
                 a = b
         self.registry.inc("step3.lane_rows", both.steps)
+        self.registry.inc("step3.kernel_rows", both.rows)
         self.registry.set_gauge(
             "time.step3_gapped_seconds", time.perf_counter() - t0, mode="sum"
         )

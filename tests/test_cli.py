@@ -9,6 +9,13 @@ from repro.io.bank import Bank
 from repro.io.m8 import read_m8
 
 
+def step3_kernel_rows(err: str) -> tuple[int, int]:
+    """(lane rows, kernel rows) from the ``# step3 kernel:`` stats line."""
+    line, = (ln for ln in err.splitlines() if ln.startswith("# step3 kernel:"))
+    fields = dict(f.split("=") for f in line.split()[3:])
+    return int(fields["lane_rows"]), int(fields["kernel_rows"])
+
+
 @pytest.fixture
 def fasta_pair(tmp_path, rng):
     core = random_dna(rng, 200)
@@ -112,6 +119,8 @@ class TestRun:
         err = capsys.readouterr().err
         assert "step timings" in err
         assert "work:" in err
+        lane_rows, kernel_rows = step3_kernel_rows(err)
+        assert 0 < kernel_rows <= lane_rows
 
     @pytest.mark.parametrize("engine", ["oris", "blastn", "blat"])
     def test_all_engines_run(self, fasta_pair, tmp_path, engine):
@@ -180,7 +189,11 @@ class TestResilientRuntime:
         rc = run([*fasta_pair, "--workers", "2", "--stats",
                   "-o", str(tmp_path / "x.m8")])
         assert rc == 0
-        assert "# runtime:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "# runtime:" in err
+        # Step 3 ran as lane slices in the workers: their rows are summed.
+        lane_rows, kernel_rows = step3_kernel_rows(err)
+        assert 0 < kernel_rows <= lane_rows
 
     def test_resume_requires_checkpoint(self, fasta_pair, capsys):
         rc = run([*fasta_pair, "--resume"])

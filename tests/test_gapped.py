@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.align import gapped
 from repro.align.gapped import (
+    DEFAULT_BAND_RADIUS,
     batch_gapped_extend,
     gapped_extend_ref,
 )
@@ -175,6 +177,51 @@ class TestBatchAgainstScalar:
             )
             assert batch_tuple(res, i) == ref_tuple(ref), (i, q1, q2, d)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        match=st.integers(1, 3),
+        mismatch=st.integers(1, 4),
+        gap=st.integers(0, 40),
+        xdrop=st.integers(600, 3000),
+        band=st.integers(16, 40),
+        max_rows=st.sampled_from([7, 60, 1 << 20]),
+    )
+    def test_wide_state_parity(
+        self, seed, match, mismatch, gap, xdrop, band, max_rows
+    ):
+        # Scorings whose scores do not fit the int16 band state; lanes
+        # then run to the end of their sequences.
+        sc = ScoringScheme(
+            match=match, mismatch=mismatch, gap_open=gap, xdrop_gapped=xdrop
+        )
+        assert gapped._score_dtype(sc, band) is np.int32
+        rng = np.random.default_rng(seed)
+        cores = [random_dna(rng, int(rng.integers(20, 60))) for _ in range(3)]
+        b1 = Bank.from_strings(
+            [(f"a{t}", with_ns(rng, random_dna(rng, 6) + c)) for t, c in enumerate(cores)]
+        )
+        b2 = Bank.from_strings(
+            [(f"b{t}", random_dna(rng, 4) + mutate(rng, c, 0.1, 0.05))
+             for t, c in enumerate(cores)]
+        )
+        n1, n2 = len(b1.seq), len(b2.seq)
+        anchors = [(0, 0, -1), (n1, n2, +1)]
+        for t in range(24):
+            c = int(rng.integers(3))
+            q1 = int(b1.starts[c]) + int(rng.integers(0, int(b1.lengths[c]) + 1))
+            q2 = int(b2.starts[c]) + int(rng.integers(0, int(b2.lengths[c]) + 1))
+            anchors.append((q1, q2, 1 if t % 2 else -1))
+        p1, p2, dirs = (np.array(col) for col in zip(*anchors))
+        res = batch_gapped_extend(
+            b1.seq, b2.seq, p1, p2, dirs, sc, band_radius=band, max_rows=max_rows
+        )
+        for i, (q1, q2, d) in enumerate(anchors):
+            ref = gapped_extend_ref(
+                b1.seq, b2.seq, q1, q2, d, sc, band_radius=band, max_rows=max_rows
+            )
+            assert batch_tuple(res, i) == ref_tuple(ref), (i, q1, q2, d)
+
     def test_no_leading_deletion_when_mismatch_exceeds_two_gaps(self):
         # With mismatch > 2 * gap, "gap in seq2 then gap in seq1" beats a
         # leading mismatch; the path would start with a column that has
@@ -239,6 +286,53 @@ class TestBatchAgainstScalar:
         )
         assert int(res.max_dd[0]) <= 8
         assert int(res.min_dd[0]) >= -8
+
+
+class TestSweepState:
+    def test_default_scoring_selects_int16(self):
+        assert gapped._score_dtype(ScoringScheme(), DEFAULT_BAND_RADIUS) is np.int16
+
+    def test_wide_scorings_select_wider_types(self):
+        assert gapped._score_dtype(ScoringScheme(xdrop_gapped=600), 16) is np.int32
+        assert gapped._score_dtype(ScoringScheme(xdrop_gapped=1 << 26), 16) is np.int64
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_compression_on_a_tape_refill_row(self, monkeypatch, offset):
+        # Exact-match lanes, each anchored at the start of its own bank-1
+        # sequence, retire on the row that reads the separator after it:
+        # lane t at row len(t).  Two of six retire on row `first`, so the
+        # active set is compressed there; a compression refills the tapes
+        # on the next row, and two of the remaining four retire on the
+        # row that next refills them (first + 1 + tape rows).
+        tape = gapped._TAPE_ROWS
+        first = tape + offset  # the last row of a tape, a refill row, after
+        second = first + 1 + tape
+        lengths = [first, first, second, second, second + 17, second + 37]
+        rng = np.random.default_rng(tape + offset)
+        cores = [random_dna(rng, n) for n in lengths]
+        b1 = Bank.from_strings([(f"a{t}", c) for t, c in enumerate(cores)])
+        b2 = Bank.from_strings(
+            [(f"b{t}", c + random_dna(rng, 40)) for t, c in enumerate(cores)]
+        )
+        p1 = b1.starts[: len(cores)].astype(np.int64)
+        p2 = b2.starts[: len(cores)].astype(np.int64)
+        epochs = []
+        start_epoch = gapped._MoveTrace.epoch
+
+        def spy(trace, idx):
+            epochs.append(len(trace.rows))
+            start_epoch(trace, idx)
+
+        monkeypatch.setattr(gapped._MoveTrace, "epoch", spy)
+        sc = ScoringScheme()
+        res = batch_gapped_extend(b1.seq, b2.seq, p1, p2, +1, sc)
+        last = second + 37
+        assert epochs == [0, first + 1, second + 1, second + 18, last + 1]
+        assert res.rows == last + 1
+        assert res.consumed1.tolist() == lengths
+        for i in range(len(cores)):
+            ref = gapped_extend_ref(b1.seq, b2.seq, int(p1[i]), int(p2[i]), +1, sc)
+            assert batch_tuple(res, i) == ref_tuple(ref), i
 
 
 class TestBatchMemory:
@@ -341,25 +435,27 @@ class TestLaneSlices:
 
         full = run(np.arange(p1.size))
         labels = rng.integers(0, n_parts, size=p1.size)
-        steps = 0
+        steps = rows = 0
         for part in range(n_parts):
             idx = np.flatnonzero(labels == part)
             res = run(idx)
             for f in LANE_FIELDS:
                 assert np.array_equal(getattr(res, f), getattr(full, f)[idx]), f
             steps += res.steps
+            rows = max(rows, res.rows)
         assert steps == full.steps
+        # A sweep runs until its last lane retires, a row no other lane
+        # moves.
+        assert rows == full.rows
 
         # The runtime's round-robin slices, scattered back, are the batch.
         order, bounds = slice_lanes(p1.size, n_parts)
-        gathered = gather_lane_slices(
-            {s: run(order[lo:hi]) for s, (lo, hi) in enumerate(bounds)},
-            order,
-            bounds,
-        )
+        slices = {s: run(order[lo:hi]) for s, (lo, hi) in enumerate(bounds)}
+        gathered = gather_lane_slices(slices, order, bounds)
         for f in LANE_FIELDS:
             assert np.array_equal(getattr(gathered, f), getattr(full, f)), f
         assert gathered.steps == full.steps
+        assert gathered.rows == sum(res.rows for res in slices.values())
 
     def test_lane_view_selects_lanes(self):
         from repro.align import gapped
@@ -376,6 +472,7 @@ class TestLaneSlices:
         view = full.lanes(slice(1, 3))
         picked = full.lanes(np.array([3, 0]))
         assert view.steps == picked.steps == 0
+        assert view.rows == picked.rows == 0 < full.rows
         for f in LANE_FIELDS:
             assert np.shares_memory(getattr(view, f), getattr(full, f))
             assert np.array_equal(getattr(view, f), getattr(full, f)[1:3])

@@ -502,12 +502,18 @@ class TestMergedStep3:
         finally:
             engine.close()
         single = Counter()
+        query_rows = []
         for name, seq in queries:
             qbank = Bank.from_strings([(name, seq)])
             result = OrisEngine(params).compare(qbank, bank2)
-            single.update(_stage_counters(result.metrics))
+            counters = _stage_counters(result.metrics)
+            query_rows.append(counters.pop("step3.kernel_rows", 0))
+            single.update(counters)
         batched = _stage_counters(engine.registry)
         assert batched["step3.lane_rows"] > 0 and batched["step4.records"] > 0
+        # One kernel call sweeps the rows of the query that needs the most,
+        # not the sum of every query's.
+        assert batched.pop("step3.kernel_rows") == max(query_rows) > 0
         assert Counter(batched) == single
 
     def _spy(self, monkeypatch):
